@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from diskmaps import GridSpec, builtin_map, frontier, kalaj_extremal
+from diskmaps import GridSpec, builtin_map, frontier
 
 
 def parse_params(entries):
@@ -25,17 +25,6 @@ def parse_params(entries):
             raise SystemExit(f"--param needs key=value, got {entry!r}")
         params[key] = tuple(value.split(",")) if "," in value else value
     return params
-
-
-def build(args):
-    params = parse_params(args.param)
-    if args.catalog == "kalaj_extremal":
-        R = float(str(params.pop("R", "1.0")))
-        mu_raw = params.pop("mu", ("0",))
-        mu = [complex(v) for v in (mu_raw if isinstance(mu_raw, tuple) else (mu_raw,))]
-        degree = int(str(params.pop("series_degree", "24")))
-        return kalaj_extremal(R, mu, degree)
-    return builtin_map(args.catalog, params)
 
 
 def main():
@@ -50,7 +39,7 @@ def main():
     ap.add_argument("--json", action="store_true", help="emit JSON instead")
     args = ap.parse_args()
 
-    definition = build(args)
+    definition = builtin_map(args.catalog, parse_params(args.param))
     grid = GridSpec(max_radius=args.max_radius, refine_rounds=args.refine_rounds)
     Ks = np.geomspace(args.k_min, args.k_max, args.k_count)
     report = frontier(definition.build(), [float(k) for k in Ks], grid)

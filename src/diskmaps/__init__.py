@@ -11,8 +11,7 @@ subcommands with JSON/CSV output.
 
 from .bounds import (HOLD_TOLERANCE, INEQUALITY_IDS, BoundContext, BoundReport,
                      coefficient_bounds_report, derivative_bounds_report)
-from .catalog import (MapDefinition, builtin_map, catalog_names, harmonic_catalog,
-                      kalaj_extremal)
+from .catalog import MapDefinition, builtin_map, catalog_names, harmonic_catalog
 from .coefficients import CoeffTable, MajorantSpec, bloch_norm, extract_coeffs
 from .ellipticity import (CauchyPair, ConvergenceError, EllipticityParams,
                           FrontierReport, HypothesisReport, QcResult,
@@ -67,6 +66,5 @@ __all__ = [
     "boundary_length", "radial_length_limit", "radial_integral_profile",
     "subharmonic_radial_check",
     # catalog
-    "MapDefinition", "builtin_map", "kalaj_extremal", "harmonic_catalog",
-    "catalog_names",
+    "MapDefinition", "builtin_map", "harmonic_catalog", "catalog_names",
 ]

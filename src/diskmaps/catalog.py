@@ -135,6 +135,8 @@ def builtin_map(name: str, params: Optional[Dict[str, object]] = None) -> MapDef
       example13      alpha in (0, 1/2)
       example15
       polyharmonic   a (z-power coefficients), b (zbar-power coefficients)
+      kalaj_extremal R (default 1), mu (polynomial coefficients, default 0),
+                     series_degree (default 24); see kalaj_extremal()
     """
     params = dict(params or {})
     if name == "identity":
@@ -208,6 +210,16 @@ def builtin_map(name: str, params: Optional[Dict[str, object]] = None) -> MapDef
             provenance="polynomial harmonic map given by its coefficients",
             _builder=lambda: SeriesMap(a, b, label="polyharmonic"),
         )
+    if name == "kalaj_extremal":
+        defaults = {"R": 1.0, "mu": (0.0,), "series_degree": 24}
+        defaults.update(params)
+        params = defaults
+        _require_params(params, ("R", "mu", "series_degree"), name)
+        mu = params["mu"]
+        if not isinstance(mu, (tuple, list)):
+            mu = (mu,)
+        return kalaj_extremal(float(params["R"]), [complex(v) for v in mu],
+                              int(params["series_degree"]))
     raise ValueError(f"unknown catalog map {name!r}")
 
 
@@ -320,4 +332,5 @@ def catalog_names() -> Dict[str, str]:
         "example13": "alpha in (0, 1/2)",
         "example15": "",
         "polyharmonic": "a (comma list), b (comma list)",
+        "kalaj_extremal": "R, mu (comma list), series_degree (default 24)",
     }

@@ -20,7 +20,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import BoundContext, coefficient_bounds_report, derivative_bounds_report
-from .catalog import MapDefinition, builtin_map, catalog_names, kalaj_extremal
+from .catalog import MapDefinition, builtin_map, catalog_names
 from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
 from .expr import EvalDomainError, ParseError
@@ -114,17 +114,7 @@ def _build_map(args, quad: QuadratureConfig
     if args.map is not None:
         return DslMap(args.map), {"map": args.map}, None
     if args.catalog is not None:
-        params = _collect_params(args.param)
-        if args.catalog == "kalaj_extremal":
-            R = float(str(params.pop("R", "1.0")))
-            degree = int(str(params.pop("series_degree", "24")))
-            mu_raw = params.pop("mu", ("0",))
-            mu = [complex(v) for v in (mu_raw if isinstance(mu_raw, tuple) else (mu_raw,))]
-            if params:
-                raise ValueError(f"unknown kalaj_extremal parameters {sorted(params)}")
-            definition = kalaj_extremal(R, mu, degree)
-        else:
-            definition = builtin_map(args.catalog, params)
+        definition = builtin_map(args.catalog, _collect_params(args.param))
         return definition.build(), {"catalog": definition.name,
                                     "parameters": definition.parameters}, definition
     g = None if args.g.strip() in ("", "0") else args.g
@@ -385,8 +375,6 @@ def _cmd_catalog(args) -> int:
     rows = []
     for name, schema in catalog_names().items():
         rows.append({"type": "CatalogEntry", "name": name, "parameters": schema})
-    rows.append({"type": "CatalogEntry", "name": "kalaj_extremal",
-                 "parameters": "R, mu (comma list), series_degree (default 24)"})
     config = _config_base(args, "catalog", {})
     return _emit(args, config, rows)
 

@@ -13,8 +13,8 @@ difference-quotient equivalence for concave majorants).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -127,6 +127,23 @@ def _jet_arrays(m: PlanarMap, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.abs(dz), np.abs(dzbar)
 
 
+def _defect(adz: np.ndarray, adb: np.ndarray, K: float) -> np.ndarray:
+    return (adz + adb) ** 2 - K * (adz**2 - adb**2)
+
+
+def _kprime_scan(m: PlanarMap, K: float, grid: GridSpec,
+                 base: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 ) -> Tuple[float, complex]:
+    """min_kprime's scan; base = (|f_z|, |f_zbar|) already sampled on the grid."""
+
+    def defect(pts: np.ndarray) -> np.ndarray:
+        return _defect(*_jet_arrays(m, pts), K)
+
+    base_values = None if base is None else _defect(*base, K)
+    value, witness = grid_supremum(defect, grid, base_values=base_values)
+    return max(0.0, value), witness
+
+
 def min_kprime(m: PlanarMap, K: float, grid: Optional[GridSpec] = None) -> Tuple[float, complex]:
     """Grid estimate of the least K' valid for this K, with its witness.
 
@@ -135,14 +152,7 @@ def min_kprime(m: PlanarMap, K: float, grid: Optional[GridSpec] = None) -> Tuple
     """
     if K < 1.0:
         raise ValueError("K must be >= 1")
-    grid = grid or GridSpec()
-
-    def defect(pts: np.ndarray) -> np.ndarray:
-        adz, adb = _jet_arrays(m, pts)
-        return (adz + adb) ** 2 - K * (adz**2 - adb**2)
-
-    value, witness = grid_supremum(defect, grid)
-    return max(0.0, value), witness
+    return _kprime_scan(m, K, grid or GridSpec())
 
 
 def _shell_dilatation_sups(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
@@ -151,6 +161,22 @@ def _shell_dilatation_sups(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
         ratio = adb / adz
     ratio = np.where(np.isfinite(ratio), ratio, -np.inf)
     return ratio.max(axis=1)
+
+
+def _dilatation_blows_up(shell_sups: np.ndarray):
+    """The outermost shell sup exceeds 1 - 1e-3 and the last three increase."""
+    tail = shell_sups[-3:]
+    return (
+        len(tail) == 3
+        and tail[-1] > 1.0 - 1e-3
+        and bool(np.all(np.diff(tail) > 0.0))
+    )
+
+
+def _qc_ratio(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (adz + adb) / (adz - adb)
+    return np.where((adz > adb), out, np.nan)
 
 
 def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
@@ -173,21 +199,12 @@ def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
                         witness=complex(pts.ravel()[idx]))
 
     shell_sups = _shell_dilatation_sups(adz, adb)
-    tail = shell_sups[-3:]
-    unbounded = (
-        len(tail) == 3
-        and tail[-1] > 1.0 - 1e-3
-        and bool(np.all(np.diff(tail) > 0.0))
-    )
 
     def ratio_field(z: np.ndarray) -> np.ndarray:
-        a, b = _jet_arrays(m, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (a + b) / (a - b)
-        return np.where((a > b), out, np.nan)
+        return _qc_ratio(*_jet_arrays(m, z))
 
-    value, witness = grid_supremum(ratio_field, grid)
-    flag = "unbounded" if unbounded else "finite"
+    value, witness = grid_supremum(ratio_field, grid, base_values=_qc_ratio(adz, adb))
+    flag = "unbounded" if _dilatation_blows_up(shell_sups) else "finite"
     return QcResult(value=value, flag=flag, witness=witness,
                     shell_dilatations=tuple(float(s) for s in shell_sups[-8:]))
 
@@ -196,7 +213,9 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
              grid: Optional[GridSpec] = None) -> FrontierReport:
     """Sweep K over Ks (ascending) and estimate min K' at each.
 
-    For a sense-preserving map the estimates are non-increasing in K.
+    For a sense-preserving map the estimates are non-increasing in K.  The
+    base grid is sampled once and shared by every K and the dilatation
+    scan; only the per-K refinement windows evaluate the map again.
     """
     if not Ks:
         raise ValueError("Ks must be nonempty")
@@ -204,26 +223,20 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
     if Ks[0] < 1.0:
         raise ValueError("every K must be >= 1")
     grid = grid or GridSpec()
+    base = _jet_arrays(m, polar_grid(grid))
 
     samples: List[Tuple[float, float]] = []
     witnesses: List[complex] = []
     for K in Ks:
-        est, wit = min_kprime(m, K, grid)
+        est, wit = _kprime_scan(m, K, grid, base)
         samples.append((K, est))
         witnesses.append(wit)
 
-    pts = polar_grid(grid)
-    adz, adb = _jet_arrays(m, pts)
-    shell_sups = _shell_dilatation_sups(adz, adb)
+    shell_sups = _shell_dilatation_sups(*base)
     sup_dil = float(shell_sups.max()) if np.isfinite(shell_sups).any() else math.nan
-    tail = shell_sups[-3:]
-    unbounded = (
-        len(tail) == 3
-        and tail[-1] > 1.0 - 1e-3
-        and bool(np.all(np.diff(tail) > 0.0))
-    )
     return FrontierReport(samples=tuple(samples), witnesses=tuple(witnesses),
-                          sup_dilatation=sup_dil, dilatation_unbounded=unbounded)
+                          sup_dilatation=sup_dil,
+                          dilatation_unbounded=_dilatation_blows_up(shell_sups))
 
 
 def lemma24_convert(params: Union[EllipticityParams, CauchyPair]):
@@ -287,6 +300,16 @@ def _as_majorant(omega) -> MajorantSpec:
     if isinstance(omega, MajorantSpec):
         return omega
     return MajorantSpec(omega)
+
+
+def _chord_margins(spec: MajorantSpec, expo: float, C: float, z1: complex, z2: complex,
+                   w1: complex, w2: complex) -> Tuple[float, float]:
+    """Margins of omega(((1+|z1|)(1+|z2|))^expo) / C <= |w1 - w2| / |z1 - z2|
+    <= C / omega((d(z1) d(z2))^expo), lower clause first."""
+    ratio = abs(w1 - w2) / abs(z1 - z2)
+    lower = spec.eval(((1.0 + abs(z1)) * (1.0 + abs(z2))) ** expo) / C
+    upper = C / spec.eval((disk_distance(z1) * disk_distance(z2)) ** expo)
+    return ratio - lower, upper - ratio
 
 
 def _check_univalence_on_sample(m: PlanarMap, points: Sequence[complex]) -> None:
@@ -361,10 +384,7 @@ def check_theorem11(
         if abs(z1 - z2) < 1e-14:
             raise ValueError("pairs must consist of distinct points")
         w1, w2 = m.value(z1), m.value(z2)
-        ratio = abs(w1 - w2) / abs(z1 - z2)
-        lower = spec.eval(((1.0 + abs(z1)) * (1.0 + abs(z2))) ** expo) / C1
-        upper = C1 / spec.eval((disk_distance(z1) * disk_distance(z2)) ** expo)
-        margins = [ratio - lower, upper - ratio]
+        margins = list(_chord_margins(spec, expo, C1, z1, z2, w1, w2))
 
         try:
             guess = z1
@@ -578,10 +598,7 @@ def lemma22_check(
         disk_distance(z2)
         if abs(z1 - z2) < 1e-14:
             raise ValueError("pairs must consist of distinct points")
-        ratio = abs(m.value(z1) - m.value(z2)) / abs(z1 - z2)
-        lower = spec.eval(((1.0 + abs(z1)) * (1.0 + abs(z2))) ** expo) / C4
-        upper = C4 / spec.eval((disk_distance(z1) * disk_distance(z2)) ** expo)
-        margin = min(ratio - lower, upper - ratio)
+        margin = min(_chord_margins(spec, expo, C4, z1, z2, m.value(z1), m.value(z2)))
         if margin < worst_a:
             worst_a, witness_a = margin, (z1, z2)
 

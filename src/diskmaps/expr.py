@@ -273,7 +273,10 @@ class _Parser:
         self._enter(tok.pos)
         try:
             if tok.kind == "number":
-                return Num(float(tok.text), pos=tok.pos)
+                value = float(tok.text)
+                if not math.isfinite(value):
+                    raise ParseError(f"numeric literal {tok.text!r} overflows", tok.pos)
+                return Num(value, pos=tok.pos)
             if tok.kind == "ident":
                 return self._ident(tok)
             if tok.kind == "sym" and tok.text == "(":

@@ -10,7 +10,7 @@ evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -61,6 +61,7 @@ def grid_supremum(
     field: Callable[[np.ndarray], np.ndarray],
     spec: GridSpec,
     max_failure_fraction: float = 0.01,
+    base_values: Optional[np.ndarray] = None,
 ) -> Tuple[float, complex]:
     """Supremum estimate of a real field over the disk grid, with refinement.
 
@@ -68,9 +69,18 @@ def grid_supremum(
     entries mark skipped points.  Returns (estimate, witness point).  The
     estimate is a certified lower bound of the true sup (it is a maximum of
     evaluations); the refinement makes it a useful heuristic for the sup.
+
+    base_values, when given, are the field's values on polar_grid(spec),
+    already computed by the caller; `field` is then called only on the
+    refinement windows.
     """
     pts = polar_grid(spec)
-    vals = np.asarray(field(pts), dtype=float)
+    if base_values is None:
+        vals = np.asarray(field(pts), dtype=float)
+    else:
+        vals = np.asarray(base_values, dtype=float)
+        if vals.shape != pts.shape:
+            raise ValueError(f"base_values have shape {vals.shape}, expected {pts.shape}")
     bad = ~np.isfinite(vals)
     if bad.any():
         if bad.mean() > max_failure_fraction:

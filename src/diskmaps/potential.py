@@ -470,18 +470,10 @@ class PoissonMap(PlanarMap):
         boundary_series: SeriesMap,
         potential: Optional[GreenPotential],
         label: str = "poisson-solution",
-        psi_source: Optional[str] = None,
-        config: Optional[QuadratureConfig] = None,
     ):
         self.series = boundary_series
         self.potential = potential
         self.label = label
-        self.psi_source = psi_source
-        self.config = config if config is not None else QuadratureConfig()
-
-    @property
-    def g_source(self) -> Optional[str]:
-        return None if self.potential is None else self.potential.source_expr
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -539,8 +531,7 @@ def solve_poisson(
     cfg = config if config is not None else QuadratureConfig()
     series = poisson_extension(psi, cfg)
     potential = None if g is None else GreenPotential(g, cfg, check=check)
-    psi_text = psi if isinstance(psi, str) else None
-    return PoissonMap(series, potential, label=label, psi_source=psi_text, config=cfg)
+    return PoissonMap(series, potential, label=label)
 
 
 def laplacian_residual(

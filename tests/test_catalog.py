@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from diskmaps import (
-    SeriesMap,
-    builtin_map,
-    catalog_names,
-    extract_coeffs,
-    harmonic_catalog,
-    kalaj_extremal,
-)
+from diskmaps import SeriesMap, builtin_map, catalog_names, extract_coeffs, harmonic_catalog
+from diskmaps.catalog import kalaj_extremal
 
 
 def test_every_catalog_entry_builds_and_evaluates(rng):
@@ -29,7 +23,7 @@ def test_every_catalog_entry_builds_and_evaluates(rng):
 def test_catalog_names_cover_the_constructors():
     names = catalog_names()
     assert set(names) == {"identity", "scale", "moebius", "example13",
-                          "example15", "polyharmonic"}
+                          "example15", "polyharmonic", "kalaj_extremal"}
     for name in names:
         assert isinstance(names[name], str)
 
@@ -143,6 +137,23 @@ def test_kalaj_rejects_oversized_dilatation():
         kalaj_extremal(0.0, [0.1])
     with pytest.raises(ValueError):
         kalaj_extremal(1.0, [0.1], series_degree=4)
+
+
+@pytest.mark.parametrize("params,args", [
+    ({}, (1.0, [0.0], 24)),
+    ({"mu": "0.5"}, (1.0, [0.5], 24)),
+    ({"R": "2.0", "mu": ("0.3", "0.1j"), "series_degree": "16"}, (2.0, [0.3, 0.1j], 16)),
+    ({"R": 1.5, "mu": [0.2], "series_degree": 12}, (1.5, [0.2], 12)),
+])
+def test_builtin_kalaj_matches_the_constructor(params, args):
+    got = builtin_map("kalaj_extremal", params)
+    want = kalaj_extremal(*args)
+    assert got.name == want.name == "kalaj_extremal"
+    assert got.parameters == want.parameters
+    assert got.diagnostics == want.diagnostics
+    z = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16) * np.linspace(0.1, 1.0, 16)
+    for a, b in zip(got.build().jets(z), want.build().jets(z)):
+        assert np.array_equal(a, b)
 
 
 def test_polyharmonic_entry_matches_series():

@@ -78,6 +78,9 @@ def test_dsl_parse_error_is_usage_error(capsys):
     code = cli.main(["analyze", "--map", "z +* 2"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # A literal that overflows to inf is a parse error, not a silent inf.
+    assert cli.main(["analyze", "--map", "1e999*z"]) == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):

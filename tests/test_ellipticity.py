@@ -13,6 +13,7 @@ from diskmaps import (
     ConvergenceError,
     EllipticityParams,
     GridSpec,
+    PlanarMap,
     SeriesMap,
     WirtingerJet,
     beta_constant,
@@ -69,6 +70,41 @@ def test_frontier_is_nonincreasing_in_K(example15):
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert len(rep.witnesses) == 4
     assert rep.sup_dilatation < 1.0
+
+
+class _CountingMap(PlanarMap):
+    """Delegates to a map and counts the points its jets are asked for."""
+
+    def __init__(self, inner: PlanarMap):
+        self.inner = inner
+        self.jet_points = 0
+
+    def jet(self, z):
+        return self.inner.jet(z)
+
+    def jets(self, z):
+        self.jet_points += np.size(z)
+        return self.inner.jets(z)
+
+
+def test_frontier_and_qc_sample_the_base_grid_once():
+    grid = GridSpec(radial_count=4, angular_count=8, refine_rounds=0)
+    m = _CountingMap(shear(0.3))
+    frontier(m, [1.0, 2.0, 3.0], grid)
+    assert m.jet_points == 32
+    m.jet_points = 0
+    qc_constant(m, grid)
+    assert m.jet_points == 32
+
+
+@pytest.mark.parametrize("name", ["example15", "shear"])
+def test_frontier_matches_min_kprime_per_K(name, example15):
+    m = example15 if name == "example15" else shear(0.4)
+    grid = GridSpec(radial_count=24, angular_count=48, refine_rounds=2)
+    Ks = [1.0, 1.5, 2.5, 4.0]
+    rep = frontier(m, Ks, grid)
+    for K, (K_rep, kprime), witness in zip(Ks, rep.samples, rep.witnesses):
+        assert (K_rep, kprime, witness) == (K, *min_kprime(m, K, grid))
 
 
 def test_pointwise_defect_sign_convention():

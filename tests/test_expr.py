@@ -77,7 +77,7 @@ def test_integer_power_jets_are_exact():
 
 
 @pytest.mark.parametrize("bad", ["z +* 2", "conj(z", "2 ** z", "z @ 1", "",
-                                 "foo(z)", "z^z^"])
+                                 "foo(z)", "z^z^", "1e999", "2*z + 1e400"])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError) as exc:
         parse_expr(bad)

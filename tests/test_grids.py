@@ -81,6 +81,24 @@ def test_refinement_never_decreases_the_estimate():
     assert v4 >= v0
 
 
+def test_supremum_on_caller_sampled_base_values():
+    def field(z):
+        return np.abs(np.sin(3 * z)).astype(float)
+
+    spec = GridSpec(radial_count=24, angular_count=48, refine_rounds=3)
+    pts = polar_grid(spec)
+    assert grid_supremum(field, spec, base_values=field(pts)) == grid_supremum(field, spec)
+    # Tie-break and failure checks run on the given values too.
+    flat = np.ones(pts.shape)
+    _, witness = grid_supremum(field, GridSpec(radial_count=24, angular_count=48,
+                                               refine_rounds=0), base_values=flat)
+    assert witness == pts.ravel()[0]
+    with pytest.raises(GridScanError):
+        grid_supremum(field, spec, base_values=np.where(np.abs(pts) > 0.5, np.nan, flat))
+    with pytest.raises(ValueError, match="shape"):
+        grid_supremum(field, spec, base_values=flat.ravel())
+
+
 def test_shell_ladder_caps_at_max_radius():
     ladder = shell_ladder(1 - 1e-4)
     assert ladder[-1] == pytest.approx(1 - 1e-4)

@@ -1,0 +1,35 @@
+"""The command-line scripts, run in-process on the shared catalog registry."""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    main = runpy.run_path(str(SCRIPTS / name))["main"]
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    return main()
+
+
+def test_bounds_regression_reports_no_violations(monkeypatch, capsys, tmp_path):
+    code = run_script(monkeypatch, "bounds_regression.py", "--keep", str(tmp_path))
+    assert code == 0
+    assert "violation" not in capsys.readouterr().err
+    reports = sorted(tmp_path.glob("*.json"))
+    assert len(reports) == 8
+    for path in reports:
+        rows = json.loads(path.read_text())["reports"]
+        assert all(row["status"] != "violated" for row in rows), path.name
+
+
+def test_frontier_sweep_builds_kalaj_from_the_catalog(monkeypatch, capsys):
+    run_script(monkeypatch, "frontier_sweep.py", "--catalog", "kalaj_extremal",
+               "--param", "mu=0.5", "--k-count", "3", "--json")
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["map"] == "kalaj_extremal"
+    assert doc["parameters"]["mu"] == repr(((0.5 + 0j),))
+    assert [K for K, _ in doc["samples"]] == [1.0, 2.0, 4.0]
+    assert doc["dilatation_unbounded"] is False
