@@ -21,9 +21,9 @@ from .ellipticity import (CauchyPair, ConvergenceError, EllipticityParams,
 from .expr import EvalDomainError, ParseError, parse_expr
 from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, shell_ladder
 from .kernels import green_eval, poisson_eval
-from .lengths import (LengthReport, boundary_length, length_sup, perimeter,
-                      radial_integral_profile, radial_length, radial_length_limit,
-                      subharmonic_radial_check)
+from .lengths import (JetEvaluationError, LengthReport, boundary_length, length_sup,
+                      perimeter, radial_integral_profile, radial_length,
+                      radial_length_limit, subharmonic_radial_check)
 from .maps import CallableMap, DslMap, PlanarMap, SeriesMap
 from .potential import (GreenPotential, PoissonMap, QuadratureConfig,
                         QuadratureError, green_derivative_sup, green_potential,
@@ -62,9 +62,9 @@ __all__ = [
     "INEQUALITY_IDS", "HOLD_TOLERANCE", "BoundReport", "BoundContext",
     "coefficient_bounds_report", "derivative_bounds_report",
     # lengths
-    "LengthReport", "perimeter", "radial_length", "length_sup",
-    "boundary_length", "radial_length_limit", "radial_integral_profile",
-    "subharmonic_radial_check",
+    "JetEvaluationError", "LengthReport", "perimeter", "radial_length",
+    "length_sup", "boundary_length", "radial_length_limit",
+    "radial_integral_profile", "subharmonic_radial_check",
     # catalog
     "MapDefinition", "builtin_map", "harmonic_catalog", "catalog_names",
 ]

@@ -7,7 +7,8 @@ Every invocation prints one document, JSON by default:
      "summary": {"worst_margin": ..., "status": ...}}
 
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
-2 usage or configuration error, 3 numerical non-convergence.  Identical
+2 usage or configuration error, 3 numerical failure (non-convergence, or
+non-finite jets on a length quadrature's path).  Identical
 argv yields byte-identical output: reductions are deterministic, field
 order is fixed, floats render in shortest round-trip form.
 """
@@ -25,8 +26,8 @@ from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
 from .expr import EvalDomainError, ParseError
 from .grids import GridSpec
-from .lengths import (_length_sup_detail, boundary_length, perimeter, radial_length,
-                      radial_length_limit, subharmonic_radial_check)
+from .lengths import (JetEvaluationError, _length_sup_detail, boundary_length, perimeter,
+                      radial_length, radial_length_limit, subharmonic_radial_check)
 from .maps import DslMap, PlanarMap
 from .potential import QuadratureConfig, laplacian_residual, solve_poisson
 from .reports import render_csv, render_json
@@ -98,8 +99,6 @@ def _quad_from(args) -> QuadratureConfig:
     return QuadratureConfig(
         radial_nodes=args.radial_nodes,
         angular_nodes=args.angular_nodes,
-        singular_patch_radius=args.patch_radius,
-        patch_nodes=args.patch_nodes,
         boundary_nodes=args.boundary_nodes,
     )
 
@@ -401,8 +400,6 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 def _add_quad(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radial-nodes", type=int, default=128)
     p.add_argument("--angular-nodes", type=int, default=256)
-    p.add_argument("--patch-radius", type=float, default=0.05)
-    p.add_argument("--patch-nodes", type=int, default=64)
     p.add_argument("--boundary-nodes", type=int, default=512)
 
 
@@ -503,6 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except RuntimeError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENT
+    except JetEvaluationError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
 
 

@@ -84,12 +84,17 @@ class CauchyPair:
 
 @dataclass(frozen=True)
 class FrontierReport:
-    """min-K' estimates along a sweep of K values."""
+    """min-K' estimates along a sweep of K values.
+
+    sense_preserving is false when some finite base-grid jet has J <= 0;
+    the estimates then do not describe a K-quasiregular map.
+    """
 
     samples: Tuple[Tuple[float, float], ...]
     witnesses: Tuple[complex, ...]
     sup_dilatation: float
     dilatation_unbounded: bool
+    sense_preserving: bool
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,12 @@ def _dilatation_blows_up(shell_sups: np.ndarray):
     )
 
 
+def _degenerate(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
+    """Finite jets with J = |f_z|^2 - |f_zbar|^2 <= 0 (not sense-preserving)."""
+    finite = np.isfinite(adz) & np.isfinite(adb)
+    return finite & (adz**2 - adb**2 <= 0.0)
+
+
 def _qc_ratio(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (adz + adb) / (adz - adb)
@@ -190,9 +201,7 @@ def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
     grid = grid or GridSpec()
     pts = polar_grid(grid)
     adz, adb = _jet_arrays(m, pts)
-    finite = np.isfinite(adz) & np.isfinite(adb)
-    jac = adz**2 - adb**2
-    degenerate = finite & (jac <= 0.0)
+    degenerate = _degenerate(adz, adb)
     if degenerate.any():
         idx = int(np.argmax(degenerate.ravel()))
         return QcResult(value=math.nan, flag="not-sense-preserving",
@@ -236,7 +245,8 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
     sup_dil = float(shell_sups.max()) if np.isfinite(shell_sups).any() else math.nan
     return FrontierReport(samples=tuple(samples), witnesses=tuple(witnesses),
                           sup_dilatation=sup_dil,
-                          dilatation_unbounded=_dilatation_blows_up(shell_sups))
+                          dilatation_unbounded=_dilatation_blows_up(shell_sups),
+                          sense_preserving=not _degenerate(*base).any())
 
 
 def lemma24_convert(params: Union[EllipticityParams, CauchyPair]):

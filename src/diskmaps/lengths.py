@@ -23,6 +23,7 @@ from .expr import ExprAst, parse_expr, value_array
 from .grids import GridSpec, shell_ladder
 
 __all__ = [
+    "JetEvaluationError",
     "LengthReport",
     "perimeter",
     "radial_length",
@@ -34,6 +35,15 @@ __all__ = [
 ]
 
 _RADIAL_CAP = 1.0 - 1e-6
+
+
+class JetEvaluationError(ArithmeticError):
+    """A length quadrature met non-finite jets inside the disk.
+
+    The arguments were valid; the map itself failed to evaluate (a pole or
+    branch point on the integration path), so this is a numerical failure
+    rather than a usage error.
+    """
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,7 @@ def _perimeter_value(m, r: float, nodes: int) -> float:
     _, dz, db = m.jets(pts)
     integrand = r * np.abs(dz - np.exp(-2j * theta) * db)
     if not np.all(np.isfinite(integrand)):
-        raise ValueError(f"jet evaluation failed on the circle |z| = {r}")
+        raise JetEvaluationError(f"jet evaluation failed on the circle |z| = {r}")
     # Periodic integrand: the trapezoid rule is the uniform Riemann sum.
     return float(integrand.mean() * 2.0 * np.pi)
 
@@ -95,7 +105,7 @@ def _radial_value(m, r: float, theta: float, nodes: int) -> float:
         # Isolated singular endpoints (maps not differentiable at 0) get the
         # nearest finite node value; interior failures are real errors.
         if bad.sum() > 1 or not bad[0]:
-            raise ValueError(f"jet evaluation failed on the ray theta = {theta}")
+            raise JetEvaluationError(f"jet evaluation failed on the ray theta = {theta}")
         integrand[0] = integrand[1]
     w = np.ones(nodes)
     w[1:-1:2] = 4.0

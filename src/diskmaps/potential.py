@@ -8,26 +8,30 @@ normalized so Laplacian(G[g]) = -g and G[g] vanishes on the unit circle.
 The Poisson solver returns f = P[psi] - G[g], the bounded solution of
 Laplacian(f) = g with boundary values psi.
 
-Quadrature design.  The image term log|1 - z conj(w)| is summed through the
-moment series
+Green solver.  In polar coordinates z = r e^{i theta}, w = s e^{i phi} the
+kernel separates into angular Fourier modes (Borges & Daripa, "A fast
+parallel algorithm for the Poisson equation on a disk", J. Comput. Phys.
+169 (2001); Trefethen, Spectral Methods in MATLAB, ch. 11).  With
+g(s e^{i phi}) = sum_m g_m(s) e^{i m phi},
 
-    integral log|1 - z conj(w)| g dA
-        = -(1/2) sum_{m>=1} (z^m mu_m + conj(z)^m nu_m) / m,
+    G[g](r e^{i theta}) = sum_m u_m(r) e^{i m theta},
+    u_m(r) = integral_0^1 K_m(r, s) g_m(s) s ds,
+    K_0 = -log max(r, s),
+    K_m = ((r_< / r_>)^|m| - (r s)^|m|) / (2 |m|),
 
-with moments mu_m = integral conj(w)^m g dA computed once per source by an
-FFT in angle and Gauss-Legendre in radius, truncated at the angular Nyquist
-mode.  Moments of a polynomial source vanish beyond its degree, so the
-series is then exact.  The singular term log|z - w| is integrated in polar
-coordinates centered at z, where the radial limit in direction phi is
+where r_< = min(r, s) and r_> = max(r, s).  The kernel has a kink at
+s = r, so each field radius gets its own rule split there: Gauss nodes
+s = r u on [0, r] and graded nodes s = r + (1 - r) u^3 on [r, 1], each
+side holding half of `radial_nodes`.  An FFT of the samples in angle gives
+g_m at every node, with the Nyquist mode dropped, and each mode is
+contracted with its exact kernel.  First derivatives come from the same
+modes through d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the
+combinations u_m' +- (|m|/r) u_m have closed-form kernels with no division
+by r, so z = 0 is exact.
 
-    rho_max(phi) = -Re(conj(z) e^{i phi})
-                   + sqrt(Re(conj(z) e^{i phi})^2 + 1 - |z|^2).
-
-The weight log(rho) is handled near rho = 0 by product integration
-(piecewise-quadratic data against exact log moments) and by plain
-Gauss-Legendre beyond the patch.  First derivatives use
-d/dz log|z - w| = 1/(2 (z - w)), whose 1/rho singularity cancels against
-the polar area element, leaving smooth radial integrals.
+Query points are grouped by radius (rounded to 1e-14), so the cost scales
+with the number of distinct radii: a circle or a ring of a polar grid
+costs one radial solve.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import expr as _expr
 from .maps import PlanarMap, SeriesMap
@@ -71,6 +74,12 @@ _AST_NODES = (
 )
 
 
+# Radial solves kept per potential, so that repeat visits to a radius (Newton
+# steps, stencils around a point, a circle scanned twice) reuse the modes.
+# Each entry holds 3 x angular_nodes complex numbers (12 KB by default).
+_SOLVED_RADII = 512
+
+
 class QuadratureError(RuntimeError):
     """Self-check detected quadrature disagreement beyond tolerance."""
 
@@ -79,38 +88,28 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Node counts for the disk quadrature.
 
-    radial_nodes: Gauss-Legendre count for radial integrals.
-    angular_nodes: uniform angular count; also the moment FFT size.
-    singular_patch_radius: product-integration patch around the field point.
-    patch_nodes: cells of the product rule (must be even).
+    radial_nodes: Gauss nodes per radial solve, half on each side of the
+        field radius; also the radial count of the source sup grid.
+    angular_nodes: uniform angular count, the FFT size in angle.
     boundary_nodes: FFT size for boundary data.
     """
 
     radial_nodes: int = 128
     angular_nodes: int = 256
-    singular_patch_radius: float = 0.05
-    patch_nodes: int = 64
     boundary_nodes: int = 512
 
     def __post_init__(self):
-        for name in ("radial_nodes", "angular_nodes", "patch_nodes", "boundary_nodes"):
+        for name in ("radial_nodes", "angular_nodes", "boundary_nodes"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be at least 8")
-        # The angular count is an FFT size and the patch rule works on node
-        # pairs, so both must be even.
+        # The angular count is an FFT size whose Nyquist mode is dropped.
         if self.angular_nodes % 2:
             raise ValueError("angular_nodes must be even")
-        if self.patch_nodes % 2:
-            raise ValueError("patch_nodes must be even")
-        if not 0.0 < self.singular_patch_radius < 0.5:
-            raise ValueError("singular_patch_radius must lie in (0, 0.5)")
 
     def doubled(self) -> "QuadratureConfig":
         return QuadratureConfig(
             radial_nodes=2 * self.radial_nodes,
             angular_nodes=2 * self.angular_nodes,
-            singular_patch_radius=self.singular_patch_radius,
-            patch_nodes=2 * self.patch_nodes,
             boundary_nodes=self.boundary_nodes,
         )
 
@@ -122,26 +121,29 @@ def _gauss01(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _log_moment0(x: np.ndarray) -> np.ndarray:
-    # integral of log(rho) d rho from 0, continuous at 0.
-    out = np.zeros_like(x)
-    m = x > 0
-    out[m] = x[m] * (np.log(x[m]) - 1.0)
-    return out
+@lru_cache(maxsize=None)
+def _spectral_tables(n: int, nphi: int):
+    """Per-config tables in FFT column order, cached and read-only.
+
+    Returns the signed mode m of each FFT column, the per-mode scale (1/nphi,
+    0 for the dropped Nyquist mode), the unit circle at the nphi angles, and
+    the inner-side weights w_j u_j^(|m|+1) for Gauss nodes u_j on [0, 1].
+    """
+    freq = np.rint(np.fft.fftfreq(nphi, 1.0 / nphi)).astype(int)
+    scale = np.where(np.abs(freq) < nphi // 2, 1.0 / nphi, 0.0)
+    unit = np.exp(2j * np.pi * np.arange(nphi) / nphi)
+    u, w = _gauss01(n)
+    inner = w[:, None] * u[:, None] ** (np.abs(freq) + 1)
+    for arr in (freq, scale, unit, inner):
+        arr.flags.writeable = False
+    return freq, scale, unit, inner
 
 
-def _log_moment1(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = x > 0
-    out[m] = 0.5 * x[m] ** 2 * np.log(x[m]) - 0.25 * x[m] ** 2
-    return out
-
-
-def _log_moment2(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    m = x > 0
-    out[m] = x[m] ** 3 * np.log(x[m]) / 3.0 - x[m] ** 3 / 9.0
-    return out
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """Columns x^0..x^top by running products; no overflow while |x| <= 1."""
+    table = np.ones((x.size, top + 1))
+    table[:, 1:] = x[:, None]
+    return np.cumprod(table, axis=1)
 
 
 SourceLike = Union[str, PlanarMap, Callable, "_expr.ExprAst"]
@@ -175,14 +177,19 @@ def _coerce_source(source: SourceLike):
 
 
 class GreenPotential(PlanarMap):
-    """The map z -> G[g](z) for a fixed source g, with exact-split quadrature.
+    """The map z -> G[g](z) for a fixed source g, by a polar-spectral solve.
 
-    Moments are precomputed at construction; point evaluation then costs one
-    local polar quadrature.  Set `check=True` to compare a probe value
-    against a doubled-node rule and fail loudly on disagreement.
+    Each distinct radius among the query points costs one radial solve:
+    `radial_nodes` x `angular_nodes` source samples, an FFT in angle, and
+    the exact radial kernel K_m applied to every mode (see the module
+    docstring).  The modes of the last 512 radii are kept, so a radius
+    visited again costs only the angular sum.  Values and both Wirtinger
+    derivatives come from the same modes; points with |z| >= 1 evaluate
+    to nan.  Construction samples the
+    source once on a fixed polar grid for `source_grid_sup`.  Set
+    `check=True` to compare probe values against a doubled-node rule and
+    fail loudly on disagreement.
     """
-
-    _CHUNK_BUDGET = 2_000_000  # grid points per evaluation chunk
 
     def __init__(
         self,
@@ -196,7 +203,8 @@ class GreenPotential(PlanarMap):
         self.label = label if label is not None else (
             f"green[{self.source_expr}]" if self.source_expr else "green[source]"
         )
-        self._prepare_moments()
+        self._grid_sup = self._sample_sup()
+        self._solved = {}  # radius -> stacked _radial_modes, oldest first
         if check:
             self.self_check()
 
@@ -209,152 +217,125 @@ class GreenPotential(PlanarMap):
     def laplacian_value(self, z: complex) -> complex:
         return -complex(self._g(np.array([complex(z)]))[0])
 
-    # --- moment series for the image term ---------------------------------
-
-    def _prepare_moments(self) -> None:
+    def _sample_sup(self) -> float:
+        # Closed-disk sup estimate: Gauss radii times the angular grid, plus
+        # the r=1 ring (Gauss nodes stop short of the boundary, where |g|
+        # often peaks).
         cfg = self.config
-        nphi = cfg.angular_nodes
-        rho, wr = _gauss01(cfg.radial_nodes)
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        grid = rho[:, None] * np.exp(1j * phi)[None, :]
-        samples = self._g(grid)
-        transform = np.fft.fft(samples, axis=1) * (2.0 * np.pi / nphi)
-
-        m_count = nphi // 2 - 1
-        m = np.arange(1, m_count + 1)
-        # mu_m = sum_i wr_i rho_i^(m+1) * angular transform at mode m
-        powers = rho[:, None] ** (m[None, :] + 1)
-        weighted = wr[:, None] * powers
-        mu = (weighted * transform[:, 1 : m_count + 1]).sum(axis=0)
-        nu = (weighted * np.flip(transform[:, nphi - m_count :], axis=1)).sum(axis=0)
-
-        self.moment_count = m_count
-        self.mu = mu
-        self.nu = nu
-        # Closed-disk sup estimate: interior quadrature grid plus the r=1 ring
-        # (Gauss nodes stop short of the boundary, where |g| often peaks).
+        rho, _ = _gauss01(cfg.radial_nodes)
+        phi = 2.0 * np.pi * np.arange(cfg.angular_nodes) / cfg.angular_nodes
+        samples = self._g(rho[:, None] * np.exp(1j * phi)[None, :])
         ring = self._g(np.exp(1j * phi))
-        self._grid_sup = float(max(np.max(np.abs(samples)), np.max(np.abs(ring))))
-        # Image series and its termwise derivatives as polynomial coefficients.
-        self._img_a = np.concatenate([[0.0], -0.5 * mu / m])
-        self._img_b = np.concatenate([[0.0], -0.5 * nu / m])
-        self._dimg_a = -0.5 * mu
-        self._dimg_b = -0.5 * nu
+        return float(max(np.max(np.abs(samples)), np.max(np.abs(ring))))
 
     def source_grid_sup(self) -> float:
         """Max |g| over the quadrature grid and the boundary circle."""
         return self._grid_sup
 
-    # --- local polar quadrature for the singular term ---------------------
+    # --- radial solve ------------------------------------------------------
 
-    def _singular_parts(self, zc: np.ndarray, want_value: bool, want_deriv: bool):
+    def _radial_modes(self, r: float):
+        """Per mode m at radius r: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
+
+        The second feeds d/dz and the third d/dzbar.  With k = |m| and the
+        moment M_m = sum_j w_j u_j^(k+1) g_m(r u_j), the inner side s = r u
+        contributes r^2 (1 - r^2k)/(2k) M_m (-r^2 log r M_0 for k = 0),
+        -r^(2k+1) M_m and -r M_m; the outer side contributes K_k,
+        r^(k-1) (s^-k - s^k) and 0 integrated against g_m(s) s ds.  Outer
+        nodes s = r + (1 - r) u^3 are graded toward the kink at s = r; the
+        cube (rather than a square) also resolves the s log s endpoint at
+        r = 0.
+        """
         cfg = self.config
-        nphi = cfg.angular_nodes
-        phi = 2.0 * np.pi * np.arange(nphi) / nphi
-        unit = np.exp(1j * phi)
-        z3 = zc[:, None, None]
+        n = cfg.radial_nodes // 2
+        top = cfg.angular_nodes // 2
+        freq, scale, unit, inner = _spectral_tables(n, cfg.angular_nodes)
+        kabs = np.abs(freq)
+        u, w = _gauss01(n)
+        s = r + (1.0 - r) * u**3
+        # At r = 0 the inner side is empty.  Not sampling it there also keeps
+        # a source with an integrable singularity at 0 (log|z|) finite.
+        nodes = np.concatenate([r * u, s]) if r > 0.0 else s
+        modes = np.fft.fft(self._g(nodes[:, None] * unit), axis=1)
+        moment = (np.einsum("jm,jm->m", inner, modes[:n]) if r > 0.0
+                  else np.zeros(cfg.angular_nodes, dtype=complex))
 
-        s = np.real(np.conj(zc)[:, None] * unit[None, :])
-        delta = (1.0 - np.abs(zc) ** 2)[:, None]
-        root = np.sqrt(s * s + delta)
-        rho_max = np.where(s > 0.0, delta / (s + root), root - s)
+        k = np.arange(1, top + 1)
+        r2k = (r * r) ** k
+        v_in = np.empty(top + 1)
+        v_in[0] = -r * r * math.log(r) if r > 0.0 else 0.0
+        v_in[1:] = r * r * (1.0 - r2k) / (2.0 * k)
+        p_in = np.concatenate([[0.0], -r * r2k])
 
-        value = deriv_dz = deriv_db = None
-        if want_value:
-            c = np.minimum(cfg.singular_patch_radius, 0.5 * rho_max)
-            t = np.linspace(0.0, 1.0, cfg.patch_nodes + 1)
-            rho_p = c[:, :, None] * t
-            bracket = rho_p * self._g(z3 + rho_p * unit[None, :, None])
-            bracket[..., 0] = 0.0
+        # Outer kernels, weighted by the measure s ds.  Powers of r/s <= 1
+        # and r s <= 1 cannot overflow, even where r^k underflows.
+        ratio = _powers(r / s, top)
+        product = _powers(r * s, top)
+        v_out = np.empty((n, top + 1))
+        v_out[:, 0] = -np.log(s)
+        v_out[:, 1:] = (ratio[:, 1:] - product[:, 1:]) / (2.0 * k)
+        p_out = np.zeros((n, top + 1))
+        p_out[:, 1:] = ratio[:, :-1] / s[:, None] - product[:, :-1] * s[:, None]
+        measure = (3.0 * (1.0 - r) * w * u * u * s)[:, None]
+        outer = modes[-n:]
 
-            x0 = rho_p[..., 0:-1:2]
-            x1 = rho_p[..., 1::2]
-            x2 = rho_p[..., 2::2]
-            b0 = bracket[..., 0:-1:2]
-            b1 = bracket[..., 1::2]
-            b2 = bracket[..., 2::2]
-            h = x1 - x0
-            m0 = _log_moment0(x2) - _log_moment0(x0)
-            m1 = _log_moment1(x2) - _log_moment1(x0)
-            m2 = _log_moment2(x2) - _log_moment2(x0)
-            gamma = (b0 - 2.0 * b1 + b2) / (2.0 * h * h)
-            beta = (b2 - b0) / (2.0 * h) - 2.0 * gamma * x1
-            alpha = b1 - beta * x1 - gamma * x1 * x1
-            patch = (alpha * m0 + beta * m1 + gamma * m2).sum(axis=-1)
+        value = v_in[kabs] * moment + np.einsum("jm,jm->m", (measure * v_out)[:, kabs], outer)
+        plus = p_in[kabs] * moment + np.einsum("jm,jm->m", (measure * p_out)[:, kabs], outer)
+        minus = -r * moment
+        return (scale * value,
+                scale * np.where(freq > 0, plus, minus),
+                scale * np.where(freq < 0, plus, minus))
 
-            u, wu = _gauss01(cfg.radial_nodes)
-            span = rho_max - c
-            rho_t = c[:, :, None] + span[:, :, None] * u
-            tail_vals = np.log(rho_t) * rho_t * self._g(z3 + rho_t * unit[None, :, None])
-            tail = span * (tail_vals @ wu)
-            value = (2.0 * np.pi / nphi) * (patch + tail).sum(axis=-1)
-
-        if want_deriv:
-            ud, wd = _gauss01(cfg.radial_nodes + cfg.patch_nodes)
-            rho_d = rho_max[:, :, None] * ud
-            radial = rho_max * (self._g(z3 + rho_d * unit[None, :, None]) @ wd)
-            pref = -np.pi / nphi
-            deriv_dz = pref * (radial * np.conj(unit)[None, :]).sum(axis=-1)
-            deriv_db = pref * (radial * unit[None, :]).sum(axis=-1)
-
-        return value, deriv_dz, deriv_db
-
-    def _chunked(self, z: np.ndarray, want_value: bool = True, want_deriv: bool = False):
-        cfg = self.config
-        flat = np.asarray(z, dtype=complex).ravel()
-        out_v = np.empty(flat.shape, dtype=complex) if want_value else None
-        out_dz = np.empty(flat.shape, dtype=complex) if want_deriv else None
-        out_db = np.empty(flat.shape, dtype=complex) if want_deriv else None
-
-        inside = np.abs(flat) < 1.0
-        per_point = cfg.angular_nodes * (cfg.radial_nodes + cfg.patch_nodes + 1)
-        chunk = max(1, self._CHUNK_BUDGET // per_point)
-        idx = np.flatnonzero(inside)
-        for start in range(0, idx.size, chunk):
-            sel = idx[start : start + chunk]
-            zc = flat[sel]
-            i_sing, is_dz, is_db = self._singular_parts(zc, want_value, want_deriv)
-            if want_value:
-                i_img = npoly.polyval(zc, self._img_a) + npoly.polyval(np.conj(zc), self._img_b)
-                out_v[sel] = (i_img - i_sing) / (2.0 * np.pi)
-            if want_deriv:
-                ii_dz = npoly.polyval(zc, self._dimg_a)
-                ii_db = npoly.polyval(np.conj(zc), self._dimg_b)
-                out_dz[sel] = (ii_dz - is_dz) / (2.0 * np.pi)
-                out_db[sel] = (ii_db - is_db) / (2.0 * np.pi)
-        bad = complex("nan+nanj")
-        shape = np.shape(z)
-        parts = []
-        for arr in (out_v, out_dz, out_db):
-            if arr is not None:
-                arr[~inside] = bad
-                parts.append(arr.reshape(shape))
-        return parts[0] if len(parts) == 1 else tuple(parts)
+    def _evaluate(self, z):
+        """(value, dz, dzbar) arrays shaped like z; nan where |z| >= 1."""
+        z = np.asarray(z, dtype=complex)
+        flat = z.ravel()
+        out = np.full((3, flat.size), complex("nan+nanj"))
+        inside = np.flatnonzero(np.abs(flat) < 1.0)
+        # |z| of points built as r e^{i theta} scatters by a few ulps; rounding
+        # lets the whole circle share one radial solve.
+        radii, group, counts = np.unique(np.round(np.abs(flat[inside]), 14),
+                                         return_inverse=True, return_counts=True)
+        freq = _spectral_tables(self.config.radial_nodes // 2, self.config.angular_nodes)[0]
+        members = np.split(inside[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
+        for r, idx in zip(radii, members):
+            theta = np.angle(flat[idx])
+            modes = self._solved.get(r)
+            if modes is None:
+                modes = np.stack(self._radial_modes(float(r)), axis=1)
+                if len(self._solved) >= _SOLVED_RADII:
+                    del self._solved[next(iter(self._solved))]
+                self._solved[r] = modes
+            value, plus, minus = (np.exp(1j * np.outer(theta, freq)) @ modes).T
+            out[0, idx] = value
+            out[1, idx] = 0.5 * np.exp(-1j * theta) * plus
+            out[2, idx] = 0.5 * np.exp(1j * theta) * minus
+        return tuple(part.reshape(z.shape) for part in out)
 
     # --- PlanarMap interface ----------------------------------------------
 
-    def value(self, z: complex) -> complex:
+    def _interior(self, z: complex) -> np.ndarray:
         z = complex(z)
         if abs(z) >= 1.0:
             raise ValueError(f"point must be interior, got |z| = {abs(z)}")
-        return complex(self._chunked(np.array([z]))[0])
+        return np.array([z])
+
+    def value(self, z: complex) -> complex:
+        return complex(self._evaluate(self._interior(z))[0][0])
 
     def jet(self, z: complex) -> WirtingerJet:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise ValueError(f"point must be interior, got |z| = {abs(z)}")
-        v, dz, db = self._chunked(np.array([z]), want_deriv=True)
+        v, dz, db = self._evaluate(self._interior(z))
         return WirtingerJet(value=complex(v[0]), dz=complex(dz[0]), dzbar=complex(db[0]))
 
     def values(self, z) -> np.ndarray:
-        return self._chunked(np.asarray(z, dtype=complex))
+        return self._evaluate(z)[0]
 
     def jets(self, z):
-        return self._chunked(np.asarray(z, dtype=complex), want_deriv=True)
+        return self._evaluate(z)
 
     def derivatives(self, z):
-        """Just (dz, dzbar) arrays; skips the costlier value quadrature."""
-        return self._chunked(np.asarray(z, dtype=complex), want_value=False, want_deriv=True)
+        """Just the (dz, dzbar) arrays."""
+        return self._evaluate(z)[1:]
 
     # --- verification ------------------------------------------------------
 
@@ -606,10 +587,11 @@ def green_derivative_sup(
 ) -> GreenDerivativeSup:
     """Estimate sup_D max(|G[g]_z|, |G[g]_zbar|).
 
-    Interior behavior is scanned on a polar grid; the boundary limit is
-    taken along shells r_k = 1 - 2^{-k} (radii where the local quadrature
-    is still trustworthy) with linear extrapolation to r = 1 from the last
-    two shells.  The reported sup is the larger of the two estimates.
+    Interior behavior is scanned on a polar grid inside r = 7/8; the
+    boundary limit is taken along the shells r_k = 1 - 2^{-k}, k = 3, 4, ...,
+    with linear extrapolation to r = 1 from the last two shells.  Every ring
+    costs one radial solve of the potential.  The reported sup is the
+    largest of the interior, shell and extrapolated estimates.
     """
     pot = source if isinstance(source, GreenPotential) else GreenPotential(source, config)
     if shell_count < 2:

@@ -36,8 +36,7 @@ def green_unit():
 @pytest.fixture(scope="session")
 def quad_fast():
     """Cheaper quadrature for tests that only need ~1e-6 accuracy."""
-    return QuadratureConfig(radial_nodes=64, angular_nodes=128,
-                            patch_nodes=32, boundary_nodes=256)
+    return QuadratureConfig(radial_nodes=64, angular_nodes=128, boundary_nodes=256)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ def test_frontier_on_the_degree_nine_example(capsys):
     K, kprime = rep["samples"][0]
     assert K == 1.0
     assert 10.5 < kprime < 11.2
+    assert rep["sense_preserving"] is True
     assert doc["config"]["command"] == "frontier"
     assert doc["summary"]["status"] == "data"
 
@@ -93,6 +94,30 @@ def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):
     assert "non-convergence" in capsys.readouterr().err
 
 
+def test_frontier_flags_a_sense_reversing_map(capsys):
+    code, doc = run_json(capsys, ["frontier", "--map", "conj(z)", "--K", "2",
+                                  "--radial-count", "4", "--angular-count", "8"])
+    assert code == 0
+    rep = doc["reports"][0]
+    assert list(rep)[-1] == "sense_preserving"
+    assert rep["sense_preserving"] is False
+
+
+def test_length_through_a_pole_is_a_numerical_failure(capsys):
+    assert cli.main(["length", "--map", "1/(z-0.5)", "--r", "0.5"]) == 3
+    assert "jet evaluation failed" in capsys.readouterr().err
+    assert cli.main(["length", "--map", "1/(z-0.45)", "--kind", "radial",
+                     "--r", "0.9", "--theta", "0"]) == 3
+
+
+def test_removed_patch_flags_are_usage_errors(capsys):
+    for flag, value in (("--patch-radius", "0.05"), ("--patch-nodes", "64")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--psi", "re(z)", "--g", "1", flag, value])
+        assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_violated_check_exits_1(capsys):
     # Identity has chord ratio exactly 1; C1 = 0.98 pins the upper clause
     # below it, so the check must report a violation.
@@ -151,8 +176,7 @@ def test_analyze_survives_jet_failures(capsys):
 def test_solve_reports_values_and_residuals(capsys):
     code, doc = run_json(capsys, [
         "solve", "--psi", "re(z)", "--points", "0.3, 0.9995",
-        "--radial-nodes", "64", "--angular-nodes", "128",
-        "--patch-nodes", "32", "--boundary-nodes", "256"])
+        "--radial-nodes", "64", "--angular-nodes", "128", "--boundary-nodes", "256"])
     assert code == 0
     inner, outer = doc["reports"]
     assert abs(inner["value"]["re"] - 0.3) < 1e-10

@@ -230,3 +230,12 @@ def test_beta_constant_endpoint_and_interior_values():
         beta_constant(-0.1)
     with pytest.raises(ValueError):
         beta_constant(1.1)
+
+
+def test_frontier_reports_sense_preservation(example15):
+    grid = GridSpec(radial_count=8, angular_count=16, refine_rounds=0)
+    assert frontier(example15, [1.0, 2.0], grid).sense_preserving
+    assert not frontier(SeriesMap([0], [0, 1]), [1.0, 2.0], grid).sense_preserving
+    # Sense reversal on part of the disk only: f = z + 2 conj(z)^2 has J < 0
+    # for |z| > 1/4.
+    assert not frontier(SeriesMap([0, 1], [0, 0, 2]), [1.0], grid).sense_preserving
