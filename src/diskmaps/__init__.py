@@ -21,14 +21,13 @@ from .ellipticity import (CauchyPair, ConvergenceError, EllipticityParams,
 from .expr import EvalDomainError, ParseError, parse_expr
 from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, shell_ladder
 from .kernels import green_eval, poisson_eval
-from .lengths import (JetEvaluationError, LengthReport, boundary_length, length_sup,
-                      perimeter, radial_integral_profile, radial_length,
-                      radial_length_limit, subharmonic_radial_check)
-from .maps import CallableMap, DslMap, PlanarMap, SeriesMap
+from .lengths import (LengthReport, boundary_length, length_sup, perimeter,
+                      radial_integral_profile, radial_length, radial_length_limit,
+                      subharmonic_radial_check)
+from .maps import CallableMap, DslMap, JetEvaluationError, PlanarMap, SeriesMap
 from .potential import (GreenPotential, PoissonMap, QuadratureConfig,
-                        QuadratureError, green_derivative_sup, green_potential,
-                        laplacian_residual, poisson_extension, poisson_integral,
-                        solve_poisson)
+                        QuadratureError, green_derivative_sup, laplacian_residual,
+                        poisson_extension, solve_poisson)
 from .wirtinger import (DerivedMetrics, WirtingerJet, disk_distance,
                         finite_difference_jet, jet_metrics)
 
@@ -44,10 +43,10 @@ __all__ = [
     # kernels
     "green_eval", "poisson_eval",
     # maps
-    "PlanarMap", "DslMap", "SeriesMap", "CallableMap",
+    "JetEvaluationError", "PlanarMap", "DslMap", "SeriesMap", "CallableMap",
     # potential
-    "GreenPotential", "green_potential", "PoissonMap", "solve_poisson",
-    "poisson_extension", "poisson_integral", "laplacian_residual",
+    "GreenPotential", "PoissonMap", "solve_poisson",
+    "poisson_extension", "laplacian_residual",
     "green_derivative_sup", "QuadratureConfig", "QuadratureError",
     # grids
     "GridSpec", "GridScanError", "polar_grid", "grid_supremum", "shell_ladder",
@@ -62,7 +61,7 @@ __all__ = [
     "INEQUALITY_IDS", "HOLD_TOLERANCE", "BoundReport", "BoundContext",
     "coefficient_bounds_report", "derivative_bounds_report",
     # lengths
-    "JetEvaluationError", "LengthReport", "perimeter", "radial_length",
+    "LengthReport", "perimeter", "radial_length",
     "length_sup", "boundary_length", "radial_length_limit",
     "radial_integral_profile", "subharmonic_radial_check",
     # catalog

@@ -8,9 +8,10 @@ Every invocation prints one document, JSON by default:
 
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
 2 usage or configuration error, 3 numerical failure (non-convergence, or
-non-finite jets on a length quadrature's path).  Identical
-argv yields byte-identical output: reductions are deterministic, field
-order is fixed, floats render in shortest round-trip form.
+a map that fails to evaluate on a length quadrature's path or on a
+coefficient circle).  Identical argv yields byte-identical output:
+reductions are deterministic, field order is fixed, floats render in
+shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
 from .expr import EvalDomainError, ParseError
 from .grids import GridSpec
-from .lengths import (JetEvaluationError, _length_sup_detail, boundary_length, perimeter,
-                      radial_length, radial_length_limit, subharmonic_radial_check)
-from .maps import DslMap, PlanarMap
+from .lengths import (_length_sup_detail, boundary_length, perimeter, radial_length,
+                      radial_length_limit, subharmonic_radial_check)
+from .maps import DslMap, JetEvaluationError, PlanarMap
 from .potential import QuadratureConfig, laplacian_residual, solve_poisson
 from .reports import render_csv, render_json
 from .wirtinger import jet_metrics
@@ -103,6 +104,11 @@ def _quad_from(args) -> QuadratureConfig:
     )
 
 
+def _source_term(args) -> Optional[str]:
+    """The --g source, or None for the Laplace problem ("" or "0")."""
+    return None if args.g.strip() in ("", "0") else args.g
+
+
 def _build_map(args, quad: QuadratureConfig
                ) -> Tuple[PlanarMap, Dict[str, object], Optional[MapDefinition]]:
     chosen = [name for name, flag in
@@ -116,8 +122,7 @@ def _build_map(args, quad: QuadratureConfig
         definition = builtin_map(args.catalog, _collect_params(args.param))
         return definition.build(), {"catalog": definition.name,
                                     "parameters": definition.parameters}, definition
-    g = None if args.g.strip() in ("", "0") else args.g
-    m = solve_poisson(args.psi, g, config=quad)
+    m = solve_poisson(args.psi, _source_term(args), config=quad)
     return m, {"psi": args.psi, "g": args.g}, None
 
 
@@ -319,9 +324,7 @@ def _cmd_length(args) -> int:
 
 def _cmd_solve(args) -> int:
     quad = _quad_from(args)
-    if args.psi is None:
-        raise ValueError("solve requires --psi (boundary data)")
-    g = None if args.g.strip() in ("", "0") else args.g
+    g = _source_term(args)
     m = solve_poisson(args.psi, g, config=quad)
     points = _parse_points(args.points)
     rows = []
@@ -329,7 +332,7 @@ def _cmd_solve(args) -> int:
         row: Dict[str, object] = {"type": "SolutionSample", "point": z,
                                   "value": m.value(z)}
         if 1.0 - abs(z) >= 2 * args.residual_h:
-            row["residual"] = laplacian_residual(m, None, z, h=args.residual_h)
+            row["residual"] = laplacian_residual(m, g or "0", z, h=args.residual_h)
         else:
             row["residual"] = None
         rows.append(row)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .expr import ExprAst, EvalDomainError, contains_var, eval_value, parse_expr, value_array
 from .grids import GridSpec, polar_grid, shell_ladder
+from .maps import JetEvaluationError
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
 
@@ -76,7 +77,7 @@ def extract_coeffs(
     for r in radii:
         vals = np.asarray(m.values(r * ring), dtype=complex)
         if not np.all(np.isfinite(vals)):
-            raise ValueError(f"map failed to evaluate on the circle |z| = {r}")
+            raise JetEvaluationError(f"map failed to evaluate on the circle |z| = {r}")
         c = np.fft.fft(vals) / n
         pos = c[: count + 1]                     # modes 0..count
         neg = c[-1 : -count - 1 : -1]            # modes -1..-count

@@ -21,9 +21,9 @@ import numpy as np
 from .bounds import BoundReport
 from .expr import ExprAst, parse_expr, value_array
 from .grids import GridSpec, shell_ladder
+from .maps import JetEvaluationError
 
 __all__ = [
-    "JetEvaluationError",
     "LengthReport",
     "perimeter",
     "radial_length",
@@ -35,15 +35,6 @@ __all__ = [
 ]
 
 _RADIAL_CAP = 1.0 - 1e-6
-
-
-class JetEvaluationError(ArithmeticError):
-    """A length quadrature met non-finite jets inside the disk.
-
-    The arguments were valid; the map itself failed to evaluate (a pole or
-    branch point on the integration path), so this is a numerical failure
-    rather than a usage error.
-    """
 
 
 @dataclass(frozen=True)
@@ -180,7 +171,7 @@ def _polyline_length(m, r: float, segments: int) -> float:
     theta = 2.0 * np.pi * np.arange(segments + 1) / segments
     vals = m.values(r * np.exp(1j * theta))
     if not np.all(np.isfinite(vals)):
-        raise ValueError(f"map evaluation failed on the circle |z| = {r}")
+        raise JetEvaluationError(f"map evaluation failed on the circle |z| = {r}")
     return float(np.sum(np.abs(np.diff(vals))))
 
 

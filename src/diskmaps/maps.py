@@ -15,9 +15,18 @@ from numpy.polynomial import polynomial as npoly
 from .expr import eval_jet, eval_value, jet_arrays, parse_expr, to_source, value_array
 from .wirtinger import WirtingerJet, finite_difference_jet
 
-__all__ = ["PlanarMap", "DslMap", "SeriesMap", "CallableMap"]
+__all__ = ["JetEvaluationError", "PlanarMap", "DslMap", "SeriesMap", "CallableMap"]
 
 _NAN_JET = (complex("nan+nanj"),) * 3
+
+
+class JetEvaluationError(ArithmeticError):
+    """A map failed to evaluate where a quadrature or a circle FFT needs it.
+
+    The arguments were valid; the map itself has a pole or branch point on
+    the sampled path (a ray, a circle), so this is a numerical failure
+    rather than a usage error.
+    """
 
 
 class PlanarMap:

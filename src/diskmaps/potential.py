@@ -32,6 +32,11 @@ by r, so z = 0 is exact.
 Query points are grouped by radius (rounded to 1e-14), so the cost scales
 with the number of distinct radii: a circle or a ring of a polar grid
 costs one radial solve.
+
+Sources g and boundary data psi are either DSL strings in z or array
+callables w -> g(w) over complex arrays; anything else is a TypeError.
+Constructing a potential samples nothing: the source is sampled by radial
+solves, and by `source_grid_sup` on its own grid when that is called.
 """
 
 from __future__ import annotations
@@ -53,26 +58,12 @@ __all__ = [
     "GreenPotential",
     "PoissonMap",
     "GreenDerivativeSup",
-    "green_potential",
     "poisson_coefficients",
     "poisson_extension",
-    "poisson_integral",
     "solve_poisson",
     "laplacian_residual",
     "green_derivative_sup",
 ]
-
-_AST_NODES = (
-    _expr.Num,
-    _expr.Var,
-    _expr.Const,
-    _expr.Neg,
-    _expr.BinOp,
-    _expr.IntPow,
-    _expr.PowConst,
-    _expr.Call,
-)
-
 
 # Radial solves kept per potential, so that repeat visits to a radius (Newton
 # steps, stencils around a point, a circle scanned twice) reuse the modes.
@@ -146,34 +137,15 @@ def _powers(x: np.ndarray, top: int) -> np.ndarray:
     return np.cumprod(table, axis=1)
 
 
-SourceLike = Union[str, PlanarMap, Callable, "_expr.ExprAst"]
-
-
-def _coerce_source(source: SourceLike):
-    """Normalize a source term to (array callable, expression text or None)."""
-    if isinstance(source, (int, float, complex)) and not isinstance(source, bool):
-        c = complex(source)
-        text = repr(c.real) if c.imag == 0 else f"({c.real!r} + {c.imag!r}*i)"
-        return (lambda w: np.full(np.shape(w), c, dtype=complex)), text
+def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]:
+    """Array callable w -> g(w) for a DSL string or an array callable."""
     if isinstance(source, str):
         ast = _expr.parse_expr(source)
-        return (lambda w: _expr.value_array(ast, w)), source
-    if isinstance(source, _AST_NODES):
-        return (lambda w: _expr.value_array(source, w)), _expr.to_source(source)
-    if isinstance(source, PlanarMap):
-        expr_text = getattr(source, "source", None)
-        return source.values, expr_text
+        return lambda w: _expr.value_array(ast, w)
     if callable(source):
-        probe = np.array([0.1 + 0.2j, -0.3j])
-        try:
-            out = np.asarray(source(probe), dtype=complex)
-            if out.shape == probe.shape:
-                return (lambda w: np.asarray(source(w), dtype=complex)), None
-        except Exception:
-            pass
-        vec = np.vectorize(source, otypes=[complex])
-        return (lambda w: vec(w)), None
-    raise TypeError(f"cannot interpret {source!r} as a source term")
+        return lambda w: np.asarray(source(w), dtype=complex)
+    raise TypeError(f"cannot interpret {source!r} as a source term: "
+                    "pass a DSL string or an array callable")
 
 
 class GreenPotential(PlanarMap):
@@ -185,28 +157,18 @@ class GreenPotential(PlanarMap):
     docstring).  The modes of the last 512 radii are kept, so a radius
     visited again costs only the angular sum.  Values and both Wirtinger
     derivatives come from the same modes; points with |z| >= 1 evaluate
-    to nan.  Construction samples the
-    source once on a fixed polar grid for `source_grid_sup`.  Set
-    `check=True` to compare probe values against a doubled-node rule and
-    fail loudly on disagreement.
+    to nan.  `source` is a DSL string or an array callable w -> g(w);
+    construction only parses it and samples nothing.  The doubled-node
+    comparison runs only when `self_check` is called.
     """
 
-    def __init__(
-        self,
-        source: SourceLike,
-        config: Optional[QuadratureConfig] = None,
-        label: Optional[str] = None,
-        check: bool = False,
-    ):
+    def __init__(self, source: Union[str, Callable],
+                 config: Optional[QuadratureConfig] = None):
         self.config = config if config is not None else QuadratureConfig()
-        self._g, self.source_expr = _coerce_source(source)
-        self.label = label if label is not None else (
-            f"green[{self.source_expr}]" if self.source_expr else "green[source]"
-        )
-        self._grid_sup = self._sample_sup()
+        self._g = _sampler(source)
+        self.source_expr = source if isinstance(source, str) else None
+        self.label = f"green[{self.source_expr or 'source'}]"
         self._solved = {}  # radius -> stacked _radial_modes, oldest first
-        if check:
-            self.self_check()
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -214,23 +176,19 @@ class GreenPotential(PlanarMap):
             return None
         return f"-({self.source_expr})"
 
-    def laplacian_value(self, z: complex) -> complex:
-        return -complex(self._g(np.array([complex(z)]))[0])
+    def source_grid_sup(self) -> float:
+        """Max |g| over the quadrature grid and the boundary circle.
 
-    def _sample_sup(self) -> float:
-        # Closed-disk sup estimate: Gauss radii times the angular grid, plus
-        # the r=1 ring (Gauss nodes stop short of the boundary, where |g|
-        # often peaks).
+        Each call samples the source on Gauss radii times the angular grid,
+        plus the r = 1 ring (Gauss nodes stop short of the boundary, where
+        |g| often peaks).
+        """
         cfg = self.config
         rho, _ = _gauss01(cfg.radial_nodes)
         phi = 2.0 * np.pi * np.arange(cfg.angular_nodes) / cfg.angular_nodes
         samples = self._g(rho[:, None] * np.exp(1j * phi)[None, :])
         ring = self._g(np.exp(1j * phi))
         return float(max(np.max(np.abs(samples)), np.max(np.abs(ring))))
-
-    def source_grid_sup(self) -> float:
-        """Max |g| over the quadrature grid and the boundary circle."""
-        return self._grid_sup
 
     # --- radial solve ------------------------------------------------------
 
@@ -342,7 +300,7 @@ class GreenPotential(PlanarMap):
     def self_check(self, points: Sequence[complex] = (0.0, 0.37 + 0.21j, -0.52 + 0.44j),
                    tolerance: float = 1e-4) -> float:
         """Compare values against a doubled-node rule; raise on disagreement."""
-        fine = GreenPotential(self._g, self.config.doubled(), label=self.label)
+        fine = GreenPotential(self._g, self.config.doubled())
         pts = np.asarray(points, dtype=complex)
         dev = float(np.max(np.abs(self.values(pts) - fine.values(pts))))
         if dev > tolerance:
@@ -353,52 +311,13 @@ class GreenPotential(PlanarMap):
         return dev
 
 
-def green_potential(
-    source: SourceLike,
-    z,
-    order: int = 0,
-    config: Optional[QuadratureConfig] = None,
-    check: bool = False,
-):
-    """Evaluate G[source] at a point or array of points.
-
-    order 0 returns values; order 1 returns a jet (scalar z) or a
-    (value, dz, dzbar) triple of arrays.  `check` runs the doubled-node
-    self-check before evaluating.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    pot = GreenPotential(source, config, check=check)
-    if np.ndim(z) == 0:
-        return pot.value(complex(z)) if order == 0 else pot.jet(complex(z))
-    return pot.values(z) if order == 0 else pot.jets(z)
-
-
 # --- boundary data ----------------------------------------------------------
-
-
-def _boundary_samples(psi, theta: np.ndarray) -> np.ndarray:
-    if isinstance(psi, str):
-        ast = _expr.parse_expr(psi)
-        return _expr.value_array(ast, np.exp(1j * theta))
-    if isinstance(psi, _AST_NODES):
-        return _expr.value_array(psi, np.exp(1j * theta))
-    if isinstance(psi, PlanarMap):
-        return psi.values(np.exp(1j * theta))
-    if callable(psi):
-        try:
-            out = np.asarray(psi(theta), dtype=complex)
-            if out.shape == theta.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([complex(psi(float(t))) for t in theta])
-    raise TypeError(f"cannot interpret {psi!r} as boundary data")
 
 
 def poisson_coefficients(psi, boundary_nodes: int = 512):
     """Fourier coefficients of boundary data, split into (a, b) power parts.
 
+    psi is a DSL string or an array callable, sampled at e^{i theta}.
     Returns arrays (a, b) such that the harmonic extension of psi is
     sum a[n] z^n + sum b[n] conj(z)^n, keeping modes below the Nyquist
     frequency of the sample grid.
@@ -407,7 +326,7 @@ def poisson_coefficients(psi, boundary_nodes: int = 512):
     if n < 16:
         raise ValueError("boundary_nodes must be at least 16")
     theta = 2.0 * np.pi * np.arange(n) / n
-    samples = _boundary_samples(psi, theta)
+    samples = _sampler(psi)(np.exp(1j * theta))
     coeff = np.fft.fft(samples) / n
     keep = n // 2 - 1
     a = coeff[: keep + 1].copy()
@@ -429,69 +348,34 @@ def poisson_extension(psi, config: Optional[QuadratureConfig] = None) -> SeriesM
     return SeriesMap(a, b, label="poisson-extension")
 
 
-def poisson_integral(psi, z, order: int = 0, config: Optional[QuadratureConfig] = None):
-    """Evaluate the Poisson integral P[psi] at a point or array of points.
-
-    order 0 returns values; order 1 returns a jet (scalar z) or a
-    (value, dz, dzbar) triple of arrays.
-    """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
-    ext = poisson_extension(psi, config)
-    if np.ndim(z) == 0:
-        return ext.value(complex(z)) if order == 0 else ext.jet(complex(z))
-    return ext.values(z) if order == 0 else ext.jets(z)
-
-
 class PoissonMap(PlanarMap):
     """Solution f = P[psi] - G[g] of Laplacian(f) = g with boundary data psi."""
 
-    def __init__(
-        self,
-        boundary_series: SeriesMap,
-        potential: Optional[GreenPotential],
-        label: str = "poisson-solution",
-    ):
+    label = "poisson-solution"
+
+    def __init__(self, boundary_series: SeriesMap, potential: GreenPotential):
         self.series = boundary_series
         self.potential = potential
-        self.label = label
 
     @property
     def laplacian_expr(self) -> Optional[str]:
-        if self.potential is None:
-            return "0"
         return self.potential.source_expr
 
-    def laplacian_value(self, z: complex) -> complex:
-        if self.potential is None:
-            return 0j
-        return -self.potential.laplacian_value(z)
-
     def value(self, z: complex) -> complex:
-        v = self.series.value(z)
-        if self.potential is not None:
-            v -= self.potential.value(z)
-        return v
+        return self.series.value(z) - self.potential.value(z)
 
     def jet(self, z: complex) -> WirtingerJet:
         sj = self.series.jet(z)
-        if self.potential is None:
-            return sj
         pj = self.potential.jet(z)
         return WirtingerJet(sj.value - pj.value, sj.dz - pj.dz, sj.dzbar - pj.dzbar)
 
     def values(self, z) -> np.ndarray:
-        out = self.series.values(z)
-        if self.potential is not None:
-            out = out - self.potential.values(z)
-        return out
+        return self.series.values(z) - self.potential.values(z)
 
     def jets(self, z):
         v, dz, db = self.series.jets(z)
-        if self.potential is not None:
-            pv, pdz, pdb = self.potential.jets(z)
-            v, dz, db = v - pv, dz - pdz, db - pdb
-        return v, dz, db
+        pv, pdz, pdb = self.potential.jets(z)
+        return v - pv, dz - pdz, db - pdb
 
     def analytic_parts(self):
         return self.series.analytic_parts()
@@ -499,31 +383,31 @@ class PoissonMap(PlanarMap):
 
 def solve_poisson(
     psi,
-    g: Optional[SourceLike] = None,
+    g: Union[str, Callable, None] = None,
     config: Optional[QuadratureConfig] = None,
-    label: str = "poisson-solution",
-    check: bool = False,
-) -> PoissonMap:
+) -> PlanarMap:
     """Solve Laplacian(f) = g on the disk with boundary values psi.
 
-    Pass g=None for the Laplace problem; then the result is the plain
-    harmonic extension of psi.
+    psi and g are DSL strings or array callables.  With g=None (the
+    Laplace problem) the result is the harmonic extension of psi, a
+    `SeriesMap`; otherwise a `PoissonMap`.
     """
     cfg = config if config is not None else QuadratureConfig()
     series = poisson_extension(psi, cfg)
-    potential = None if g is None else GreenPotential(g, cfg, check=check)
-    return PoissonMap(series, potential, label=label)
+    if g is None:
+        return series
+    return PoissonMap(series, GreenPotential(g, cfg))
 
 
 def laplacian_residual(
     m: PlanarMap,
-    g: Optional[SourceLike],
+    g: Union[str, Callable],
     z: complex,
     h: float = 1e-3,
 ) -> float:
     """|five-point finite-difference Laplacian of m at z  -  g(z)|.
 
-    Pass g=None to check against the map's own declared Laplacian.
+    g is the expected Laplacian, a DSL string or an array callable.
     Requires 1 - |z| >= 2h so the stencil stays inside the disk.
     """
     z = complex(z)
@@ -531,36 +415,11 @@ def laplacian_residual(
         raise ValueError("h must be positive")
     if 1.0 - abs(z) < 2.0 * h:
         raise ValueError("stencil too close to the boundary: need 1 - |z| >= 2h")
-    if g is None:
-        ref = _declared_laplacian(m, z)
-        if ref is None:
-            raise ValueError("map declares no Laplacian; pass a source term g")
-    else:
-        g_fn, _ = _coerce_source(g)
-        ref = complex(g_fn(np.array([z]))[0])
+    ref = complex(_sampler(g)(np.array([z]))[0])
     stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h, z], dtype=complex)
     vals = m.values(stencil)
     fd = (vals[:4].sum() - 4.0 * vals[4]) / (h * h)
     return float(abs(fd - ref))
-
-
-@lru_cache(maxsize=256)
-def _parse_cached(source: str):
-    return _expr.parse_expr(source)
-
-
-def _declared_laplacian(m: PlanarMap, z: complex) -> Optional[complex]:
-    direct = getattr(m, "laplacian_value", None)
-    if callable(direct):
-        try:
-            val = direct(z)
-        except NotImplementedError:
-            val = None
-        if val is not None:
-            return complex(val)
-    if m.laplacian_expr is None:
-        return None
-    return _expr.eval_value(_parse_cached(m.laplacian_expr), z)
 
 
 # --- derivative supremum -----------------------------------------------------
@@ -578,7 +437,7 @@ class GreenDerivativeSup:
 
 
 def green_derivative_sup(
-    source: SourceLike,
+    source: Union[GreenPotential, str, Callable],
     config: Optional[QuadratureConfig] = None,
     interior_radial: int = 24,
     interior_angular: int = 96,

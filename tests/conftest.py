@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from diskmaps.catalog import builtin_map
-from diskmaps.potential import GreenPotential, QuadratureConfig
+from diskmaps.potential import QuadratureConfig
 
 # Grid scans and quadrature make individual examples slow but deterministic;
 # a modest example budget with no deadline keeps the suite under the runtime
@@ -25,12 +25,6 @@ def example15():
 @pytest.fixture(scope="session")
 def example13_quarter():
     return builtin_map("example13", {"alpha": 0.25}).build()
-
-
-@pytest.fixture(scope="session")
-def green_unit():
-    """Green potential of g = 1, reused across kernel and bound tests."""
-    return GreenPotential("1")
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,12 @@ def test_length_through_a_pole_is_a_numerical_failure(capsys):
     assert "jet evaluation failed" in capsys.readouterr().err
     assert cli.main(["length", "--map", "1/(z-0.45)", "--kind", "radial",
                      "--r", "0.9", "--theta", "0"]) == 3
+    # A pole on a polyline circle of the boundary length, and on a
+    # coefficient circle.
+    assert cli.main(["length", "--kind", "boundary", "--map", "1/(z-0.99609375)"]) == 3
+    assert "map evaluation failed" in capsys.readouterr().err
+    assert cli.main(["coeffs", "--map", "1/(z-0.4)"]) == 3
+    assert "map failed to evaluate" in capsys.readouterr().err
 
 
 def test_removed_patch_flags_are_usage_errors(capsys):
@@ -182,6 +188,10 @@ def test_solve_reports_values_and_residuals(capsys):
     assert abs(inner["value"]["re"] - 0.3) < 1e-10
     assert inner["residual"] < 1e-4
     assert outer["residual"] is None  # stencil would cross the boundary
+    # An empty --g is the Laplace problem, as with --g 0.
+    code, doc = run_json(capsys, ["solve", "--psi", "z", "--g", "", "--points", "0.3"])
+    assert code == 0
+    assert doc["reports"][0]["residual"] < 1e-4
 
 
 def test_unknown_catalog_parameter_is_usage_error(capsys):

@@ -9,8 +9,8 @@ from diskmaps import (
     GreenPotential,
     QuadratureConfig,
     QuadratureError,
+    SeriesMap,
     green_derivative_sup,
-    green_potential,
     laplacian_residual,
     poisson_extension,
     solve_poisson,
@@ -31,6 +31,10 @@ def test_harmonic_extension_reproduces_re_z(quad_fast, rng):
     ext = poisson_extension("re(z)", quad_fast)
     pts = 0.95 * rng.uniform(0, 1, 30) * np.exp(2j * np.pi * rng.uniform(0, 1, 30))
     assert np.max(np.abs(ext.values(pts) - pts.real)) < 1e-12
+    # The Laplace problem is the harmonic extension itself.
+    laplace = solve_poisson("re(z)", None, config=quad_fast)
+    assert isinstance(laplace, SeriesMap)
+    assert np.array_equal(laplace.values(pts), ext.values(pts))
 
 
 def test_poisson_map_jets_match_finite_differences(quad_fast):
@@ -57,8 +61,6 @@ def test_residual_guards_boundary_and_step(quad_fast):
         laplacian_residual(m, "1", 0.999, h=1e-3)
     with pytest.raises(ValueError):
         laplacian_residual(m, "1", 0.0, h=0.0)
-    # With no explicit source the map's own declared Laplacian is used.
-    assert laplacian_residual(m, None, 0.3 + 0.2j, h=1e-3) < 1e-4
 
 
 def test_quadrature_config_validation():
@@ -83,15 +85,25 @@ def test_green_potential_scalar_and_array_paths_agree(quad_fast):
 
 
 def test_green_potential_order_one_returns_jet(quad_fast):
-    jet = green_potential("1", 0.3 + 0.1j, order=1, config=quad_fast)
+    z = 0.3 + 0.1j
+    jet = GreenPotential("1", quad_fast).jet(z)
     # The positive-kernel potential of a unit source is (1 - |z|^2)/4,
     # so dz = -conj(z)/4 and dzbar = -z/4.
-    z = 0.3 + 0.1j
     assert abs(jet.value - (1.0 - abs(z) ** 2) / 4.0) < 1e-5
     assert abs(jet.dz + z.conjugate() / 4.0) < 1e-5
     assert abs(jet.dzbar + z / 4.0) < 1e-5
-    with pytest.raises(ValueError):
-        green_potential("1", 0.3, order=2, config=quad_fast)
+
+
+def test_sources_are_dsl_strings_or_array_callables(quad_fast):
+    pts = np.array([0.1 + 0.2j, -0.3j, 0.45])
+    text = GreenPotential("abs(z)^2 + re(z)", quad_fast)
+    array = GreenPotential(lambda w: np.abs(w) ** 2 + np.real(w), quad_fast)
+    assert np.max(np.abs(text.values(pts) - array.values(pts))) < 1e-15
+    for other in (1.0, poisson_extension("z", quad_fast)):
+        with pytest.raises(TypeError):
+            GreenPotential(other)
+        with pytest.raises(TypeError):
+            solve_poisson(other)
 
 
 def test_source_grid_sup_on_polynomial_source(quad_fast):
@@ -189,10 +201,10 @@ def test_ring_jets_cost_one_radial_solve():
         return np.abs(w) ** 2 + np.real(w)
 
     pot = GreenPotential(source, cfg)
-    built = sum(sampled)
+    assert sum(sampled) == 0  # construction samples nothing
     ring = 0.6 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     pot.jets(ring)
-    assert sum(sampled) - built <= cfg.radial_nodes * cfg.angular_nodes
+    assert sum(sampled) <= cfg.radial_nodes * cfg.angular_nodes
     # A radius visited again reuses its modes.
     before = sum(sampled)
     pot.values(ring[::7])
