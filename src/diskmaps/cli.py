@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import BoundContext, coefficient_bounds_report, derivative_bounds_report
@@ -493,9 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: parse_args leaves it unchanged, each call
+    # gets a fresh namespace, and "append" options copy their lists.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, ParseError, EvalDomainError) as exc:

@@ -22,7 +22,7 @@ from scipy.special import gamma as _gamma
 from .coefficients import MajorantSpec, extract_coeffs
 from .grids import GridSpec, grid_supremum, polar_grid
 from .maps import PlanarMap, SeriesMap
-from .potential import GreenPotential
+from .potential import GreenPotential, PoissonMap
 from .wirtinger import WirtingerJet, disk_distance, jet_metrics
 
 __all__ = [
@@ -479,7 +479,7 @@ def _analytic_part_and_source(m: PlanarMap):
         expr = m.laplacian_expr
         if expr is None or expr.strip() in {"0", "0.0", "(0)"}:
             return h1, 0.0, False
-        pot = GreenPotential(expr)
+        pot = m.potential if isinstance(m, PoissonMap) else GreenPotential(expr)
         return h1, pot.source_grid_sup(), False
 
     expr = m.laplacian_expr
@@ -522,6 +522,12 @@ def check_prop14(m: PlanarMap, C3: float,
     with short chords near the grid maximizer of ||D_f|| / |h1'|.  On
     success the report carries the induced coefficient pair
     k1 = C3 - 1, k2 = (C3 / 3) ||Delta f||_inf and its (K, K') image.
+
+    `source_sup` stands in for ||Delta f||_inf but is sampled: the max of
+    |Delta f| over the Green potential's panel grid and the unit circle
+    (`GreenPotential.source_grid_sup`, on the map's own quadrature for a
+    Poisson map).  It is a lower estimate, so the derived k2 and (K, K')
+    can be too small where |Delta f| peaks between samples.
 
     When h1 comes from coefficient extraction, the hold tolerance widens to
     1e-9 per unit chord: short chords divide the absolute coefficient noise

@@ -19,24 +19,38 @@ g(s e^{i phi}) = sum_m g_m(s) e^{i m phi},
     K_0 = -log max(r, s),
     K_m = ((r_< / r_>)^|m| - (r s)^|m|) / (2 |m|),
 
-where r_< = min(r, s) and r_> = max(r, s).  The kernel has a kink at
-s = r, so each field radius gets its own rule split there: Gauss nodes
-s = r u on [0, r] and graded nodes s = r + (1 - r) u^3 on [r, 1], each
-side holding half of `radial_nodes`.  An FFT of the samples in angle gives
-g_m at every node, with the Nyquist mode dropped, and each mode is
-contracted with its exact kernel.  First derivatives come from the same
-modes through d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the
-combinations u_m' +- (|m|/r) u_m have closed-form kernels with no division
-by r, so z = 0 is exact.
+where r_< = min(r, s) and r_> = max(r, s).  The radial interval is split
+into fixed panels, `radial_nodes // 16` uniform panels of 16 Gauss nodes
+(one panel of `radial_nodes` nodes below 16); panel 0 is graded toward
+s = 0 as s = h u^3 for the s log s endpoint.  The source is sampled on
+this panel grid once per potential, at its first evaluation, and an FFT
+in angle gives g_m at every node (Nyquist mode dropped).  Off the
+diagonal the kernel separates, so each panel keeps three scaled moments
+per mode, with k = |m| and panel [a, b] (Greengard & Lee, "A direct
+adaptive Poisson solver of arbitrary order accuracy", J. Comput. Phys.
+125 (1996)):
+
+    A = integral (s/b)^k g_m s ds,   B = integral (a/s)^k g_m s ds,
+    L = integral -log(s) g_0 s ds.
+
+A field radius r in panel p then costs the moments of the other panels,
+contracted with ratios (b/r, r/a, r b) that never exceed 1, plus one
+directly sampled split panel: Gauss nodes on [a_p, r] and nodes
+s = r + (b_p - r) u^4 graded toward the kink on [r, b_p].  On panel 0 the
+log kernel's singularity at s = 0 lies only r below the outer side, so
+there s^(1/4) is spaced linearly instead, and the inner side is graded
+toward 0 as panel 0 is.  First derivatives come from the same moments
+through d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the combinations
+u_m' +- (|m|/r) u_m have closed-form kernels with no division by r, so
+z = 0 is exact.
 
 Query points are grouped by radius (rounded to 1e-14), so the cost scales
 with the number of distinct radii: a circle or a ring of a polar grid
-costs one radial solve.
+costs one split panel.
 
 Sources g and boundary data psi are either DSL strings in z or array
 callables w -> g(w) over complex arrays; anything else is a TypeError.
-Constructing a potential samples nothing: the source is sampled by radial
-solves, and by `source_grid_sup` on its own grid when that is called.
+Constructing a potential samples nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +84,9 @@ __all__ = [
 # Each entry holds 3 x angular_nodes complex numbers (12 KB by default).
 _SOLVED_RADII = 512
 
+# Gauss nodes per radial panel.
+_PANEL_NODES = 16
+
 
 class QuadratureError(RuntimeError):
     """Self-check detected quadrature disagreement beyond tolerance."""
@@ -79,8 +96,10 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Node counts for the disk quadrature.
 
-    radial_nodes: Gauss nodes per radial solve, half on each side of the
-        field radius; also the radial count of the source sup grid.
+    radial_nodes: panel nodes over the radial interval [0, 1], in
+        `radial_nodes // 16` panels of 16 Gauss nodes (one panel below 16);
+        the source is sampled on these radii once per potential.  Each
+        field radius adds one split panel of 2 x 16 nodes.
     angular_nodes: uniform angular count, the FFT size in angle.
     boundary_nodes: FFT size for boundary data.
     """
@@ -113,21 +132,49 @@ def _gauss01(n: int):
 
 
 @lru_cache(maxsize=None)
-def _spectral_tables(n: int, nphi: int):
+def _spectral_tables(nphi: int):
     """Per-config tables in FFT column order, cached and read-only.
 
     Returns the signed mode m of each FFT column, the per-mode scale (1/nphi,
-    0 for the dropped Nyquist mode), the unit circle at the nphi angles, and
-    the inner-side weights w_j u_j^(|m|+1) for Gauss nodes u_j on [0, 1].
+    0 for the dropped Nyquist mode) and the unit circle at the nphi angles.
     """
     freq = np.rint(np.fft.fftfreq(nphi, 1.0 / nphi)).astype(int)
     scale = np.where(np.abs(freq) < nphi // 2, 1.0 / nphi, 0.0)
     unit = np.exp(2j * np.pi * np.arange(nphi) / nphi)
-    u, w = _gauss01(n)
-    inner = w[:, None] * u[:, None] ** (np.abs(freq) + 1)
-    for arr in (freq, scale, unit, inner):
+    for arr in (freq, scale, unit):
         arr.flags.writeable = False
-    return freq, scale, unit, inner
+    return freq, scale, unit
+
+
+@lru_cache(maxsize=None)
+def _panel_rule(n: int, nphi: int):
+    """The radial panel grid and its moment weights, cached and read-only.
+
+    `n // 16` uniform panels of 16 Gauss nodes, or one panel of n nodes
+    when n < 16; panel 0 is graded as s = h u^3.  Returns the panel edges,
+    the nodes s as a (panels, nodes per panel) array, and the weights that
+    turn g_m at the nodes into the moments: (s/b)^k s ds and (a/s)^k s ds
+    per node and FFT column, and -log(s) s ds per node.
+    """
+    q = min(n, _PANEL_NODES)
+    count = n // q
+    edges = np.arange(count + 1) / count
+    u, w = _gauss01(q)
+    h = 1.0 / count
+    s = edges[:-1, None] + h * u
+    ds = np.tile(h * w, (count, 1))
+    s[0] = h * u**3
+    ds[0] = 3.0 * h * w * u * u
+    weight = (ds * s)[:, :, None]
+    kabs = np.abs(_spectral_tables(nphi)[0])
+    below = _powers((s / edges[1:, None]).ravel(), nphi // 2)[:, kabs]
+    above = _powers((edges[:-1, None] / s).ravel(), nphi // 2)[:, kabs]
+    below = below.reshape(count, q, nphi) * weight
+    above = above.reshape(count, q, nphi) * weight
+    log_weight = -np.log(s) * weight[:, :, 0]
+    for arr in (edges, s, below, above, log_weight):
+        arr.flags.writeable = False
+    return edges, s, below, above, log_weight
 
 
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
@@ -151,9 +198,11 @@ def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]
 class GreenPotential(PlanarMap):
     """The map z -> G[g](z) for a fixed source g, by a polar-spectral solve.
 
-    Each distinct radius among the query points costs one radial solve:
-    `radial_nodes` x `angular_nodes` source samples, an FFT in angle, and
-    the exact radial kernel K_m applied to every mode (see the module
+    The first evaluation samples the source once on the panel grid
+    (`radial_nodes` x `angular_nodes` points), FFTs it in angle and keeps
+    per-panel moments of every mode.  Each distinct radius among the query
+    points then costs one split panel, 2 x 16 x `angular_nodes` samples,
+    plus a contraction with the moments of the other panels (see the module
     docstring).  The modes of the last 512 radii are kept, so a radius
     visited again costs only the angular sum.  Values and both Wirtinger
     derivatives come from the same modes; points with |z| >= 1 evaluate
@@ -168,6 +217,8 @@ class GreenPotential(PlanarMap):
         self._g = _sampler(source)
         self.source_expr = source if isinstance(source, str) else None
         self.label = f"green[{self.source_expr or 'source'}]"
+        self._moments = None  # (A; B) panel moments, built at first use
+        self._grid_sup = math.nan  # max |g| over the panel grid
         self._solved = {}  # radius -> stacked _radial_modes, oldest first
 
     @property
@@ -177,72 +228,118 @@ class GreenPotential(PlanarMap):
         return f"-({self.source_expr})"
 
     def source_grid_sup(self) -> float:
-        """Max |g| over the quadrature grid and the boundary circle.
+        """Max |g| over the panel grid and the boundary circle.
 
-        Each call samples the source on Gauss radii times the angular grid,
-        plus the r = 1 ring (Gauss nodes stop short of the boundary, where
-        |g| often peaks).
+        A sampled lower estimate of sup |g|.  The panel grid is the one the
+        radial solves sample (built here if nothing was evaluated yet); the
+        r = 1 ring is added because Gauss nodes stop short of the boundary,
+        where |g| often peaks.
         """
-        cfg = self.config
-        rho, _ = _gauss01(cfg.radial_nodes)
-        phi = 2.0 * np.pi * np.arange(cfg.angular_nodes) / cfg.angular_nodes
-        samples = self._g(rho[:, None] * np.exp(1j * phi)[None, :])
-        ring = self._g(np.exp(1j * phi))
-        return float(max(np.max(np.abs(samples)), np.max(np.abs(ring))))
+        self._panel_moments()
+        ring = self._g(_spectral_tables(self.config.angular_nodes)[2])
+        return float(max(self._grid_sup, np.max(np.abs(ring))))
 
     # --- radial solve ------------------------------------------------------
+
+    def _angular_modes(self, s: np.ndarray):
+        """Samples of g on the circles of radii s, FFT'd in angle and scaled."""
+        _, scale, unit = _spectral_tables(self.config.angular_nodes)
+        samples = self._g(s[:, None] * unit)
+        return samples, np.fft.fft(samples, axis=1) * scale
+
+    def _panel_moments(self) -> np.ndarray:
+        """Rows A of every panel, then rows B; B's m = 0 column holds L.
+
+        B_0 would repeat A_0, and an outer panel needs L in its place.
+        """
+        if self._moments is None:
+            cfg = self.config
+            _, s, below, above, log_weight = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)
+            samples, modes = self._angular_modes(s.ravel())
+            self._grid_sup = float(np.max(np.abs(samples)))
+            modes = modes.reshape(below.shape)
+            moments = np.concatenate([np.einsum("qjm,qjm->qm", below, modes),
+                                      np.einsum("qjm,qjm->qm", above, modes)])
+            moments[s.shape[0]:, 0] = np.einsum("qj,qj->q", log_weight, modes[:, :, 0])
+            self._moments = moments
+        return self._moments
 
     def _radial_modes(self, r: float):
         """Per mode m at radius r: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
 
-        The second feeds d/dz and the third d/dzbar.  With k = |m| and the
-        moment M_m = sum_j w_j u_j^(k+1) g_m(r u_j), the inner side s = r u
-        contributes r^2 (1 - r^2k)/(2k) M_m (-r^2 log r M_0 for k = 0),
-        -r^(2k+1) M_m and -r M_m; the outer side contributes K_k,
-        r^(k-1) (s^-k - s^k) and 0 integrated against g_m(s) s ds.  Outer
-        nodes s = r + (1 - r) u^3 are graded toward the kink at s = r; the
-        cube (rather than a square) also resolves the s log s endpoint at
-        r = 0.
+        The second feeds d/dz and the third d/dzbar.  With k = |m|, a panel
+        [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A (-log r A for
+        k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel outside r
+        contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
+        (r/a)^(k-1) B / a - (r b)^(k-1) b A and 0.  The panel holding r is
+        split there and sampled (see the module docstring); on it the same
+        kernels act on g_m s ds directly.  At r = 0 the outer side is graded
+        as s = b u^4, which resolves the s log s endpoint, and the empty
+        inner side is not sampled, which also keeps a source with an
+        integrable singularity at 0 (log|z|) finite.
         """
         cfg = self.config
-        n = cfg.radial_nodes // 2
+        edges, nodes = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)[:2]
+        count, q = nodes.shape
         top = cfg.angular_nodes // 2
-        freq, scale, unit, inner = _spectral_tables(n, cfg.angular_nodes)
+        freq = _spectral_tables(cfg.angular_nodes)[0]
         kabs = np.abs(freq)
-        u, w = _gauss01(n)
-        s = r + (1.0 - r) * u**3
-        # At r = 0 the inner side is empty.  Not sampling it there also keeps
-        # a source with an integrable singularity at 0 (log|z|) finite.
-        nodes = np.concatenate([r * u, s]) if r > 0.0 else s
-        modes = np.fft.fft(self._g(nodes[:, None] * unit), axis=1)
-        moment = (np.einsum("jm,jm->m", inner, modes[:n]) if r > 0.0
-                  else np.zeros(cfg.angular_nodes, dtype=complex))
+        k2 = 2.0 * np.arange(1, top + 1)
+        p = min(int(r * count), count - 1)
+        a, b = edges[:-1], edges[1:]
 
-        k = np.arange(1, top + 1)
-        r2k = (r * r) ** k
-        v_in = np.empty(top + 1)
-        v_in[0] = -r * r * math.log(r) if r > 0.0 else 0.0
-        v_in[1:] = r * r * (1.0 - r2k) / (2.0 * k)
-        p_in = np.concatenate([[0.0], -r * r2k])
+        # The split panel's nodes.  With s = r + (hi - r) u^4 on panel 0,
+        # G[1] erred by 2e-13 near r = 1e-4; spacing s^(1/4) keeps it 1e-16.
+        u, w = _gauss01(q)
+        lo, hi = a[p], b[p]
+        if p > 0:
+            s = np.concatenate([lo + (r - lo) * u, r + (hi - r) * u**4])
+            weight = np.concatenate([(r - lo) * w, 4.0 * (hi - r) * w * u**3]) * s
+        else:
+            root = r**0.25 + (hi**0.25 - r**0.25) * u
+            s = root**4
+            weight = 4.0 * (hi**0.25 - r**0.25) * w * root**3 * s
+            if r > 0.0:
+                s = np.concatenate([r * u**3, s])
+                weight = np.concatenate([3.0 * r * w * u * u * s[:q], weight])
 
-        # Outer kernels, weighted by the measure s ds.  Powers of r/s <= 1
-        # and r s <= 1 cannot overflow, even where r^k underflows.
-        ratio = _powers(r / s, top)
-        product = _powers(r * s, top)
-        v_out = np.empty((n, top + 1))
-        v_out[:, 0] = -np.log(s)
-        v_out[:, 1:] = (ratio[:, 1:] - product[:, 1:]) / (2.0 * k)
-        p_out = np.zeros((n, top + 1))
-        p_out[:, 1:] = ratio[:, :-1] / s[:, None] - product[:, :-1] * s[:, None]
-        measure = (3.0 * (1.0 - r) * w * u * u * s)[:, None]
-        outer = modes[-n:]
+        # Kernel rows per output (value, plus, minus) and per k: rows
+        # [0, count) act on the A moments, [count, 2 count) on the B
+        # moments, the rest on the split panel's modes.  Every power ratio
+        # is <= 1, so nothing overflows even where r^k underflows.
+        kernel = np.zeros((3, 2 * count + s.size, top + 1))
+        value, plus, minus = kernel
+        # (r b)^k for every panel, (b/r)^k inside r and (r/a)^k outside.
+        powers = _powers(np.concatenate([r * b, b[:p] / r, r / a[p + 1:]]), top)
+        image, down, up = powers[:count], powers[count:count + p], powers[count + p:]
+        image[p] = 0.0
+        value[:count, 1:] = -image[:, 1:] / k2
+        plus[:count, 1:] = -image[:, :-1] * b[:, None]
+        if p > 0:
+            value[:p, 0] = -math.log(r)
+            value[:p, 1:] += down[:, 1:] / k2
+            minus[:p] = -down / r
+        outer = slice(count + p + 1, 2 * count)
+        value[outer, 0] = 1.0  # the L moment
+        value[outer, 1:] = up[:, 1:] / k2
+        plus[outer, 1:] = up[:, :-1] / a[p + 1:, None]
 
-        value = v_in[kabs] * moment + np.einsum("jm,jm->m", (measure * v_out)[:, kabs], outer)
-        plus = p_in[kabs] * moment + np.einsum("jm,jm->m", (measure * p_out)[:, kabs], outer)
-        minus = -r * moment
-        return (scale * value,
-                scale * np.where(freq > 0, plus, minus),
-                scale * np.where(freq < 0, plus, minus))
+        split = 2 * count
+        inner = s.size - q
+        powers = _powers(np.concatenate([np.minimum(s, r) / np.maximum(s, r), r * s]), top)
+        ratio, product = powers[:s.size], powers[s.size:]
+        value[split:, 0] = -np.log(np.maximum(s, r))
+        value[split:, 1:] = (ratio[:, 1:] - product[:, 1:]) / k2
+        plus[split:, 1:] = -product[:, :-1] * s[:, None]
+        plus[split + inner:, 1:] += ratio[inner:, :-1] / s[inner:, None]
+        minus[split:split + inner] = -ratio[:inner] / r
+        kernel[:, split:] *= weight[:, None]
+
+        data = np.concatenate([self._panel_moments(), self._angular_modes(s)[1]])
+        value, plus, minus = np.einsum("tjm,jm->tm", kernel[:, :, kabs], data)
+        return (value,
+                np.where(freq > 0, plus, minus),
+                np.where(freq < 0, plus, minus))
 
     def _evaluate(self, z):
         """(value, dz, dzbar) arrays shaped like z; nan where |z| >= 1."""
@@ -254,7 +351,7 @@ class GreenPotential(PlanarMap):
         # lets the whole circle share one radial solve.
         radii, group, counts = np.unique(np.round(np.abs(flat[inside]), 14),
                                          return_inverse=True, return_counts=True)
-        freq = _spectral_tables(self.config.radial_nodes // 2, self.config.angular_nodes)[0]
+        freq = _spectral_tables(self.config.angular_nodes)[0]
         members = np.split(inside[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
         for r, idx in zip(radii, members):
             theta = np.angle(flat[idx])

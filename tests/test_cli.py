@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from diskmaps import cli
+from diskmaps import GreenPotential, QuadratureConfig, cli
 
 
 def run_json(capsys, argv):
@@ -67,6 +67,22 @@ def test_identical_argv_yields_identical_bytes(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_repeated_calls_do_not_share_option_lists(capsys):
+    # main reuses one parser; "append" options must start empty each call.
+    frontier = ["frontier", "--map", "z", "--radial-count", "2",
+                "--angular-count", "4", "--refine-rounds", "0"]
+    _, doc = run_json(capsys, frontier + ["--K", "1", "--K", "2"])
+    assert doc["config"]["K_values"] == [1.0, 2.0]
+    _, doc = run_json(capsys, frontier + ["--K", "3"])
+    assert doc["config"]["K_values"] == [3.0]
+    analyze = ["analyze", "--catalog", "example13", "--points", "0.5"]
+    _, doc = run_json(capsys, analyze + ["--param", "alpha=0.25"])
+    assert doc["config"]["parameters"] == {"alpha": 0.25}
+    # example13 requires alpha, so without --param the call must fail.
+    assert cli.main(analyze) == 2
+    capsys.readouterr()
+
+
 def test_exactly_one_map_source(capsys):
     code = cli.main(["analyze", "--map", "z", "--catalog", "identity"])
     err = capsys.readouterr().err
@@ -122,6 +138,21 @@ def test_removed_patch_flags_are_usage_errors(capsys):
             cli.main(["solve", "--psi", "re(z)", "--g", "1", flag, value])
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_prop14_source_sup_follows_the_quadrature_flags(capsys):
+    # A --psi/--g map's source_sup is sampled on the map's own potential.
+    g = "0.5*exp(-50*abs(z-0.3)^2)"
+    sups = []
+    for nodes in (16, 128):
+        code, doc = run_json(capsys, ["check-prop14", "--psi", "z", "--g", g,
+                                      "--C3", "1.5", "--radial-nodes", str(nodes)])
+        assert code == 0
+        sup = doc["reports"][0]["derived_constants"]["source_sup"]
+        assert sup == GreenPotential(g, QuadratureConfig(radial_nodes=nodes)).source_grid_sup()
+        sups.append(sup)
+    # A sampled lower estimate of the true sup, 0.5 at z = 0.3.
+    assert sups[0] < sups[1] < 0.5
 
 
 def test_violated_check_exits_1(capsys):

@@ -124,6 +124,8 @@ def test_self_check_flags_inconsistent_quadrature(quad_fast):
     rough = GreenPotential("exp(4*re(z)) * im(z)", coarse)
     with pytest.raises(QuadratureError):
         rough.self_check(tolerance=1e-12)
+    # The doubled rule of a doubled rule: 16 panels against 32.
+    GreenPotential("abs(z)^2 + re(z)", QuadratureConfig().doubled()).self_check()
 
 
 def test_derivative_sup_reports_interior_and_boundary(quad_fast):
@@ -139,7 +141,10 @@ def test_derivative_sup_reports_interior_and_boundary(quad_fast):
 
 # --- closed-form oracles ------------------------------------------------------
 
-ORACLE_RADII = (0.0, 1e-8, 0.5, 1.0 - 1e-6, 1.0 - 1e-9)
+# Panel edges of the default rule (8 panels) and their neighbours, and
+# 1e-4, where the log kernel's singularity sits just below a split panel.
+ORACLE_RADII = (0.0, 1e-8, 1e-4, 1.0 / 16, 0.125, 0.5 - 1e-12, 0.5, 0.875,
+                1.0 - 1e-6, 1.0 - 1e-9)
 ORACLE_POINTS = np.array([r * np.exp(1j * t) for r in ORACLE_RADII
                           for t in (0.0, 0.9, -2.3)])
 
@@ -194,6 +199,7 @@ def test_green_is_nan_outside_the_disk():
 
 def test_ring_jets_cost_one_radial_solve():
     cfg = QuadratureConfig()
+    split = 2 * 16 * cfg.angular_nodes
     sampled = []
 
     def source(w):
@@ -204,7 +210,11 @@ def test_ring_jets_cost_one_radial_solve():
     assert sum(sampled) == 0  # construction samples nothing
     ring = 0.6 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     pot.jets(ring)
-    assert sum(sampled) <= cfg.radial_nodes * cfg.angular_nodes
+    # The panel grid once, then one split panel per radius.
+    assert sum(sampled) == cfg.radial_nodes * cfg.angular_nodes + split
+    before = sum(sampled)
+    pot.jets(0.3 * ring)
+    assert sum(sampled) == before + split
     # A radius visited again reuses its modes.
     before = sum(sampled)
     pot.values(ring[::7])
