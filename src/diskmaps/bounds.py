@@ -1,14 +1,15 @@
 """Inequality suite: per-display margin reports for coefficient and
 derivative bounds on harmonic and elliptic maps.
 
-Each checked display is identified by a short id and produces BoundReport
-rows with lhs, rhs, and margin = rhs - lhs.  Right-hand sides are computed
-from the serialized context only (never from map evaluation), so any report
-can be reproduced from its context alone.  The geometric inputs a context
-may carry:
+Each display is declared once, in _COEFFICIENT_DISPLAYS or
+_DERIVATIVE_DISPLAYS, by its id, the BoundContext fields its rhs reads and
+the rhs; it yields BoundReport rows (lhs, rhs, margin = rhs - lhs), which
+are indeterminate while any of those fields is unset.  The rhs reads the
+context only; the lhs is |a_n|+|b_n| from the context's coefficient table
+or a jet norm of the map.  Context fields:
 
     R               boundary length of the image over 2 pi,
-    perimeter_sup   sup of circle-image perimeters (lower ladder estimate),
+    perimeter_sup   sup of circle-image perimeters (the CLI takes 2 pi R),
     radial_sup      sup over angles of the radial image length,
     params          the (K, K') ellipticity pair,
     coeffs          an extracted CoeffTable.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,18 +49,6 @@ __all__ = [
     "coefficient_bounds_report",
     "derivative_bounds_report",
 ]
-
-INEQUALITY_IDS = (
-    "CRP-1c",
-    "CRP-2c",
-    "Mat-1",
-    "kalaj-1",
-    "chen-1.0",
-    "CP-K",
-    "eq-2017",
-    "chen-1.2",
-    "radial-subharmonic",
-)
 
 # A margin in (-1e-9, 0) is roundoff at equality cases, not a violation.
 HOLD_TOLERANCE = 1e-9
@@ -103,13 +92,11 @@ class BoundContext:
     """Geometric and distortion inputs shared by the report builders.
 
     Inequalities whose inputs are absent produce indeterminate rows instead
-    of guessing.  R_provenance records where R came from (e.g. "given",
-    "boundary-polyline") since the suite cannot certify rectifiability.
+    of guessing.
     """
 
     params: Optional[EllipticityParams] = None
     R: Optional[float] = None
-    R_provenance: str = ""
     perimeter_sup: Optional[float] = None
     radial_sup: Optional[float] = None
     coeffs: Optional[CoeffTable] = None
@@ -123,10 +110,48 @@ class BoundContext:
             raise ValueError("radial_sup must be >= 0")
 
 
-def _coeff_lhs(ctx: BoundContext, n: int) -> Optional[float]:
-    if ctx.coeffs is None or n < 1 or n > ctx.coeffs.count:
-        return None
-    return abs(ctx.coeffs.a[n]) + abs(ctx.coeffs.b[n - 1])
+class _Display(NamedTuple):
+    """rhs(ctx, n) of a coefficient display, rhs(ctx, |z|) of a derivative
+    display whose lhs is |f_z| ("dz") or ||D_f|| ("op")."""
+
+    inequality_id: str
+    reads: Tuple[str, ...]
+    rhs: Callable
+    lhs: str = "op"
+
+
+def _cpk_bracket(p: EllipticityParams, R: float) -> float:
+    root = math.sqrt(p.Kprime + p.K * p.Kprime + (p.K * R) ** 2)
+    return R + (-R + root) / (1.0 + p.K)
+
+
+_COEFFICIENT_DISPLAYS = (
+    _Display("chen-1.0", ("params", "R"),
+             lambda c, n: (math.sqrt(c.params.Kprime) + c.params.K * c.R) / n),
+    _Display("CRP-1c", ("params", "perimeter_sup"),
+             lambda c, n: c.params.K * c.perimeter_sup / (2.0 * n * math.pi)),
+    _Display("Mat-1", ("perimeter_sup",), lambda c, n: c.perimeter_sup / (n * math.pi)),
+    _Display("eq-2017", ("params", "radial_sup"), lambda c, n: c.params.K * c.radial_sup),
+    _Display("chen-1.2", ("params", "radial_sup"),
+             lambda c, n: math.sqrt(c.params.Kprime) + c.params.K * c.radial_sup),
+)
+
+_DERIVATIVE_DISPLAYS = (
+    _Display("kalaj-1", ("R",), lambda c, az: c.R / (1.0 - az**2), lhs="dz"),
+    _Display("CP-K", ("params", "R"),
+             lambda c, az: _cpk_bracket(c.params, c.R) / (1.0 - az**2)),
+    _Display("CRP-2c", ("params", "perimeter_sup"),
+             lambda c, az: c.perimeter_sup * math.sqrt(c.params.K)
+             / (2.0 * math.pi * (1.0 - az))),
+)
+
+INEQUALITY_IDS = tuple(
+    d.inequality_id for d in _COEFFICIENT_DISPLAYS + _DERIVATIVE_DISPLAYS
+) + ("radial-subharmonic",)
+
+
+def _applies(d: _Display, ctx: BoundContext) -> bool:
+    return all(getattr(ctx, name) is not None for name in d.reads)
 
 
 def coefficient_bounds_report(ctx: BoundContext, n_max: int = 8) -> List[BoundReport]:
@@ -138,50 +163,16 @@ def coefficient_bounds_report(ctx: BoundContext, n_max: int = 8) -> List[BoundRe
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = ctx.params
+    table = ctx.coeffs
     rows: List[BoundReport] = []
-
-    def emit(ineq: str, n: int, rhs: Optional[float]) -> None:
-        lhs = _coeff_lhs(ctx, n)
-        if lhs is None or rhs is None:
-            rows.append(BoundReport.indeterminate(ineq, index=n))
-        else:
-            rows.append(BoundReport.evaluated(ineq, n, lhs, rhs))
-
-    for n in range(1, n_max + 1):
-        rhs = None
-        if p is not None and ctx.R is not None:
-            rhs = (math.sqrt(p.Kprime) + p.K * ctx.R) / n
-        emit("chen-1.0", n, rhs)
-
-    for n in range(1, n_max + 1):
-        rhs = None
-        if p is not None and ctx.perimeter_sup is not None:
-            rhs = p.K * ctx.perimeter_sup / (2.0 * n * math.pi)
-        emit("CRP-1c", n, rhs)
-
-    for n in range(1, n_max + 1):
-        rhs = ctx.perimeter_sup / (n * math.pi) if ctx.perimeter_sup is not None else None
-        emit("Mat-1", n, rhs)
-
-    for n in range(1, n_max + 1):
-        rhs = None
-        if p is not None and ctx.radial_sup is not None:
-            rhs = p.K * ctx.radial_sup
-        emit("eq-2017", n, rhs)
-
-    for n in range(1, n_max + 1):
-        rhs = None
-        if p is not None and ctx.radial_sup is not None:
-            rhs = math.sqrt(p.Kprime) + p.K * ctx.radial_sup
-        emit("chen-1.2", n, rhs)
-
+    for d in _COEFFICIENT_DISPLAYS:
+        for n in range(1, n_max + 1):
+            if table is None or n > table.count or not _applies(d, ctx):
+                rows.append(BoundReport.indeterminate(d.inequality_id, index=n))
+            else:
+                lhs = abs(table.a[n]) + abs(table.b[n - 1])
+                rows.append(BoundReport.evaluated(d.inequality_id, n, lhs, d.rhs(ctx, n)))
     return rows
-
-
-def _cpk_bracket(p: EllipticityParams, R: float) -> float:
-    root = math.sqrt(p.Kprime + p.K * p.Kprime + (p.K * R) ** 2)
-    return R + (-R + root) / (1.0 + p.K)
 
 
 def derivative_bounds_report(
@@ -212,38 +203,24 @@ def derivative_bounds_report(
     ok = np.isfinite(adz) & np.isfinite(adb)
     if not ok.any():
         raise ValueError("no evaluation point produced a finite jet")
-    op = adz + adb
+    lhs_of = {"dz": adz, "op": adz + adb}
     az = np.abs(pts)
-    p = ctx.params
     rows: List[BoundReport] = []
-
-    def emit_batch(ineq: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    for d in _DERIVATIVE_DISPLAYS:
+        ineq = d.inequality_id
+        if not _applies(d, ctx):
+            rows.append(BoundReport.indeterminate(ineq))
+            continue
+        lhs, rhs = lhs_of[d.lhs], d.rhs(ctx, az)
         margins = np.where(ok, rhs - lhs, np.nan)
-        if per_point:
-            for z, l, r, mg in zip(pts, lhs, rhs, margins):
-                if math.isnan(mg):
-                    rows.append(BoundReport.indeterminate(ineq, index=complex(z)))
-                else:
-                    rows.append(BoundReport.evaluated(ineq, complex(z), float(l), float(r)))
-            return
-        idx = int(np.nanargmin(margins))
-        rows.append(BoundReport.evaluated(ineq, complex(pts[idx]),
-                                          float(lhs[idx]), float(rhs[idx])))
-
-    if ctx.R is not None:
-        emit_batch("kalaj-1", adz, ctx.R / (1.0 - az**2))
-    else:
-        rows.append(BoundReport.indeterminate("kalaj-1"))
-
-    if p is not None and ctx.R is not None:
-        emit_batch("CP-K", op, _cpk_bracket(p, ctx.R) / (1.0 - az**2))
-    else:
-        rows.append(BoundReport.indeterminate("CP-K"))
-
-    if p is not None and ctx.perimeter_sup is not None:
-        emit_batch("CRP-2c", op,
-                   ctx.perimeter_sup * math.sqrt(p.K) / (2.0 * math.pi * (1.0 - az)))
-    else:
-        rows.append(BoundReport.indeterminate("CRP-2c"))
-
+        if not per_point:
+            idx = int(np.nanargmin(margins))
+            rows.append(BoundReport.evaluated(ineq, complex(pts[idx]),
+                                              float(lhs[idx]), float(rhs[idx])))
+            continue
+        for z, l, r, mg in zip(pts, lhs, rhs, margins):
+            if math.isnan(mg):
+                rows.append(BoundReport.indeterminate(ineq, index=complex(z)))
+            else:
+                rows.append(BoundReport.evaluated(ineq, complex(z), float(l), float(r)))
     return rows

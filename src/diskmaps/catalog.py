@@ -1,11 +1,12 @@
 """Named constructors for the maps exercised throughout the suite.
 
 Catalog entries pair a constructor with the metadata the analyses need:
-parameter values, the representation kind, and any exactly-known context
-(distortion constant K, boundary radius R, radial length sup) that
-measurement would only approximate.  Exact context matters for
-equality-case bound checks, where a polyline underestimate of R (relative
-error ~1e-6) would turn a sharp equality into a phantom violation.
+parameter values and any exactly-known context (distortion constant K,
+boundary radius R, radial length sup) that measurement would only
+approximate.  Exact context matters for equality-case bound checks, where
+a polyline underestimate of R (relative error ~1e-6) would turn a sharp
+equality into a phantom violation.  Every name is declared once, in
+_CATALOG, with its parameter schema, defaults and constructor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,15 +40,12 @@ class MapDefinition:
     """A named, parametrized map plus analysis metadata.
 
     diagnostics may carry exact context values ("exact_K", "exact_R",
-    "exact_radial_sup") and construction-quality indicators (truncation
-    bounds, convexity diagnostics).  build() returns a fresh PlanarMap.
+    "exact_radial_sup") and the series truncation bound of kalaj_extremal.
+    build() returns a fresh PlanarMap.
     """
 
     name: str
     parameters: Dict[str, object]
-    representation: str  # "dsl" | "series" | "custom"
-    source: Optional[str]
-    provenance: str
     diagnostics: Dict[str, object] = field(default_factory=dict)
     _builder: Callable[[], PlanarMap] = field(default=None, repr=False, compare=False)
 
@@ -116,17 +114,92 @@ def _complex_literal(c: complex) -> str:
     return f"({c.real!r} + {c.imag!r}*i)"
 
 
-def _require_params(params: Dict[str, object], needed: Sequence[str], name: str) -> None:
-    missing = [k for k in needed if k not in params]
-    if missing:
-        raise ValueError(f"catalog map {name!r} needs parameters {missing}")
-    extra = [k for k in params if k not in needed]
-    if extra:
-        raise ValueError(f"catalog map {name!r} got unknown parameters {extra}")
+def _identity(name: str, params) -> MapDefinition:
+    return MapDefinition(
+        name=name, parameters={},
+        diagnostics={"exact_K": 1.0, "exact_R": 1.0, "exact_radial_sup": 1.0},
+        _builder=lambda: SeriesMap([0, 1], label=name),
+    )
+
+
+def _scale(name: str, params) -> MapDefinition:
+    c = complex(params["c"])
+    if c == 0:
+        raise ValueError("scale factor must be nonzero")
+    return MapDefinition(
+        name=name, parameters={"c": c},
+        diagnostics={"exact_K": 1.0, "exact_R": abs(c), "exact_radial_sup": abs(c)},
+        _builder=lambda: SeriesMap([0, c], label=f"{name}({c})"),
+    )
+
+
+def _moebius(name: str, params) -> MapDefinition:
+    a = complex(params["a"])
+    t = float(params["t"])
+    if abs(a) >= 1.0:
+        raise ValueError("moebius parameter a must satisfy |a| < 1")
+    rot = cmath.exp(1j * t)
+    src = (f"{_complex_literal(rot)} * (z - {_complex_literal(a)}) "
+           f"/ (1 - {_complex_literal(a.conjugate())}*z)")
+    return MapDefinition(
+        name=name, parameters={"a": a, "t": t},
+        diagnostics={"exact_K": 1.0, "exact_R": 1.0},
+        _builder=lambda: _AnalyticDslMap(src, label=f"{name}(a={a}, t={t})",
+                                         laplacian_expr="0"),
+    )
+
+
+def _example13(name: str, params) -> MapDefinition:
+    alpha = float(params["alpha"])
+    return MapDefinition(name=name, parameters={"alpha": alpha},
+                         _builder=lambda: Example13Map(alpha))
+
+
+def _example15(name: str, params) -> MapDefinition:
+    return MapDefinition(
+        name=name, parameters={},
+        _builder=lambda: DslMap(EXAMPLE15_SOURCE, label=name,
+                                laplacian_expr=EXAMPLE15_LAPLACIAN),
+    )
+
+
+def _polyharmonic(name: str, params) -> MapDefinition:
+    a = [complex(v) for v in params["a"]]
+    b = [complex(v) for v in params["b"]]
+    return MapDefinition(name=name, parameters={"a": tuple(a), "b": tuple(b)},
+                         _builder=lambda: SeriesMap(a, b, label=name))
+
+
+def _kalaj(name: str, params) -> MapDefinition:
+    mu = params["mu"]
+    if not isinstance(mu, (tuple, list)):
+        mu = (mu,)
+    return kalaj_extremal(float(params["R"]), [complex(v) for v in mu],
+                          int(params["series_degree"]))
+
+
+class _Entry(NamedTuple):
+    schema: str  # parameter description listed by the catalog subcommand
+    params: Tuple[str, ...]  # accepted parameters, each required once defaults fill in
+    defaults: Dict[str, object]
+    build: Callable[[str, Dict[str, object]], MapDefinition]
+
+
+_CATALOG: Dict[str, _Entry] = {
+    "identity": _Entry("", (), {}, _identity),
+    "scale": _Entry("c", ("c",), {}, _scale),
+    "moebius": _Entry("a, t (default 0)", ("a", "t"), {"t": 0.0}, _moebius),
+    "example13": _Entry("alpha in (0, 1/2)", ("alpha",), {}, _example13),
+    "example15": _Entry("", (), {}, _example15),
+    "polyharmonic": _Entry("a (comma list), b (comma list)", ("a", "b"), {}, _polyharmonic),
+    "kalaj_extremal": _Entry("R, mu (comma list), series_degree (default 24)",
+                             ("R", "mu", "series_degree"),
+                             {"R": 1.0, "mu": (0.0,), "series_degree": 24}, _kalaj),
+}
 
 
 def builtin_map(name: str, params: Optional[Dict[str, object]] = None) -> MapDefinition:
-    """Construct a catalog map by name.
+    """Construct a catalog map by name, with defaults filled in.
 
     Names and parameters:
       identity
@@ -138,89 +211,17 @@ def builtin_map(name: str, params: Optional[Dict[str, object]] = None) -> MapDef
       kalaj_extremal R (default 1), mu (polynomial coefficients, default 0),
                      series_degree (default 24); see kalaj_extremal()
     """
-    params = dict(params or {})
-    if name == "identity":
-        _require_params(params, (), name)
-        return MapDefinition(
-            name=name, parameters={}, representation="series", source="z",
-            provenance="the identity map, equality case of the coefficient bounds",
-            diagnostics={"exact_K": 1.0, "exact_R": 1.0, "exact_radial_sup": 1.0},
-            _builder=lambda: SeriesMap([0, 1], label="identity"),
-        )
-    if name == "scale":
-        _require_params(params, ("c",), name)
-        c = complex(params["c"])
-        if c == 0:
-            raise ValueError("scale factor must be nonzero")
-        return MapDefinition(
-            name=name, parameters={"c": c}, representation="series",
-            source=f"{_complex_literal(c)} * z",
-            provenance="linear scaling, radial-length equality case",
-            diagnostics={"exact_K": 1.0, "exact_R": abs(c),
-                         "exact_radial_sup": abs(c)},
-            _builder=lambda: SeriesMap([0, c], label=f"scale({c})"),
-        )
-    if name == "moebius":
-        defaults = {"t": 0.0}
-        defaults.update(params)
-        params = defaults
-        _require_params(params, ("a", "t"), name)
-        a = complex(params["a"])
-        t = float(params["t"])
-        if abs(a) >= 1.0:
-            raise ValueError("moebius parameter a must satisfy |a| < 1")
-        rot = cmath.exp(1j * t)
-        src = (f"{_complex_literal(rot)} * (z - {_complex_literal(a)}) "
-               f"/ (1 - {_complex_literal(a.conjugate())}*z)")
-        return MapDefinition(
-            name=name, parameters={"a": a, "t": t}, representation="dsl",
-            source=src,
-            provenance="disk automorphism, sharpness case of the derivative bounds",
-            diagnostics={"exact_K": 1.0, "exact_R": 1.0},
-            _builder=lambda: _AnalyticDslMap(src, label=f"moebius(a={a}, t={t})",
-                                             laplacian_expr="0"),
-        )
-    if name == "example13":
-        _require_params(params, ("alpha",), name)
-        alpha = float(params["alpha"])
-        return MapDefinition(
-            name=name, parameters={"alpha": alpha}, representation="custom",
-            source=f"z * pow(log(e / abs(z)^2), {alpha!r})",
-            provenance="radial log-power map: quasiconformal but not "
-                       "Lipschitz at the origin",
-            _builder=lambda: Example13Map(alpha),
-        )
-    if name == "example15":
-        _require_params(params, (), name)
-        return MapDefinition(
-            name=name, parameters={}, representation="dsl",
-            source=EXAMPLE15_SOURCE,
-            provenance="degree-9 radial polynomial map with unbounded "
-                       "dilatation toward the boundary",
-            _builder=lambda: DslMap(EXAMPLE15_SOURCE, label="example15",
-                                    laplacian_expr=EXAMPLE15_LAPLACIAN),
-        )
-    if name == "polyharmonic":
-        _require_params(params, ("a", "b"), name)
-        a = [complex(v) for v in params["a"]]
-        b = [complex(v) for v in params["b"]]
-        return MapDefinition(
-            name=name, parameters={"a": tuple(a), "b": tuple(b)},
-            representation="series", source=None,
-            provenance="polynomial harmonic map given by its coefficients",
-            _builder=lambda: SeriesMap(a, b, label="polyharmonic"),
-        )
-    if name == "kalaj_extremal":
-        defaults = {"R": 1.0, "mu": (0.0,), "series_degree": 24}
-        defaults.update(params)
-        params = defaults
-        _require_params(params, ("R", "mu", "series_degree"), name)
-        mu = params["mu"]
-        if not isinstance(mu, (tuple, list)):
-            mu = (mu,)
-        return kalaj_extremal(float(params["R"]), [complex(v) for v in mu],
-                              int(params["series_degree"]))
-    raise ValueError(f"unknown catalog map {name!r}")
+    entry = _CATALOG.get(name)
+    if entry is None:
+        raise ValueError(f"unknown catalog map {name!r}")
+    params = {**entry.defaults, **(params or {})}
+    missing = [k for k in entry.params if k not in params]
+    if missing:
+        raise ValueError(f"catalog map {name!r} needs parameters {missing}")
+    extra = [k for k in params if k not in entry.params]
+    if extra:
+        raise ValueError(f"catalog map {name!r} got unknown parameters {extra}")
+    return entry.build(name, params)
 
 
 def _invert_unit_leading(q: np.ndarray, degree: int) -> np.ndarray:
@@ -239,10 +240,8 @@ def kalaj_extremal(R: float, mu: Sequence[complex], series_degree: int = 24) -> 
     mu is a polynomial (ascending coefficients) with sup |mu| <= 1 on the
     circle, checked by a dense scan.  The reciprocal is expanded as a power
     series to series_degree and integrated termwise; the geometric tail
-    bound of the truncation is recorded in diagnostics, along with a
-    polyline turning-angle diagnostic for convexity of the boundary image
-    (reported, not asserted).  With mu = 0 the construction reduces to
-    scale(R) exactly.
+    bound of the truncation is recorded in diagnostics.  With mu = 0 the
+    construction reduces to scale(R) exactly.
     """
     if R <= 0.0:
         raise ValueError("R must be positive")
@@ -267,37 +266,17 @@ def kalaj_extremal(R: float, mu: Sequence[complex], series_degree: int = 24) -> 
     h1 = np.concatenate([[0.0], h1p / n])
     h2 = np.concatenate([[0.0], h2p / n])
 
-    q_sup = sup_mu  # |z^2 mu(z)| = |mu(z)| on the circle
-    if q_sup < 1.0 - 1e-9:
-        tail = q_sup ** (series_degree + 1) / (1.0 - q_sup)
-        convergence = "geometric"
-    else:
-        tail = math.inf
-        convergence = "not bounded away from 1: series may not converge"
-
-    def build() -> PlanarMap:
-        return SeriesMap(h1, np.conj(h2),
-                         label=f"kalaj_extremal(R={R}, degree={series_degree})")
-
-    m = build()
-    boundary = m.values((1.0 - 1e-3) * np.exp(1j * 2.0 * np.pi * np.arange(1024) / 1024))
-    edges = np.diff(np.concatenate([boundary, boundary[:1]]))
-    cross = np.imag(np.conj(edges[:-1]) * edges[1:])
-    convex_fraction = float(np.mean(cross >= -1e-12 * np.abs(edges[:-1]) * np.abs(edges[1:])))
+    # |z^2 mu(z)| = |mu(z)| on the circle, so the tail is geometric in sup_mu.
+    tail = math.inf
+    if sup_mu < 1.0 - 1e-9:
+        tail = sup_mu ** (series_degree + 1) / (1.0 - sup_mu)
 
     return MapDefinition(
         name="kalaj_extremal",
         parameters={"R": float(R), "mu": tuple(complex(v) for v in mu),
                     "series_degree": int(series_degree)},
-        representation="series",
-        source=None,
-        provenance="harmonic extremal with prescribed second dilatation, "
-                   "built by power-series inversion",
         diagnostics={
-            "sup_mu_circle": sup_mu,
             "truncation_tail_bound": tail,
-            "convergence": convergence,
-            "convex_fraction": convex_fraction,
             "exact_R": float(R),
             "exact_K": (1.0 + sup_mu) / (1.0 - sup_mu) if sup_mu < 1.0 else math.inf,
             # mu = 0 collapses to scale(R), whose radial lengths are R r;
@@ -305,7 +284,8 @@ def kalaj_extremal(R: float, mu: Sequence[complex], series_degree: int = 24) -> 
             # equality displays.
             **({"exact_radial_sup": float(R)} if sup_mu == 0.0 else {}),
         },
-        _builder=build,
+        _builder=lambda: SeriesMap(h1, np.conj(h2),
+                                   label=f"kalaj_extremal(R={R}, degree={series_degree})"),
     )
 
 
@@ -325,12 +305,4 @@ def harmonic_catalog() -> List[MapDefinition]:
 
 def catalog_names() -> Dict[str, str]:
     """name -> parameter schema, for the CLI listing."""
-    return {
-        "identity": "",
-        "scale": "c",
-        "moebius": "a, t (default 0)",
-        "example13": "alpha in (0, 1/2)",
-        "example15": "",
-        "polyharmonic": "a (comma list), b (comma list)",
-        "kalaj_extremal": "R, mu (comma list), series_degree (default 24)",
-    }
+    return {name: entry.schema for name, entry in _CATALOG.items()}

@@ -28,7 +28,7 @@ from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
 from .expr import EvalDomainError, ParseError
 from .grids import GridSpec
-from .lengths import (_length_sup_detail, boundary_length, perimeter, radial_length,
+from .lengths import (boundary_length, length_sup, perimeter, radial_length,
                       radial_length_limit, subharmonic_radial_check)
 from .maps import DslMap, JetEvaluationError, PlanarMap
 from .potential import QuadratureConfig, laplacian_residual, solve_poisson
@@ -261,12 +261,11 @@ def _cmd_bounds(args) -> int:
         radial_sup = diag["exact_radial_sup"]
         provenance["radial_sup"] = "catalog-exact"
     elif not args.no_measure:
-        radial_sup, _ = _length_sup_detail(m, "radial", grid)
+        radial_sup, _ = length_sup(m, "radial", grid)
         provenance["radial_sup"] = "angle-grid"
 
     coeffs = extract_coeffs(m, count=args.n_max if args.n_max > 32 else 32)
     ctx = BoundContext(params=params, R=R,
-                       R_provenance=provenance.get("R", ""),
                        perimeter_sup=perimeter_sup, radial_sup=radial_sup,
                        coeffs=coeffs if coeffs.valid else None)
     points = _parse_points(args.points) if args.points else None
@@ -312,7 +311,7 @@ def _cmd_length(args) -> int:
         reports.append(boundary_length(m))
     if args.kind in ("sup-perimeter", "sup-radial"):
         kind = args.kind.split("-", 1)[1]
-        value, detail = _length_sup_detail(m, kind, grid)
+        value, detail = length_sup(m, kind, grid)
         reports.append({"type": "LengthSup", "kind": kind, "value": value,
                         **detail})
     if args.kind == "radial-limit":

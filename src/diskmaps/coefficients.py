@@ -22,6 +22,9 @@ from .maps import JetEvaluationError
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
 
+# Largest cross-radius coefficient disagreement of a valid table.
+_COEFF_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class CoeffTable:
@@ -48,15 +51,13 @@ def extract_coeffs(
     m,
     count: int = 32,
     radii: Sequence[float] = (0.4, 0.6, 0.8),
-    nodes: Optional[int] = None,
-    tolerance: float = 1e-8,
 ) -> CoeffTable:
     """Read a_0..a_count and b_1..b_count from circle FFTs on several radii.
 
     Uses the largest radius as reference (best conditioning for high modes)
-    and measures cross-radius disagreement on all others.  nodes defaults to
-    max(256, 8 * count) samples per circle, keeping modeled modes far from
-    the aliasing range.
+    and measures cross-radius disagreement on all others, which must stay
+    within 1e-8 for a valid table.  Each circle takes max(256, 8 * count)
+    samples, keeping modeled modes far from the aliasing range.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -67,9 +68,7 @@ def extract_coeffs(
         raise ValueError("radii must lie in (0, 1)")
     if len(set(radii)) != len(radii):
         raise ValueError("radii must be distinct")
-    n = nodes if nodes is not None else max(256, 8 * count)
-    if n < 2 * count + 2:
-        raise ValueError("nodes must exceed twice the coefficient count")
+    n = max(256, 8 * count)
 
     theta = 2.0 * np.pi * np.arange(n) / n
     ring = np.exp(1j * theta)
@@ -107,8 +106,8 @@ def extract_coeffs(
         b=tuple(complex(v) for v in b),
         radii_used=radii,
         disagreement=disagreement,
-        tolerance=tolerance,
-        valid=bool(disagreement <= tolerance),
+        tolerance=_COEFF_TOLERANCE,
+        valid=bool(disagreement <= _COEFF_TOLERANCE),
     )
 
 
@@ -136,7 +135,6 @@ class MajorantSpec:
         if not contains_var(self.ast):
             raise ValueError("majorant must depend on its variable")
         self._validate()
-        self.validated = True
 
     def _validate(self) -> None:
         ts = 2.0 * np.arange(1, 1001) / 1000.0

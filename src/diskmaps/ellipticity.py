@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -312,6 +312,39 @@ def _as_majorant(omega) -> MajorantSpec:
     return MajorantSpec(omega)
 
 
+def _check_alpha(alpha: float, **positive: float) -> None:
+    """alpha must lie in [0, 1] and each named constant must be positive."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    if any(c <= 0.0 for c in positive.values()):
+        raise ValueError(f"{' and '.join(positive)} must be positive")
+
+
+def _validated_pairs(pairs: Sequence[Tuple[complex, complex]]
+                     ) -> List[Tuple[complex, complex]]:
+    """The pairs as complex tuples; each must be two distinct interior points."""
+    if not pairs:
+        raise ValueError("pairs must be nonempty")
+    pairs = [(complex(z1), complex(z2)) for z1, z2 in pairs]
+    for z1, z2 in pairs:
+        disk_distance(z1), disk_distance(z2)
+        if abs(z1 - z2) < 1e-14:
+            raise ValueError("pairs must consist of distinct points")
+    return pairs
+
+
+def _worst_pair(pairs: Sequence[Tuple[complex, complex]],
+                margin: Callable[[complex, complex], float]
+                ) -> Tuple[float, Optional[tuple]]:
+    """(least margin, first pair attaining it); each pair is evaluated once."""
+    worst, witness = math.inf, None
+    for z1, z2 in pairs:
+        value = margin(z1, z2)
+        if value < worst:
+            worst, witness = value, (z1, z2)
+    return worst, witness
+
+
 def _chord_margins(spec: MajorantSpec, expo: float, C: float, z1: complex, z2: complex,
                    w1: complex, w2: complex) -> Tuple[float, float]:
     """Margins of omega(((1+|z1|)(1+|z2|))^expo) / C <= |w1 - w2| / |z1 - z2|
@@ -361,12 +394,8 @@ def check_theorem11(
     integral to stay <= C2.  The worst margin over all clauses and pairs is
     reported; pairs whose inversion fails are counted as indeterminate.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if C1 <= 0.0 or C2 <= 0.0:
-        raise ValueError("C1 and C2 must be positive")
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
+    _check_alpha(alpha, C1=C1, C2=C2)
+    pairs = _validated_pairs(pairs)
     if line_nodes < 3:
         raise ValueError("line_nodes must be >= 3")
     if line_nodes % 2 == 0:
@@ -374,28 +403,18 @@ def check_theorem11(
     spec = _as_majorant(omega)
     expo = (1.0 - alpha) / 2.0
 
-    flat = [z for pair in pairs for z in pair]
-    for z in flat:
-        disk_distance(z)
-    _check_univalence_on_sample(m, flat)
+    _check_univalence_on_sample(m, [z for pair in pairs for z in pair])
 
-    worst = math.inf
-    witness: Optional[tuple] = None
-    indeterminate = 0
-    max_integral = -math.inf
+    integrals: List[float] = []
     ts = np.linspace(0.0, 1.0, line_nodes)
     simpson_w = np.ones(line_nodes)
     simpson_w[1:-1:2] = 4.0
     simpson_w[2:-1:2] = 2.0
     simpson_w /= 3.0 * (line_nodes - 1)
 
-    for z1, z2 in pairs:
-        z1, z2 = complex(z1), complex(z2)
-        if abs(z1 - z2) < 1e-14:
-            raise ValueError("pairs must consist of distinct points")
+    def pair_margin(z1: complex, z2: complex) -> float:
         w1, w2 = m.value(z1), m.value(z2)
         margins = list(_chord_margins(spec, expo, C1, z1, z2, w1, w2))
-
         try:
             guess = z1
             integrand = np.empty(line_nodes)
@@ -403,17 +422,14 @@ def check_theorem11(
                 target = (1.0 - t) * w1 + t * w2
                 guess = invert_map(m, target, guess, tol=1e-10)
                 integrand[i] = 1.0 / spec.eval(disk_distance(guess) ** (1.0 - alpha))
-            integral = float(simpson_w @ integrand)
-            max_integral = max(max_integral, integral)
-            margins.append(C2 - integral)
         except ConvergenceError:
-            indeterminate += 1
+            return min(margins)
+        integral = float(simpson_w @ integrand)
+        integrals.append(integral)
+        return min(margins + [C2 - integral])
 
-        pair_margin = min(margins)
-        if pair_margin < worst:
-            worst = pair_margin
-            witness = (z1, z2)
-
+    worst, witness = _worst_pair(pairs, pair_margin)
+    indeterminate = len(pairs) - len(integrals)
     notes = ""
     if indeterminate:
         notes = (f"{indeterminate} of {len(pairs)} chord integrals skipped "
@@ -422,7 +438,7 @@ def check_theorem11(
         "alpha": alpha,
         "C1": C1,
         "C2": C2,
-        "max_chord_integral": max_integral if max_integral > -math.inf else math.nan,
+        "max_chord_integral": max(integrals, default=math.nan),
     }
     return HypothesisReport(
         condition_id="growth-and-chord-integral",
@@ -518,7 +534,9 @@ def check_prop14(m: PlanarMap, C3: float,
     h1 is the analytic part of f + G[Delta f]: taken from the map's own
     decomposition when declared, otherwise extracted from circle Fourier
     coefficients after adding the Green potential of the declared source.
-    When pairs is omitted, 400 seeded uniform pairs are used, augmented
+    Given pairs must be distinct points of the open disk (ValueError
+    otherwise, as in check_theorem11 and lemma22_check).  When pairs is
+    omitted, 400 seeded uniform pairs are used, augmented
     with short chords near the grid maximizer of ||D_f|| / |h1'|.  On
     success the report carries the induced coefficient pair
     k1 = C3 - 1, k2 = (C3 / 3) ||Delta f||_inf and its (K, K') image.
@@ -536,29 +554,20 @@ def check_prop14(m: PlanarMap, C3: float,
     """
     if not 1.0 <= C3 < 2.0:
         raise ValueError("C3 must lie in [1, 2)")
+    if pairs is not None:
+        pairs = _validated_pairs(pairs)
     h1, g_sup, extracted = _analytic_part_and_source(m)
     if pairs is None:
         pairs = _default_prop14_pairs(m, h1)
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
 
-    worst = math.inf
-    witness: Optional[tuple] = None
-    for z1, z2 in pairs:
-        z1, z2 = complex(z1), complex(z2)
-        disk_distance(z1)
-        disk_distance(z2)
-        if abs(z1 - z2) < 1e-14:
-            continue
+    def pair_margin(z1: complex, z2: complex) -> float:
         lhs = abs(m.value(z1) - m.value(z2))
         rhs = C3 * abs(h1.value(z1) - h1.value(z2))
-        scale = max(abs(z1 - z2), 1e-30)
-        margin = (rhs - lhs) / scale  # per unit chord, comparable across deltas
-        if margin < worst:
-            worst = margin
-            witness = (z1, z2)
+        return (rhs - lhs) / abs(z1 - z2)  # per unit chord, comparable across deltas
+
+    worst, witness = _worst_pair(pairs, pair_margin)
     if witness is None:
-        raise ValueError("pairs must contain at least one distinct pair")
+        raise ValueError("no pair produced a finite margin")
 
     hold_tol = 1e-9 if extracted else _HOLD_TOL
     holds = bool(worst >= -hold_tol)
@@ -596,27 +605,14 @@ def lemma22_check(
     The derived constant beta(alpha) * C5 converts any (b)-type bound into
     an (a)-type one, with beta = Gamma((1+alpha)/2)^2 / Gamma(1+alpha).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    if C4 <= 0.0 or C5 <= 0.0:
-        raise ValueError("C4 and C5 must be positive")
-    if not pairs:
-        raise ValueError("pairs must be nonempty")
+    _check_alpha(alpha, C4=C4, C5=C5)
+    pairs = _validated_pairs(pairs)
     spec = _as_majorant(omega)
     grid = grid or GridSpec()
     expo = (1.0 - alpha) / 2.0
 
-    worst_a = math.inf
-    witness_a = None
-    for z1, z2 in pairs:
-        z1, z2 = complex(z1), complex(z2)
-        disk_distance(z1)
-        disk_distance(z2)
-        if abs(z1 - z2) < 1e-14:
-            raise ValueError("pairs must consist of distinct points")
-        margin = min(_chord_margins(spec, expo, C4, z1, z2, m.value(z1), m.value(z2)))
-        if margin < worst_a:
-            worst_a, witness_a = margin, (z1, z2)
+    worst_a, witness_a = _worst_pair(pairs, lambda z1, z2: min(
+        _chord_margins(spec, expo, C4, z1, z2, m.value(z1), m.value(z2))))
 
     pts = polar_grid(grid)
     _, dz, db = m.jets(pts)
@@ -653,6 +649,5 @@ def lemma22_check(
 
 def beta_constant(alpha: float) -> float:
     """Gamma((1+alpha)/2)^2 / Gamma(1+alpha); equals 1 at alpha=1, pi at 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+    _check_alpha(alpha)
     return float(_gamma((1.0 + alpha) / 2.0) ** 2 / _gamma(1.0 + alpha))

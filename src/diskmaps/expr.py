@@ -369,7 +369,7 @@ def _value(node: ExprAst, z, strict: bool):
         return a / b
     if isinstance(node, IntPow):
         base = _value(node.base, z, strict)
-        if node.exponent <= 0 and _any_zero(base):
+        if node.exponent < 0 and _any_zero(base):
             _fail(strict, "zero base with non-positive exponent", node.pos)
         return base ** node.exponent
     if isinstance(node, PowConst):
@@ -431,7 +431,7 @@ def _jet(node: ExprAst, z, strict: bool) -> _Triple:
         if n == 0:
             one = np.ones_like(uv) if np.ndim(uv) else 1. + 0j
             return (one, zero, zero)
-        if n <= 0 and _any_zero(uv):
+        if n < 0 and _any_zero(uv):
             _fail(strict, "zero base with non-positive exponent", node.pos)
         w = uv ** n
         dfactor = n * uv ** (n - 1) if n != 1 else 1.0

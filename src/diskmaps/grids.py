@@ -21,6 +21,10 @@ class GridScanError(RuntimeError):
     """Too many grid points failed to evaluate for a trustworthy scan."""
 
 
+# A scan masks at most this fraction of non-finite base-grid values.
+_MAX_FAILURE_FRACTION = 0.01
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Polar grid: radial_count shells up to max_radius, angular_count rays.
@@ -60,7 +64,6 @@ def _local_window(r0: float, t0: float, dr: float, dt: float, r_cap: float) -> n
 def grid_supremum(
     field: Callable[[np.ndarray], np.ndarray],
     spec: GridSpec,
-    max_failure_fraction: float = 0.01,
     base_values: Optional[np.ndarray] = None,
 ) -> Tuple[float, complex]:
     """Supremum estimate of a real field over the disk grid, with refinement.
@@ -83,10 +86,10 @@ def grid_supremum(
             raise ValueError(f"base_values have shape {vals.shape}, expected {pts.shape}")
     bad = ~np.isfinite(vals)
     if bad.any():
-        if bad.mean() > max_failure_fraction:
+        if bad.mean() > _MAX_FAILURE_FRACTION:
             raise GridScanError(
                 f"{bad.mean():.1%} of grid points failed to evaluate "
-                f"(limit {max_failure_fraction:.0%})"
+                f"(limit {_MAX_FAILURE_FRACTION:.0%})"
             )
         vals = np.where(bad, -np.inf, vals)
     flat_idx = int(np.argmax(vals.ravel()))

@@ -14,7 +14,7 @@ count once and reports whether the value moved by more than 1e-6 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _RADIAL_CAP = 1.0 - 1e-6
+_POLYLINE_SEGMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,23 @@ def radial_length(m, r: float, theta: float, nodes: int = 257) -> LengthReport:
                         node_count=2 * nodes + 1, converged=converged)
 
 
-def _length_sup_detail(m, kind: str, cfg: GridSpec):
-    """(sup, ladder description) used by length_sup and the CLI."""
+def length_sup(m, kind: str,
+               cfg: Optional[GridSpec] = None) -> Tuple[float, Dict[str, object]]:
+    """(supremum estimate, how it was found) for perimeters or radial lengths.
+
+    perimeter: max over the shell ladder r = 1 - 2^{-k} capped at
+    cfg.max_radius (a lower estimate of the sup over r < 1, which the
+    ladder approaches from below for maps with rectifiable image); each
+    rung is the fine rule of perimeter(), without its convergence check.
+    The detail lists the rungs and their values.
+    radial: max over an angle grid of the radial length at r -> 1, with one
+    local refinement round around the argmax; the detail gives its angle.
+    """
+    cfg = cfg or GridSpec()
     if kind == "perimeter":
         radii = shell_ladder(cfg.max_radius)
-        values = [perimeter(m, float(r), nodes=max(cfg.angular_count, 256)).value
-                  for r in radii]
+        nodes = 2 * max(cfg.angular_count, 256)
+        values = [_perimeter_value(m, float(r), nodes) for r in radii]
         diffs = np.diff(values)
         monotone = bool(np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(values[:-1]))))
         note = ("ladder supremum up to max_radius; a lower estimate of the "
@@ -154,56 +166,42 @@ def _length_sup_detail(m, kind: str, cfg: GridSpec):
     raise ValueError("kind must be 'perimeter' or 'radial'")
 
 
-def length_sup(m, kind: str, cfg: Optional[GridSpec] = None) -> float:
-    """Supremum estimate of perimeter over radii or radial length over angles.
-
-    perimeter: max over the shell ladder r = 1 - 2^{-k} capped at
-    cfg.max_radius (a lower estimate of the sup over r < 1, which the
-    ladder approaches from below for maps with rectifiable image).
-    radial: max over an angle grid of the radial length at r -> 1, with one
-    local refinement round around the argmax.
-    """
-    value, _ = _length_sup_detail(m, kind, cfg or GridSpec())
-    return float(value)
-
-
-def _polyline_length(m, r: float, segments: int) -> float:
-    theta = 2.0 * np.pi * np.arange(segments + 1) / segments
+def _polyline_length(m, r: float) -> float:
+    theta = 2.0 * np.pi * np.arange(_POLYLINE_SEGMENTS + 1) / _POLYLINE_SEGMENTS
     vals = m.values(r * np.exp(1j * theta))
     if not np.all(np.isfinite(vals)):
         raise JetEvaluationError(f"map evaluation failed on the circle |z| = {r}")
     return float(np.sum(np.abs(np.diff(vals))))
 
 
-def boundary_length(m, segments: int = 4096) -> LengthReport:
+def boundary_length(m) -> LengthReport:
     """Boundary image length by inscribed polylines with extrapolation.
 
-    Polyline lengths are computed at r = 1 - 2^{-k} for k = 8..11; since
-    the last gap (2^{-11}) equals the remaining distance to the boundary,
-    the linear extrapolation 2 L_last - L_prev cancels the leading error
-    term for lengths with a C^1 radial profile.  converged reflects the
-    last two extrapolations agreeing to 1e-6 relative.
+    4096-segment polyline lengths are computed at r = 1 - 2^{-k} for
+    k = 8..11; since the last gap (2^{-11}) equals the remaining distance
+    to the boundary, the linear extrapolation 2 L_last - L_prev cancels the
+    leading error term for lengths with a C^1 radial profile.  converged
+    reflects the last two extrapolations agreeing to 1e-6 relative.
     """
-    if segments < 64:
-        raise ValueError("segments must be >= 64")
     radii = [1.0 - 0.5**k for k in (8, 9, 10, 11)]
-    lengths = [_polyline_length(m, r, segments) for r in radii]
+    lengths = [_polyline_length(m, r) for r in radii]
     value = 2.0 * lengths[-1] - lengths[-2]
     previous = 2.0 * lengths[-2] - lengths[-3]
     converged = abs(value - previous) <= 1e-6 * max(abs(value), 1e-300)
     return LengthReport(kind="boundary", radius=radii[-1], theta=None,
-                        value=value, node_count=segments, converged=converged)
+                        value=value, node_count=_POLYLINE_SEGMENTS, converged=converged)
 
 
-def radial_length_limit(m, theta: float, nodes: int = 513) -> float:
+def radial_length_limit(m, theta: float) -> float:
     """Extrapolated limit of the radial length as r -> 1.
 
-    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 and extrapolates linearly
-    (again the gap equals the distance to the boundary).  Exact for maps
-    whose radial length is linear in r near the boundary, e.g. f = c z.
+    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (513 Simpson nodes each) and
+    extrapolates linearly (again the gap equals the distance to the
+    boundary).  Exact for maps whose radial length is linear in r near the
+    boundary, e.g. f = c z.
     """
-    v0 = _radial_value(m, 1.0 - 4e-6, theta, nodes)
-    v1 = _radial_value(m, 1.0 - 2e-6, theta, nodes)
+    v0 = _radial_value(m, 1.0 - 4e-6, theta, 513)
+    v1 = _radial_value(m, 1.0 - 2e-6, theta, 513)
     return 2.0 * v1 - v0
 
 

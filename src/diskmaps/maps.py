@@ -172,24 +172,12 @@ class SeriesMap(PlanarMap):
 class CallableMap(PlanarMap):
     """Wrap a plain python function; jets fall back to central differences."""
 
-    def __init__(
-        self,
-        fn: Callable[[complex], complex],
-        jet_fn: Optional[Callable[[complex], WirtingerJet]] = None,
-        label: str = "callable",
-        laplacian_expr: Optional[str] = None,
-        fd_step: Optional[float] = None,
-    ):
+    def __init__(self, fn: Callable[[complex], complex], label: str = "callable"):
         self.fn = fn
-        self.jet_fn = jet_fn
         self.label = label
-        self.laplacian_expr = laplacian_expr
-        self.fd_step = fd_step
 
     def value(self, z: complex) -> complex:
         return complex(self.fn(complex(z)))
 
     def jet(self, z: complex) -> WirtingerJet:
-        if self.jet_fn is not None:
-            return self.jet_fn(complex(z))
-        return finite_difference_jet(self.fn, complex(z), self.fd_step)
+        return finite_difference_jet(self.fn, complex(z))

@@ -536,26 +536,19 @@ class GreenDerivativeSup:
 def green_derivative_sup(
     source: Union[GreenPotential, str, Callable],
     config: Optional[QuadratureConfig] = None,
-    interior_radial: int = 24,
-    interior_angular: int = 96,
-    shell_count: int = 6,
-    shell_angular: int = 192,
 ) -> GreenDerivativeSup:
     """Estimate sup_D max(|G[g]_z|, |G[g]_zbar|).
 
-    Interior behavior is scanned on a polar grid inside r = 7/8; the
-    boundary limit is taken along the shells r_k = 1 - 2^{-k}, k = 3, 4, ...,
-    with linear extrapolation to r = 1 from the last two shells.  Every ring
-    costs one radial solve of the potential.  The reported sup is the
-    largest of the interior, shell and extrapolated estimates.
+    Interior behavior is scanned on a 24 x 96 polar grid inside r = 7/8; the
+    boundary limit is taken along 192-point rings on the six shells
+    r_k = 1 - 2^{-k}, k = 3..8, with linear extrapolation to r = 1 from the
+    last two shells.  Every ring costs one radial solve of the potential.
+    The reported sup is the largest of the interior, shell and extrapolated
+    estimates.
     """
     pot = source if isinstance(source, GreenPotential) else GreenPotential(source, config)
-    if shell_count < 2:
-        raise ValueError("shell_count must be at least 2")
-
-    ks = np.arange(3, 3 + shell_count)
-    shell_radii = 1.0 - 2.0 ** (-ks.astype(float))
-    phi = 2.0 * np.pi * np.arange(shell_angular) / shell_angular
+    shell_radii = 1.0 - 2.0 ** (-np.arange(3, 9, dtype=float))
+    phi = 2.0 * np.pi * np.arange(192) / 192
     ring = np.exp(1j * phi)
 
     shell_sups = []
@@ -567,8 +560,8 @@ def green_derivative_sup(
     # to the boundary and the linear extrapolation is simply 2 v1 - v0.
     boundary_limit = 2.0 * shell_sups[-1] - shell_sups[-2]
 
-    radii = shell_radii[0] * np.arange(1, interior_radial + 1) / interior_radial
-    grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(interior_angular) / interior_angular)
+    radii = shell_radii[0] * np.arange(1, 25) / 24
+    grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
     dz, db = pot.derivatives(np.concatenate([[0j], grid.ravel()]))
     interior_sup = float(np.maximum(np.abs(dz), np.abs(db)).max())
 

@@ -8,6 +8,9 @@ special functions) rather than frozen from a previous run of the same code.
 
 import json
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,7 +27,6 @@ from diskmaps import (
     builtin_map,
     check_prop14,
     check_theorem11,
-    cli,
     coefficient_bounds_report,
     derivative_bounds_report,
     extract_coeffs,
@@ -174,7 +176,6 @@ def test_c06_sharpness_rows(line):
     #     K = 1, K' = 0, R = 1.
     ident = SeriesMap([0, 1], label="identity")
     ctx = BoundContext(params=EllipticityParams(1.0, 0.0), R=1.0,
-                       R_provenance="exact",
                        coeffs=extract_coeffs(ident, count=8))
     rows = coefficient_bounds_report(ctx, n_max=1)
     chen10 = next(r for r in rows if r.inequality_id == "chen-1.0")
@@ -202,8 +203,7 @@ def test_c06_sharpness_rows(line):
     L = boundary_length(moeb).value
     poly_ok = abs(L - 2 * math.pi) <= 1e-3
     R_poly = L / (2 * math.pi)
-    ctx = BoundContext(params=EllipticityParams(1.0, 0.0), R=1.0,
-                       R_provenance="boundary-polyline certified vs 2pi")
+    ctx = BoundContext(params=EllipticityParams(1.0, 0.0), R=1.0)
     kalaj = next(r for r in derivative_bounds_report(
         ctx, moeb, points=[0.5], per_point=True)
         if r.inequality_id == "kalaj-1")
@@ -313,45 +313,27 @@ def test_c11_radial_integral_conclusion(line):
                   f"{unit.margin!r} (exact zero)")
 
 
-CATALOG_CONTEXTS = [
-    # (argv fragment, K) with K the least constant for which the map is
-    # K-quasiregular: identity, scaling, and Moebius are conformal (K = 1);
-    # z + 0.3 zbar^2 has dilatation sup 0.6 -> K = (1.6)/(0.4) = 4;
-    # z + 0.1 z^3 + 0.25 zbar^2 peaks at |0.5 zbar| / |1 + 0.3 z^2| = 5/7
-    # at z = +-i -> K = (12/7)/(2/7) = 6; the series extremal with mu = 0.5
-    # has constant dilatation 0.5 -> K = 3.
-    (["--catalog", "identity"], 1.0),
-    (["--catalog", "scale", "--param", "c=1.5"], 1.0),
-    (["--catalog", "moebius", "--param", "a=0.5"], 1.0),
-    (["--catalog", "moebius", "--param", "a=0.3+0.2j", "--param", "t=0.7"], 1.0),
-    (["--catalog", "polyharmonic", "--param", "a=0,1",
-      "--param", "b=0,0,0.3"], 4.0),
-    (["--catalog", "polyharmonic", "--param", "a=0,1,0,0.1",
-      "--param", "b=0,0,0.25"], 6.0),
-    (["--catalog", "kalaj_extremal", "--param", "R=1.0", "--param", "mu=0.0",
-      "--param", "series_degree=12"], 1.0),
-    (["--catalog", "kalaj_extremal", "--param", "R=1.0", "--param", "mu=0.5",
-      "--param", "series_degree=24"], 3.0),
-]
-
-
-def test_c12_bounds_regression_over_catalog(tmp_path, line):
+def test_c12_bounds_regression_over_catalog(monkeypatch, tmp_path, capsys, line):
+    # scripts/bounds_regression.py pairs every harmonic catalog entry with
+    # the least K for which it is K-quasiregular; run it in-process.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_regression.py"
+    namespace = runpy.run_path(str(script))
+    monkeypatch.setattr(sys, "argv", [script.name, "--keep", str(tmp_path)])
+    code = namespace["main"]()
+    err = capsys.readouterr().err
+    reports = sorted(tmp_path.glob("*.json"))
     violated = []
     worst = math.inf
-    for i, (src, K) in enumerate(CATALOG_CONTEXTS):
-        out = tmp_path / f"bounds_{i}.json"
-        code = cli.main(["bounds", *src, "--K", repr(K), "--out", str(out)])
-        doc = json.loads(out.read_text())
-        for row in doc["reports"]:
-            if row.get("status") == "violated":
-                violated.append((src[1], row["inequality_id"]))
-        wm = doc["summary"]["worst_margin"]
-        if wm is not None:
-            worst = min(worst, wm)
-        if code != 0:
-            violated.append((src[1], f"exit {code}"))
-    ok = not violated and worst >= -1e-9
-    line(12, ok, f"bounds over {len(CATALOG_CONTEXTS)} catalog contexts: "
+    for path in reports:
+        doc = json.loads(path.read_text())
+        violated += [(path.stem, row["inequality_id"]) for row in doc["reports"]
+                     if row["status"] == "violated"]
+        if doc["summary"]["worst_margin"] is not None:
+            worst = min(worst, doc["summary"]["worst_margin"])
+    ok = (code == 0 and "violation" not in err
+          and len(reports) == len(namespace["CASES"]) == 8
+          and not violated and worst >= -1e-9)
+    line(12, ok, f"bounds over {len(reports)} catalog contexts (exit {code}): "
                   f"{len(violated)} violated rows, worst margin {worst!r}")
 
 

@@ -1,6 +1,7 @@
 """Coefficient and derivative bound displays with provenance-aware context."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ def identity_context() -> BoundContext:
     return BoundContext(
         params=EllipticityParams(K=1.0, Kprime=0.0),
         R=1.0,
-        R_provenance="given",
         perimeter_sup=2.0 * math.pi,
         radial_sup=1.0,
         coeffs=table,
@@ -128,3 +128,42 @@ def test_derivative_rows_skip_nan_jets():
     kalaj = {r.index: r for r in rows if r.inequality_id == "kalaj-1"}
     assert kalaj[0.01 + 0j].status == "indeterminate"
     assert kalaj[0.5 + 0j].status == "holds"
+
+
+COEFFICIENT_IDS = ("chen-1.0", "CRP-1c", "Mat-1", "eq-2017", "chen-1.2")
+DERIVATIVE_IDS = ("kalaj-1", "CP-K", "CRP-2c")
+
+# Written out from the displays in the module docstring, not from the tables.
+READERS = {
+    "params": {"chen-1.0", "CRP-1c", "eq-2017", "chen-1.2", "CP-K", "CRP-2c"},
+    "R": {"chen-1.0", "kalaj-1", "CP-K"},
+    "perimeter_sup": {"CRP-1c", "Mat-1", "CRP-2c"},
+    "radial_sup": {"eq-2017", "chen-1.2"},
+    "coeffs": set(COEFFICIENT_IDS),
+}
+
+
+def all_rows(ctx, n_max=3):
+    return (coefficient_bounds_report(ctx, n_max=n_max)
+            + derivative_bounds_report(ctx, SeriesMap([0, 1]),
+                                       points=[0.0, 0.5, 0.5j]))
+
+
+def test_every_display_reports_with_a_full_context():
+    assert set(INEQUALITY_IDS) == {*COEFFICIENT_IDS, *DERIVATIVE_IDS, "radial-subharmonic"}
+    rows = all_rows(identity_context(), n_max=3)
+    for ineq in COEFFICIENT_IDS:
+        mine = [r for r in rows if r.inequality_id == ineq]
+        assert [r.index for r in mine] == [1, 2, 3]
+        assert all(r.status == "holds" for r in mine)
+    for ineq in DERIVATIVE_IDS:
+        mine = [r for r in rows if r.inequality_id == ineq]
+        assert len(mine) == 1 and mine[0].status == "holds"
+
+
+@pytest.mark.parametrize("field", sorted(READERS))
+def test_clearing_a_field_blanks_exactly_its_readers(field):
+    rows = all_rows(replace(identity_context(), **{field: None}))
+    blank = {r.inequality_id for r in rows if r.status == "indeterminate"}
+    assert blank == READERS[field]
+    assert all(r.status == "indeterminate" for r in rows if r.inequality_id in blank)

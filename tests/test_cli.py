@@ -231,3 +231,24 @@ def test_unknown_catalog_parameter_is_usage_error(capsys):
     assert cli.main(["analyze", "--catalog", "kalaj_extremal",
                      "--param", "Q=2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("pairs", ["0.1:1.2", "0.1:0.1,0.2:0.3"])
+def test_pair_checks_reject_exterior_and_coincident_pairs(capsys, pairs):
+    thm11 = ["check-thm11", "--map", "z", "--omega", "t", "--alpha", "0.5",
+             "--C1", "10", "--C2", "100", "--pairs", pairs]
+    prop14 = ["check-prop14", "--map", "z", "--C3", "1.5", "--pairs", pairs]
+    assert cli.main(thm11) == 2
+    assert cli.main(prop14) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: ") == 2
+
+
+def test_zero_power_of_a_vanishing_base_is_one(capsys):
+    # z^0 = 1 also at z = 0, as the constant term "1" is.
+    for map_src in ("z + z^0", "z + 1"):
+        code, doc = run_json(capsys, ["check-prop14", "--map", map_src,
+                                      "--C3", "1.5", "--pairs", "0:0.5"])
+        assert code == 0
+        assert doc["reports"][0]["holds_on_sample"] is True

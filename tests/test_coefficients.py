@@ -61,8 +61,6 @@ def test_extraction_argument_validation():
         extract_coeffs(m, radii=(0.5, 1.0))
     with pytest.raises(ValueError):
         extract_coeffs(m, radii=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        extract_coeffs(m, count=32, nodes=16)
 
 
 def test_table_count_property():
@@ -75,7 +73,6 @@ def test_table_count_property():
 def test_majorant_accepts_standard_shapes():
     for source in ("t", "pow(t, 0.5)", "t / (1 + t)", "z"):
         spec = MajorantSpec(source)
-        assert spec.validated
         assert spec.eval(1.0) > 0.0
     arr = MajorantSpec("t").eval(np.array([0.5, 1.0, 2.0]))
     assert np.allclose(arr, [0.5, 1.0, 2.0])

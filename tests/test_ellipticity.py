@@ -239,3 +239,25 @@ def test_frontier_reports_sense_preservation(example15):
     # Sense reversal on part of the disk only: f = z + 2 conj(z)^2 has J < 0
     # for |z| > 1/4.
     assert not frontier(SeriesMap([0, 1], [0, 0, 2]), [1.0], grid).sense_preserving
+
+
+PAIR_CHECKERS = {
+    "thm11": lambda pairs: check_theorem11(SeriesMap([0, 1]), "t", alpha=0.5,
+                                           C1=10.0, C2=100.0, pairs=pairs),
+    "prop14": lambda pairs: check_prop14(SeriesMap([0, 1]), C3=1.5, pairs=pairs),
+    "lemma22": lambda pairs: lemma22_check(SeriesMap([0, 1]), "t", alpha=0.5,
+                                           C4=10.0, C5=10.0, pairs=pairs),
+}
+
+
+@pytest.mark.parametrize("checker", sorted(PAIR_CHECKERS))
+@pytest.mark.parametrize("pairs,message", [
+    ([], "pairs must be nonempty"),
+    ([(0.1, 0.2), (0.1, 1.2)], "open unit disk"),
+    ([(0.1, 0.1), (0.2, 0.3)], "pairs must consist of distinct points"),
+])
+def test_pair_checkers_share_one_validation(checker, pairs, message):
+    with pytest.raises(ValueError, match=message):
+        PAIR_CHECKERS[checker](pairs)
+    # The valid pair alone passes every checker.
+    assert PAIR_CHECKERS[checker]([(0.2, 0.3)]).holds_on_sample

@@ -91,6 +91,16 @@ def test_scalar_eval_is_strict_about_domain():
         eval_jet(parse_expr("log(z)"), 0j)
 
 
+def test_zero_power_is_one_at_a_zero_base():
+    ast = parse_expr("z + z^0")
+    assert eval_value(ast, 0j) == 1
+    assert eval_jet(ast, 0j).value == 1
+    assert value_array(ast, np.array([0j]))[0] == 1
+    assert jet_arrays(ast, np.array([0j]))[0][0] == 1
+    with pytest.raises(EvalDomainError):
+        eval_value(parse_expr("z^-1"), 0j)
+
+
 def test_array_eval_propagates_nan_instead_of_raising():
     vals = value_array(parse_expr("1/z"), np.array([0j, 0.5 + 0j]))
     assert not np.isfinite(vals[0])

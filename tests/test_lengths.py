@@ -50,8 +50,6 @@ def test_length_argument_validation():
     with pytest.raises(ValueError):
         radial_length(m, 1.5, theta=0.0)
     with pytest.raises(ValueError):
-        boundary_length(m, segments=32)
-    with pytest.raises(ValueError):
         LengthReport(kind="diagonal", radius=0.5, theta=None, value=1.0,
                      node_count=8, converged=True)
     with pytest.raises(ValueError):
@@ -68,9 +66,13 @@ def test_boundary_length_identity_converges_to_2pi():
 def test_length_sup_kinds(quad_fast):
     cfg = GridSpec(radial_count=48, angular_count=96, max_radius=1 - 1e-4)
     m = SeriesMap([0, 2.0])
-    assert length_sup(m, "perimeter", cfg) == pytest.approx(
-        2 * np.pi * 2.0 * cfg.max_radius, rel=1e-9)
-    assert length_sup(m, "radial", cfg) == pytest.approx(2.0, rel=1e-4)
+    value, detail = length_sup(m, "perimeter", cfg)
+    assert value == pytest.approx(2 * np.pi * 2.0 * cfg.max_radius, rel=1e-9)
+    assert detail["radii"][-1] == cfg.max_radius and detail["monotone"]
+    assert max(detail["values"]) == value
+    value, detail = length_sup(m, "radial", cfg)
+    assert value == pytest.approx(2.0, rel=1e-4)
+    assert isinstance(detail["theta"], float)
 
 
 def test_radial_profile_is_exact_for_power_integrands():

@@ -129,14 +129,12 @@ def test_self_check_flags_inconsistent_quadrature(quad_fast):
 
 
 def test_derivative_sup_reports_interior_and_boundary(quad_fast):
-    est = green_derivative_sup("1", config=quad_fast,
-                               interior_radial=12, interior_angular=48,
-                               shell_count=4, shell_angular=64)
+    est = green_derivative_sup("1", config=quad_fast)
     # |dG/dz| = |conj(z)|/4 <= 1/4, attained in the boundary limit.
     assert est.sup == pytest.approx(0.25, abs=1e-5)
     assert est.boundary_limit == pytest.approx(0.25, abs=1e-5)
     assert est.interior_sup <= est.sup + 1e-12
-    assert len(est.shell_radii) == len(est.shell_sups) == 4
+    assert len(est.shell_radii) == len(est.shell_sups) == 6
 
 
 # --- closed-form oracles ------------------------------------------------------

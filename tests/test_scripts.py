@@ -14,17 +14,6 @@ def run_script(monkeypatch, name, *argv):
     return main()
 
 
-def test_bounds_regression_reports_no_violations(monkeypatch, capsys, tmp_path):
-    code = run_script(monkeypatch, "bounds_regression.py", "--keep", str(tmp_path))
-    assert code == 0
-    assert "violation" not in capsys.readouterr().err
-    reports = sorted(tmp_path.glob("*.json"))
-    assert len(reports) == 8
-    for path in reports:
-        rows = json.loads(path.read_text())["reports"]
-        assert all(row["status"] != "violated" for row in rows), path.name
-
-
 def test_frontier_sweep_builds_kalaj_from_the_catalog(monkeypatch, capsys):
     run_script(monkeypatch, "frontier_sweep.py", "--catalog", "kalaj_extremal",
                "--param", "mu=0.5", "--k-count", "3", "--json")
