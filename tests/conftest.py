@@ -1,3 +1,10 @@
+import contextlib
+import io
+import runpy
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -36,3 +43,26 @@ def quad_fast():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20250814)
+
+
+@pytest.fixture(scope="session")
+def bounds_regression_run(tmp_path_factory):
+    """One in-process run of scripts/bounds_regression.py --keep DIR.
+
+    c12 and the script test both read it, so the eight (catalog entry,
+    least K) reports are computed once per session.
+    """
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_regression.py"
+    namespace = runpy.run_path(str(script))
+    keep = tmp_path_factory.mktemp("bounds_regression")
+    out, err = io.StringIO(), io.StringIO()
+    argv = sys.argv
+    sys.argv = [script.name, "--keep", str(keep)]
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = namespace["main"]()
+    finally:
+        sys.argv = argv
+    return SimpleNamespace(code=code, out=out.getvalue(), err=err.getvalue(),
+                           reports=sorted(keep.glob("*.json")),
+                           cases=namespace["CASES"])

@@ -8,9 +8,6 @@ special functions) rather than frozen from a previous run of the same code.
 
 import json
 import math
-import runpy
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -313,15 +310,11 @@ def test_c11_radial_integral_conclusion(line):
                   f"{unit.margin!r} (exact zero)")
 
 
-def test_c12_bounds_regression_over_catalog(monkeypatch, tmp_path, capsys, line):
+def test_c12_bounds_regression_over_catalog(bounds_regression_run, line):
     # scripts/bounds_regression.py pairs every harmonic catalog entry with
-    # the least K for which it is K-quasiregular; run it in-process.
-    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_regression.py"
-    namespace = runpy.run_path(str(script))
-    monkeypatch.setattr(sys, "argv", [script.name, "--keep", str(tmp_path)])
-    code = namespace["main"]()
-    err = capsys.readouterr().err
-    reports = sorted(tmp_path.glob("*.json"))
+    # the least K for which it is K-quasiregular; it runs once in-process.
+    run = bounds_regression_run
+    code, err, reports = run.code, run.err, run.reports
     violated = []
     worst = math.inf
     for path in reports:
@@ -331,7 +324,7 @@ def test_c12_bounds_regression_over_catalog(monkeypatch, tmp_path, capsys, line)
         if doc["summary"]["worst_margin"] is not None:
             worst = min(worst, doc["summary"]["worst_margin"])
     ok = (code == 0 and "violation" not in err
-          and len(reports) == len(namespace["CASES"]) == 8
+          and len(reports) == len(run.cases) == 8
           and not violated and worst >= -1e-9)
     line(12, ok, f"bounds over {len(reports)} catalog contexts (exit {code}): "
                   f"{len(violated)} violated rows, worst margin {worst!r}")

@@ -14,6 +14,16 @@ def run_script(monkeypatch, name, *argv):
     return main()
 
 
+def test_bounds_regression_reports_no_violations(bounds_regression_run):
+    run = bounds_regression_run
+    assert run.code == 0
+    assert "violation" not in run.err
+    assert len(run.reports) == 8
+    for path in run.reports:
+        rows = json.loads(path.read_text())["reports"]
+        assert all(row["status"] != "violated" for row in rows), path.name
+
+
 def test_frontier_sweep_builds_kalaj_from_the_catalog(monkeypatch, capsys):
     run_script(monkeypatch, "frontier_sweep.py", "--catalog", "kalaj_extremal",
                "--param", "mu=0.5", "--k-count", "3", "--json")
