@@ -7,11 +7,11 @@ Every invocation prints one document, JSON by default:
      "summary": {"worst_margin": ..., "status": ...}}
 
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
-2 usage or configuration error, 3 numerical failure (non-convergence, or
-a map that fails to evaluate on a length quadrature's path or on a
-coefficient circle).  Identical argv yields byte-identical output:
-reductions are deterministic, field order is fixed, floats render in
-shortest round-trip form.
+2 usage or configuration error, 3 numerical failure (non-convergence, a
+map that fails to evaluate on a length quadrature's path or on a
+coefficient circle, or a nan pair-check margin).  Identical argv yields
+byte-identical output: reductions are deterministic, field order is fixed,
+floats render in shortest round-trip form.
 """
 
 from __future__ import annotations

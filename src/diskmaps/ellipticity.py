@@ -21,7 +21,7 @@ from scipy.special import gamma as _gamma
 
 from .coefficients import MajorantSpec, extract_coeffs
 from .grids import GridSpec, grid_supremum, polar_grid
-from .maps import PlanarMap, SeriesMap
+from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .potential import GreenPotential, PoissonMap
 from .wirtinger import WirtingerJet, disk_distance, jet_metrics
 
@@ -334,12 +334,20 @@ def _validated_pairs(pairs: Sequence[Tuple[complex, complex]]
 
 
 def _worst_pair(pairs: Sequence[Tuple[complex, complex]],
-                margin: Callable[[complex, complex], float]
+                margins: Callable[[complex, complex], Sequence[float]]
                 ) -> Tuple[float, Optional[tuple]]:
-    """(least margin, first pair attaining it); each pair is evaluated once."""
+    """(least clause margin, first pair attaining it); each pair is evaluated once.
+
+    A nan clause margin leaves the pair undecided (the map or the majorant
+    failed to evaluate there), so it raises JetEvaluationError naming the
+    pair instead of dropping out of the minimum.
+    """
     worst, witness = math.inf, None
     for z1, z2 in pairs:
-        value = margin(z1, z2)
+        clauses = margins(z1, z2)
+        if any(math.isnan(c) for c in clauses):
+            raise JetEvaluationError(f"a clause margin is nan on the pair ({z1}, {z2})")
+        value = min(clauses)
         if value < worst:
             worst, witness = value, (z1, z2)
     return worst, witness
@@ -392,7 +400,8 @@ def check_theorem11(
     Phi(t) = f^{-1}((1-t) f(z1) + t f(z2)) of the image segment (composite
     Simpson, Newton inversion marched with warm starts), requiring the
     integral to stay <= C2.  The worst margin over all clauses and pairs is
-    reported; pairs whose inversion fails are counted as indeterminate.
+    reported; pairs whose inversion fails are counted as indeterminate, and
+    a nan clause margin raises JetEvaluationError.
     """
     _check_alpha(alpha, C1=C1, C2=C2)
     pairs = _validated_pairs(pairs)
@@ -412,7 +421,7 @@ def check_theorem11(
     simpson_w[2:-1:2] = 2.0
     simpson_w /= 3.0 * (line_nodes - 1)
 
-    def pair_margin(z1: complex, z2: complex) -> float:
+    def pair_margins(z1: complex, z2: complex) -> List[float]:
         w1, w2 = m.value(z1), m.value(z2)
         margins = list(_chord_margins(spec, expo, C1, z1, z2, w1, w2))
         try:
@@ -423,12 +432,12 @@ def check_theorem11(
                 guess = invert_map(m, target, guess, tol=1e-10)
                 integrand[i] = 1.0 / spec.eval(disk_distance(guess) ** (1.0 - alpha))
         except ConvergenceError:
-            return min(margins)
+            return margins
         integral = float(simpson_w @ integrand)
         integrals.append(integral)
-        return min(margins + [C2 - integral])
+        return margins + [C2 - integral]
 
-    worst, witness = _worst_pair(pairs, pair_margin)
+    worst, witness = _worst_pair(pairs, pair_margins)
     indeterminate = len(pairs) - len(integrals)
     notes = ""
     if indeterminate:
@@ -492,11 +501,12 @@ def _analytic_part_and_source(m: PlanarMap):
     parts = m.analytic_parts()
     if parts is not None:
         h1 = parts[0]
+        if isinstance(m, PoissonMap):  # its own source, a DSL string or a callable
+            return h1, m.potential.source_grid_sup(), False
         expr = m.laplacian_expr
         if expr is None or expr.strip() in {"0", "0.0", "(0)"}:
             return h1, 0.0, False
-        pot = m.potential if isinstance(m, PoissonMap) else GreenPotential(expr)
-        return h1, pot.source_grid_sup(), False
+        return h1, GreenPotential(expr).source_grid_sup(), False
 
     expr = m.laplacian_expr
     if expr is None:
@@ -543,9 +553,10 @@ def check_prop14(m: PlanarMap, C3: float,
 
     `source_sup` stands in for ||Delta f||_inf but is sampled: the max of
     |Delta f| over the Green potential's panel grid and the unit circle
-    (`GreenPotential.source_grid_sup`, on the map's own quadrature for a
-    Poisson map).  It is a lower estimate, so the derived k2 and (K, K')
-    can be too small where |Delta f| peaks between samples.
+    (`GreenPotential.source_grid_sup`; a Poisson map's own potential, with
+    its quadrature and its DSL or array-callable source).  It is a lower
+    estimate, so the derived k2 and (K, K') can be too small where
+    |Delta f| peaks between samples.
 
     When h1 comes from coefficient extraction, the hold tolerance widens to
     1e-9 per unit chord: short chords divide the absolute coefficient noise
@@ -560,12 +571,12 @@ def check_prop14(m: PlanarMap, C3: float,
     if pairs is None:
         pairs = _default_prop14_pairs(m, h1)
 
-    def pair_margin(z1: complex, z2: complex) -> float:
+    def pair_margins(z1: complex, z2: complex) -> Tuple[float]:
         lhs = abs(m.value(z1) - m.value(z2))
         rhs = C3 * abs(h1.value(z1) - h1.value(z2))
-        return (rhs - lhs) / abs(z1 - z2)  # per unit chord, comparable across deltas
+        return ((rhs - lhs) / abs(z1 - z2),)  # per unit chord, comparable across deltas
 
-    worst, witness = _worst_pair(pairs, pair_margin)
+    worst, witness = _worst_pair(pairs, pair_margins)
     if witness is None:
         raise ValueError("no pair produced a finite margin")
 
@@ -611,8 +622,8 @@ def lemma22_check(
     grid = grid or GridSpec()
     expo = (1.0 - alpha) / 2.0
 
-    worst_a, witness_a = _worst_pair(pairs, lambda z1, z2: min(
-        _chord_margins(spec, expo, C4, z1, z2, m.value(z1), m.value(z2))))
+    worst_a, witness_a = _worst_pair(pairs, lambda z1, z2: _chord_margins(
+        spec, expo, C4, z1, z2, m.value(z1), m.value(z2)))
 
     pts = polar_grid(grid)
     _, dz, db = m.jets(pts)

@@ -1,12 +1,12 @@
 """A small complex-expression language with exact forward-mode Wirtinger jets.
 
-Grammar (binary operators left-associative, `^` applies to the possibly
-negated atom and binds tightest):
+Grammar (binary operators left-associative; `^` binds tighter than unary
+minus, so -z^2 is -(z^2), as in Python):
 
     expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' integer)?
-    unary   := '-'? atom
+    term    := unary (('*' | '/') unary)*
+    unary   := '-'? power
+    power   := atom ('^' integer)?
     atom    := number | 'z' | 'i' | 'e' | 'pi'
              | func '(' expr (',' expr)* ')'
              | '(' expr ')'
@@ -17,6 +17,12 @@ its own derivative rule, so non-analytic maps carry exact jets.  The unicode
 minus sign is accepted wherever '-' is.  Integer exponents are limited to
 |n| <= 64 and nesting depth to 256.
 
+Every operation is declared once, in `_OPS`: how it prints, its value rule,
+its Wirtinger derivative rule, and the zero argument at which scalar
+evaluation raises.  An expression is a tree of one node type, `ExprAst`,
+and the walkers (`_value`, `_jet`, `contains_var`, `to_source`) recurse over
+it generically, looking each operation up in that table.
+
 Evaluation is numpy-aware: `z` may be a scalar or an ndarray.  Scalar
 evaluation raises `EvalDomainError` at singular arguments; array evaluation
 lets non-finite values propagate so grid scans can mask them.
@@ -25,9 +31,10 @@ lets non-finite values propagate so grid scans can mask them.
 from __future__ import annotations
 
 import math
+import operator
 import re as _re
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,60 +76,102 @@ class EvalDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class Num:
-    value: float
+class ExprAst:
+    """One expression node.
+
+    `op` is a key of `_OPS`, or a leaf: 'z', 'num' or a named constant
+    ('i', 'e', 'pi').  `args` are the argument nodes.  `param` is the value
+    of a number or constant leaf, the integer exponent of '^' and the real
+    exponent of 'pow', and None otherwise.  `pos` is the source offset
+    reported in errors; it takes no part in equality.
+    """
+
+    op: str
+    args: Tuple["ExprAst", ...] = ()
+    param: Union[int, float, complex, None] = None
     pos: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class Var:
-    pos: int = field(default=0, compare=False)
+# A jet triple (value, d/dz, d/dzbar); entries are numpy scalars or arrays.
+_Triple = tuple
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str  # 'i', 'e' or 'pi'
-    pos: int = field(default=0, compare=False)
+class _Op(NamedTuple):
+    """The single declaration of one operation.
+
+    source: `str.format` template; {0}, {1} are the printed arguments and
+        {p} the printed parameter.
+    value: (*argument values, param if not None) -> value.
+    jet: (param, value, zero, *argument jets) -> (d/dz, d/dzbar), where each
+        argument jet is a triple (value, d/dz, d/dzbar) and `zero` is the
+        evaluation's shared zero derivative.
+    singular: (param, value of the last argument) -> True where scalar
+        evaluation raises EvalDomainError(message); None if never.
+    jet_only: the singular check applies to jet evaluation only.
+    """
+
+    source: str
+    value: Callable
+    jet: Callable
+    singular: Optional[Callable] = None
+    message: str = ""
+    jet_only: bool = False
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "ExprAst"
-    pos: int = field(default=0, compare=False)
+def _at_zero(param, x) -> bool:
+    return x == 0
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*', '/'
-    left: "ExprAst"
-    right: "ExprAst"
-    pos: int = field(default=0, compare=False)
+def _quotient_jet(p, w, zero, a: _Triple, b: _Triple):
+    den = b[0] * b[0]
+    return (a[1] * b[0] - a[0] * b[1]) / den, (a[2] * b[0] - a[0] * b[2]) / den
 
 
-@dataclass(frozen=True)
-class IntPow:
-    base: "ExprAst"
-    exponent: int
-    pos: int = field(default=0, compare=False)
+def _int_power_jet(n: int, w, zero, u: _Triple):
+    if n == 0:
+        return zero, zero
+    dfactor = n * u[0] ** (n - 1) if n != 1 else 1.0
+    return dfactor * u[1], dfactor * u[2]
 
 
-@dataclass(frozen=True)
-class PowConst:
-    base: "ExprAst"
-    exponent: float
-    pos: int = field(default=0, compare=False)
+def _real_power_jet(c: float, w, zero, u: _Triple):
+    dfactor = c * np.power(u[0], c - 1.0)
+    return dfactor * u[1], dfactor * u[2]
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str  # 'conj', 're', 'im', 'abs', 'log', 'exp'
-    arg: "ExprAst"
-    pos: int = field(default=0, compare=False)
+def _abs_jet(p, w, zero, u: _Triple):
+    cu, m2 = np.conj(u[0]), 2.0 * w.real  # w = |u| + 0j
+    return (cu * u[1] + u[0] * np.conj(u[2])) / m2, (cu * u[2] + u[0] * np.conj(u[1])) / m2
 
 
-ExprAst = Union[Num, Var, Const, Neg, BinOp, IntPow, PowConst, Call]
+_OPS = {
+    "neg": _Op("-({0})", operator.neg, lambda p, w, zero, u: (-u[1], -u[2])),
+    "+": _Op("({0} + {1})", operator.add,
+             lambda p, w, zero, a, b: (a[1] + b[1], a[2] + b[2])),
+    "-": _Op("({0} - {1})", operator.sub,
+             lambda p, w, zero, a, b: (a[1] - b[1], a[2] - b[2])),
+    "*": _Op("({0} * {1})", operator.mul,
+             lambda p, w, zero, a, b: (a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])),
+    "/": _Op("({0} / {1})", operator.truediv, _quotient_jet, _at_zero, "division by zero"),
+    "^": _Op("({0})^{p}", operator.pow, _int_power_jet, lambda n, x: n < 0 and x == 0,
+             "zero base with non-positive exponent"),
+    "pow": _Op("pow({0}, {p})", np.power, _real_power_jet, _at_zero, "pow at zero base"),
+    "conj": _Op("conj({0})", np.conj, lambda p, w, zero, u: (np.conj(u[2]), np.conj(u[1]))),
+    "re": _Op("re({0})", lambda u: (u + np.conj(u)) / 2.0,
+              lambda p, w, zero, u: ((u[1] + np.conj(u[2])) / 2.0,
+                                     (u[2] + np.conj(u[1])) / 2.0)),
+    "im": _Op("im({0})", lambda u: (u - np.conj(u)) / 2j,
+              lambda p, w, zero, u: ((u[1] - np.conj(u[2])) / 2j,
+                                     (u[2] - np.conj(u[1])) / 2j)),
+    "abs": _Op("abs({0})", lambda u: np.abs(u) + 0j, _abs_jet, _at_zero,
+               "abs jet at zero argument", jet_only=True),
+    "log": _Op("log({0})", np.log, lambda p, w, zero, u: (u[1] / u[0], u[2] / u[0]),
+               _at_zero, "log at zero argument"),
+    "exp": _Op("exp({0})", np.exp, lambda p, w, zero, u: (w * u[1], w * u[2])),
+}
 
-_UNARY_FUNCS = ("conj", "re", "im", "abs", "log", "exp")
+# Operations written as calls, name(args); the rest are operators.
+_FUNCTIONS = frozenset(op for op, rule in _OPS.items() if rule.source.startswith(op + "("))
 _CONSTS = {"i": 1j, "e": math.e, "pi": math.pi}
 _MAX_EXPONENT = 64
 _MAX_DEPTH = 256
@@ -130,19 +179,9 @@ _MAX_DEPTH = 256
 
 def contains_var(node: ExprAst) -> bool:
     """True if the expression references the variable z anywhere."""
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Num, Const)):
-        return False
-    if isinstance(node, Neg):
-        return contains_var(node.arg)
-    if isinstance(node, BinOp):
-        return contains_var(node.left) or contains_var(node.right)
-    if isinstance(node, (IntPow, PowConst)):
-        return contains_var(node.base)
-    if isinstance(node, Call):
-        return contains_var(node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
+    if not node.args:
+        return node.op == "z"
+    return any(contains_var(arg) for arg in node.args)
 
 
 # --- tokenizer --------------------------------------------------------------
@@ -222,23 +261,30 @@ class _Parser:
             node = self.term()
             while self.peek().kind == "sym" and self.peek().text in "+-":
                 op = self.take()
-                node = BinOp(op.text, node, self.term(), pos=op.pos)
+                node = ExprAst(op.text, (node, self.term()), pos=op.pos)
             return node
         finally:
             self.depth -= 1
 
     def term(self) -> ExprAst:
-        node = self.factor()
+        node = self.unary()
         while self.peek().kind == "sym" and self.peek().text in "*/":
             op = self.take()
-            node = BinOp(op.text, node, self.factor(), pos=op.pos)
+            node = ExprAst(op.text, (node, self.unary()), pos=op.pos)
         return node
 
-    def factor(self) -> ExprAst:
-        node = self.unary()
+    def unary(self) -> ExprAst:
+        tok = self.peek()
+        if tok.kind == "sym" and tok.text == "-":
+            self.take()
+            return ExprAst("neg", (self.power(),), pos=tok.pos)
+        return self.power()
+
+    def power(self) -> ExprAst:
+        node = self.atom()
         if self.peek().kind == "sym" and self.peek().text == "^":
             caret = self.take()
-            node = IntPow(node, self._integer_exponent(), pos=caret.pos)
+            node = ExprAst("^", (node,), self._integer_exponent(), pos=caret.pos)
         return node
 
     def _integer_exponent(self) -> int:
@@ -261,13 +307,6 @@ class _Parser:
             raise ParseError(f"|exponent| must be <= {_MAX_EXPONENT}", tok.pos)
         return n
 
-    def unary(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.take()
-            return Neg(self.atom(), pos=tok.pos)
-        return self.atom()
-
     def atom(self) -> ExprAst:
         tok = self.take()
         self._enter(tok.pos)
@@ -276,7 +315,7 @@ class _Parser:
                 value = float(tok.text)
                 if not math.isfinite(value):
                     raise ParseError(f"numeric literal {tok.text!r} overflows", tok.pos)
-                return Num(value, pos=tok.pos)
+                return ExprAst("num", param=value, pos=tok.pos)
             if tok.kind == "ident":
                 return self._ident(tok)
             if tok.kind == "sym" and tok.text == "(":
@@ -290,10 +329,10 @@ class _Parser:
     def _ident(self, tok: _Token) -> ExprAst:
         name = tok.text
         if name == "z":
-            return Var(pos=tok.pos)
+            return ExprAst("z", pos=tok.pos)
         if name in _CONSTS:
-            return Const(name, pos=tok.pos)
-        if name in _UNARY_FUNCS or name == "pow":
+            return ExprAst(name, param=_CONSTS[name], pos=tok.pos)
+        if name in _FUNCTIONS:
             self.expect_sym("(")
             args = [self.expr()]
             while self.peek().kind == "sym" and self.peek().text == ",":
@@ -320,10 +359,10 @@ class _Parser:
                 ) from err
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ParseError("pow exponent must be real", exp_node.pos)
-            return PowConst(base, float(value.real), pos=pos)
+            return ExprAst("pow", (base,), float(value.real), pos=pos)
         if len(args) != 1:
             raise ParseError(f"{name} takes exactly one argument", pos)
-        return Call(name, args[0], pos=pos)
+        return ExprAst(name, (args[0],), pos=pos)
 
 
 def parse_expr(source: str) -> ExprAst:
@@ -333,151 +372,47 @@ def parse_expr(source: str) -> ExprAst:
 
 # --- evaluation -------------------------------------------------------------
 
-# A jet triple (value, d/dz, d/dzbar); entries are numpy scalars or arrays.
-_Triple = tuple
-
-
-def _fail(strict: bool, message: str, pos: int) -> None:
-    if strict:
-        raise EvalDomainError(message, pos)
-
-
-def _any_zero(x) -> bool:
-    return bool(np.any(x == 0))
-
 
 def _value(node: ExprAst, z, strict: bool):
-    if isinstance(node, Num):
-        return np.asarray(node.value, dtype=complex)
-    if isinstance(node, Const):
-        return np.asarray(_CONSTS[node.name], dtype=complex)
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Neg):
-        return -_value(node.arg, z, strict)
-    if isinstance(node, BinOp):
-        a = _value(node.left, z, strict)
-        b = _value(node.right, z, strict)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if _any_zero(b):
-            _fail(strict, "division by zero", node.pos)
-        return a / b
-    if isinstance(node, IntPow):
-        base = _value(node.base, z, strict)
-        if node.exponent < 0 and _any_zero(base):
-            _fail(strict, "zero base with non-positive exponent", node.pos)
-        return base ** node.exponent
-    if isinstance(node, PowConst):
-        base = _value(node.base, z, strict)
-        if _any_zero(base):
-            _fail(strict, "pow at zero base", node.pos)
-        return np.power(base, node.exponent)
-    if isinstance(node, Call):
-        u = _value(node.arg, z, strict)
-        if node.func == "conj":
-            return np.conj(u)
-        if node.func == "re":
-            return (u + np.conj(u)) / 2.0
-        if node.func == "im":
-            return (u - np.conj(u)) / 2j
-        if node.func == "abs":
-            return np.abs(u) + 0j
-        if node.func == "log":
-            if _any_zero(u):
-                _fail(strict, "log at zero argument", node.pos)
-            return np.log(u)
-        if node.func == "exp":
-            return np.exp(u)
-    raise TypeError(f"not an expression node: {node!r}")
+    args, p = node.args, node.param
+    if not args:
+        return z if node.op == "z" else np.asarray(p, dtype=complex)
+    _, value, _, singular, message, jet_only = _OPS[node.op]
+    x = _value(args[0], z, strict)
+    xs = (x,) if len(args) == 1 else (x, _value(args[1], z, strict))
+    if strict and singular is not None and not jet_only and singular(p, xs[-1]):
+        raise EvalDomainError(message, node.pos)
+    return value(*xs) if p is None else value(*xs, p)
 
 
-def _jet(node: ExprAst, z, strict: bool) -> _Triple:
-    zero = np.zeros(np.shape(z), dtype=complex) if np.ndim(z) else 0j
-    if isinstance(node, (Num, Const)):
-        c = _CONSTS[node.name] if isinstance(node, Const) else node.value
-        return (np.broadcast_to(np.asarray(c, dtype=complex), np.shape(z)) if np.ndim(z)
-                else complex(c), zero, zero)
-    if isinstance(node, Var):
-        one = np.ones(np.shape(z), dtype=complex) if np.ndim(z) else 1. + 0j
-        return (z, one, zero)
-    if isinstance(node, Neg):
-        v, dz, db = _jet(node.arg, z, strict)
-        return (-v, -dz, -db)
-    if isinstance(node, BinOp):
-        av, adz, adb = _jet(node.left, z, strict)
-        bv, bdz, bdb = _jet(node.right, z, strict)
-        if node.op == "+":
-            return (av + bv, adz + bdz, adb + bdb)
-        if node.op == "-":
-            return (av - bv, adz - bdz, adb - bdb)
-        if node.op == "*":
-            return (av * bv, adz * bv + av * bdz, adb * bv + av * bdb)
-        if _any_zero(bv):
-            _fail(strict, "division by zero", node.pos)
-        den = bv * bv
-        return (
-            av / bv,
-            (adz * bv - av * bdz) / den,
-            (adb * bv - av * bdb) / den,
-        )
-    if isinstance(node, IntPow):
-        uv, udz, udb = _jet(node.base, z, strict)
-        n = node.exponent
-        if n == 0:
-            one = np.ones_like(uv) if np.ndim(uv) else 1. + 0j
-            return (one, zero, zero)
-        if n < 0 and _any_zero(uv):
-            _fail(strict, "zero base with non-positive exponent", node.pos)
-        w = uv ** n
-        dfactor = n * uv ** (n - 1) if n != 1 else 1.0
-        return (w, dfactor * udz, dfactor * udb)
-    if isinstance(node, PowConst):
-        uv, udz, udb = _jet(node.base, z, strict)
-        if _any_zero(uv):
-            _fail(strict, "pow at zero base", node.pos)
-        c = node.exponent
-        w = np.power(uv, c)
-        dfactor = c * np.power(uv, c - 1.0)
-        return (w, dfactor * udz, dfactor * udb)
-    if isinstance(node, Call):
-        uv, udz, udb = _jet(node.arg, z, strict)
-        if node.func == "conj":
-            return (np.conj(uv), np.conj(udb), np.conj(udz))
-        if node.func == "re":
-            return (
-                (uv + np.conj(uv)) / 2.0,
-                (udz + np.conj(udb)) / 2.0,
-                (udb + np.conj(udz)) / 2.0,
-            )
-        if node.func == "im":
-            return (
-                (uv - np.conj(uv)) / 2j,
-                (udz - np.conj(udb)) / 2j,
-                (udb - np.conj(udz)) / 2j,
-            )
-        if node.func == "abs":
-            m = np.abs(uv)
-            if _any_zero(m):
-                _fail(strict, "abs jet at zero argument", node.pos)
-            cu = np.conj(uv)
-            return (
-                m + 0j,
-                (cu * udz + uv * np.conj(udb)) / (2.0 * m),
-                (cu * udb + uv * np.conj(udz)) / (2.0 * m),
-            )
-        if node.func == "log":
-            if _any_zero(uv):
-                _fail(strict, "log at zero argument", node.pos)
-            return (np.log(uv), udz / uv, udb / uv)
-        if node.func == "exp":
-            w = np.exp(uv)
-            return (w, w * udz, w * udb)
-    raise TypeError(f"not an expression node: {node!r}")
+def _jet(node: ExprAst, env: tuple) -> _Triple:
+    # env = (z, one, zero, shape, strict); shape is None for scalar z.
+    args, p = node.args, node.param
+    if not args:
+        if node.op == "z":
+            return env[0], env[1], env[2]
+        shape = env[3]
+        c = complex(p) if shape is None else np.broadcast_to(np.asarray(p, dtype=complex), shape)
+        return c, env[2], env[2]
+    _, value, jet, singular, message, _ = _OPS[node.op]
+    u = _jet(args[0], env)
+    if len(args) == 1:
+        jets, xs = (u,), (u[0],)
+    else:
+        v = _jet(args[1], env)
+        jets, xs = (u, v), (u[0], v[0])
+    if env[4] and singular is not None and singular(p, xs[-1]):
+        raise EvalDomainError(message, node.pos)
+    w = value(*xs) if p is None else value(*xs, p)
+    return (w, *jet(p, w, env[2], *jets))
+
+
+def _jet_env(z, strict: bool) -> tuple:
+    """The shared state of one jet evaluation: z, its unit and zero jets."""
+    if np.ndim(z):
+        shape = np.shape(z)
+        return z, np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex), shape, strict
+    return z, 1. + 0j, 0j, None, strict
 
 
 def eval_value(ast: ExprAst, z: complex) -> complex:
@@ -487,7 +422,7 @@ def eval_value(ast: ExprAst, z: complex) -> complex:
 
 def eval_jet(ast: ExprAst, z: complex) -> WirtingerJet:
     """Evaluate value and Wirtinger partials at a scalar point."""
-    v, dz, db = _jet(ast, complex(z), strict=True)
+    v, dz, db = _jet(ast, _jet_env(complex(z), strict=True))
     return WirtingerJet(value=complex(v), dz=complex(dz), dzbar=complex(db))
 
 
@@ -505,7 +440,7 @@ def jet_arrays(ast: ExprAst, z: np.ndarray):
     """Vectorized jet evaluation returning (value, dz, dzbar) arrays."""
     zz = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        v, dz, db = _jet(ast, zz, strict=False)
+        v, dz, db = _jet(ast, _jet_env(zz, strict=False))
     out = []
     for a in (v, dz, db):
         arr = np.asarray(a, dtype=complex)
@@ -524,20 +459,7 @@ def _fmt_number(v: float) -> str:
 
 def to_source(node: ExprAst) -> str:
     """Render an AST to source that reparses to a structurally equal AST."""
-    if isinstance(node, Num):
-        return _fmt_number(node.value)
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Const):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-({to_source(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({to_source(node.left)} {node.op} {to_source(node.right)})"
-    if isinstance(node, IntPow):
-        return f"({to_source(node.base)})^{node.exponent}"
-    if isinstance(node, PowConst):
-        return f"pow({to_source(node.base)}, {_fmt_number(node.exponent)})"
-    if isinstance(node, Call):
-        return f"{node.func}({to_source(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    if not node.args:
+        return _fmt_number(node.param) if node.op == "num" else node.op
+    p = None if node.param is None else _fmt_number(node.param)
+    return _OPS[node.op].source.format(*map(to_source, node.args), p=p)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from diskmaps import GreenPotential, QuadratureConfig, cli
@@ -166,6 +167,19 @@ def test_violated_check_exits_1(capsys):
     assert rep["holds_on_sample"] is False
     assert doc["summary"]["status"] == "violated"
     assert doc["summary"]["worst_margin"] < 0
+
+
+def test_nan_pair_margin_is_a_numerical_failure(capsys):
+    # The chord ratio overflows to nan at this pair; the check used to report
+    # holds_on_sample with worst margin inf and exit 0.
+    with np.errstate(all="ignore"):
+        code = cli.main(["check-thm11", "--map", "exp(exp(exp(40*z)))", "--omega", "t",
+                         "--alpha", "0.5", "--C1", "10", "--C2", "100",
+                         "--pairs", "0.9:0.95", "--line-nodes", "5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan on the pair ((0.9+0j), (0.95+0j))" in captured.err
 
 
 def test_csv_flattening(capsys):

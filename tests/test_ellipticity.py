@@ -11,8 +11,10 @@ from scipy.special import gamma
 from diskmaps import (
     CauchyPair,
     ConvergenceError,
+    DslMap,
     EllipticityParams,
     GridSpec,
+    JetEvaluationError,
     PlanarMap,
     SeriesMap,
     WirtingerJet,
@@ -27,6 +29,7 @@ from diskmaps import (
     min_kprime,
     pointwise_defect,
     qc_constant,
+    solve_poisson,
 )
 
 
@@ -209,6 +212,24 @@ def test_prop14_constant_range():
         check_prop14(m, C3=0.9, pairs=[(0.1, 0.2)])
     with pytest.raises(ValueError):
         check_prop14(m, C3=2.0, pairs=[(0.1, 0.2)])
+
+
+def test_prop14_samples_a_callable_source_like_its_dsl_twin(quad_fast):
+    pairs = [(0.1, 0.3j), (0.5, -0.2)]
+    dsl, array = (check_prop14(solve_poisson("z", g, quad_fast), 1.5, pairs)
+                  for g in ("1", lambda w: np.ones_like(w)))
+    assert dsl.derived_constants["source_sup"] == 1.0
+    assert array.derived_constants == dsl.derived_constants
+
+
+def test_lemma22_nan_pair_margin_names_the_pair():
+    # exp(exp(10 z)) overflows at 0.9 and 0.95, so that chord ratio is nan;
+    # it used to drop out of the minimum and leave the check holding.
+    m = DslMap("exp(exp(10*z))")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(JetEvaluationError, match=r"pair \(\(0\.9\+0j\), \(0\.95\+0j\)\)"):
+            lemma22_check(m, "t", alpha=0.5, C4=10.0, C5=10.0,
+                          pairs=[(0.1, 0.2), (0.9, 0.95)])
 
 
 def test_lemma22_identity_is_tight():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diskmaps.expr import (EvalDomainError, ParseError, eval_jet, eval_value,
-                           jet_arrays, parse_expr, to_source, value_array)
+from diskmaps.expr import (EvalDomainError, ParseError, contains_var, eval_jet,
+                           eval_value, jet_arrays, parse_expr, to_source, value_array)
 from diskmaps.wirtinger import finite_difference_jet
 
 points = st.complex_numbers(min_magnitude=0.05, max_magnitude=0.9,
@@ -114,3 +114,87 @@ def test_to_source_round_trips_evaluation():
         for z in (0.3 + 0.1j, -0.2 + 0.5j, 0.7):
             assert cmath.isclose(eval_value(ast, z), eval_value(again, z),
                                  rel_tol=1e-14, abs_tol=1e-14)
+
+
+@pytest.mark.parametrize("source,z,expected", [
+    ("-z^2", 1.5, -2.25),
+    ("-2^2", 0.0, -4.0),
+    ("z*-z^2", 1.5, -3.375),
+])
+def test_power_binds_tighter_than_unary_minus(source, z, expected):
+    ast = parse_expr(source)
+    assert eval_value(ast, z) == expected
+    assert parse_expr(to_source(ast)) == ast
+
+
+# Random sources over every operation.  Each compound piece is bracketed or
+# a call, so any piece can stand where an atom is expected.
+_LEAVES = st.one_of(st.sampled_from(["z", "i", "e", "pi"]),
+                    st.integers(0, 20).map(str),
+                    st.floats(0.001, 100.0).map(repr))
+_POW_EXPONENTS = st.sampled_from(["0.5", "-1.5", "2", "1/3", "pi - 3", "-e"])
+
+
+def _compound(pieces):
+    return st.one_of(
+        st.tuples(pieces, st.sampled_from("+-*/"), pieces).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        pieces.map(lambda a: f"(-{a})"),
+        st.tuples(pieces, st.integers(-3, 3)).map(lambda t: f"({t[0]}^{t[1]})"),
+        st.tuples(pieces, st.integers(-3, 3)).map(lambda t: f"(-{t[0]}^{t[1]})"),
+        st.tuples(pieces, _POW_EXPONENTS).map(lambda t: f"pow({t[0]}, {t[1]})"),
+        st.tuples(st.sampled_from(["conj", "re", "im", "abs", "log", "exp"]), pieces).map(
+            lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+SOURCES = st.recursive(_LEAVES, _compound, max_leaves=10)
+GRID = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.7, -0.45j])
+
+
+@given(source=SOURCES)
+def test_to_source_reparses_to_an_equal_tree(source):
+    ast = parse_expr(source)
+    assert parse_expr(to_source(ast)) == ast
+
+
+@given(source=SOURCES)
+def test_contains_var_exactly_when_z_appears(source):
+    # No function, constant or number spells the letter z.
+    assert contains_var(parse_expr(source)) == ("z" in source)
+
+
+def _near_branch_cut(ast, z):
+    """True if a log or pow argument is (nearly) a negative real at z.
+
+    There the scalar path (Python complex arithmetic on the leaves) and the
+    array path (numpy) may land on opposite sides of the cut, for instance
+    through the sign of a zero imaginary part of z^-1.
+    """
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.args)
+        if node.op in ("log", "pow"):
+            u = eval_value(node.args[0], z)
+            if u.real < 0 and abs(u.imag) <= 1e-9 * abs(u):
+                return True
+    return False
+
+
+@given(source=SOURCES)
+def test_scalar_jets_match_array_jets_where_finite(source):
+    ast = parse_expr(source)
+    arrays = jet_arrays(ast, GRID)
+    for k, z in enumerate(GRID):
+        try:
+            with np.errstate(all="ignore"):
+                jet = eval_jet(ast, complex(z))
+                if _near_branch_cut(ast, complex(z)):
+                    continue
+        except EvalDomainError:
+            continue
+        for got, ref in zip((arrays[0][k], arrays[1][k], arrays[2][k]),
+                            (jet.value, jet.dz, jet.dzbar)):
+            if cmath.isfinite(ref):
+                assert cmath.isclose(got, ref, rel_tol=1e-12, abs_tol=1e-12)

@@ -1,7 +1,9 @@
 """The command-line scripts, run in-process on the shared catalog registry."""
 
 import json
+import re
 import runpy
+import shlex
 import sys
 from pathlib import Path
 
@@ -32,3 +34,21 @@ def test_frontier_sweep_builds_kalaj_from_the_catalog(monkeypatch, capsys):
     assert doc["parameters"]["mu"] == repr(((0.5 + 0j),))
     assert [K for K, _ in doc["samples"]] == [1.0, 2.0, 4.0]
     assert doc["dilatation_unbounded"] is False
+
+
+def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
+    # syspath_prepend also undoes the script's own sys.path entries.
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    from workloads import WARMUP, WORKLOADS, generate
+
+    assert run_script(monkeypatch, "output_digest.py", "--seeds", "1") == 0
+    lines = capsys.readouterr().out.splitlines()
+    argvs = {argv for workload in WORKLOADS for argv in WARMUP[workload]}
+    for workload in WORKLOADS:
+        for case in generate(workload, 1):
+            argvs.add(case.argv)
+            if case.oracle["kind"] == "twin":
+                argvs.add(tuple(case.oracle["argv"]))
+    assert len(lines) == len(argvs)
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S.*", line) for line in lines)
+    assert {tuple(shlex.split(line[65:])) for line in lines} == argvs
