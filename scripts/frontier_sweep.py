@@ -15,16 +15,7 @@ import sys
 import numpy as np
 
 from diskmaps import GridSpec, builtin_map, frontier
-
-
-def parse_params(entries):
-    params = {}
-    for entry in entries or ():
-        key, _, value = entry.partition("=")
-        if not _:
-            raise SystemExit(f"--param needs key=value, got {entry!r}")
-        params[key] = tuple(value.split(",")) if "," in value else value
-    return params
+from diskmaps.catalog import parse_params
 
 
 def main():

@@ -19,13 +19,13 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .expr import eval_jet, eval_value, jet_arrays, parse_expr, value_array
-from .maps import DslMap, PlanarMap, SeriesMap
-from .wirtinger import WirtingerJet
+from .maps import DslMap, PlanarMap, SeriesMap, is_array
 
 __all__ = [
     "MapDefinition",
     "Example13Map",
     "builtin_map",
+    "parse_params",
     "kalaj_extremal",
     "harmonic_catalog",
     "catalog_names",
@@ -76,35 +76,23 @@ class Example13Map(PlanarMap):
         self.label = f"example13(alpha={self.alpha})"
         self._ast = parse_expr(f"z * pow(log(e / abs(z)^2), {self.alpha!r})")
 
-    def value(self, z: complex) -> complex:
-        z = complex(z)
-        if z == 0:
-            return 0j
-        return eval_value(self._ast, z)
+    def values(self, z):
+        if is_array(z):
+            return np.where(np.equal(z, 0), 0j, value_array(self._ast, z))
+        return 0j if z == 0 else eval_value(self._ast, z)
 
-    def jet(self, z: complex) -> WirtingerJet:
-        z = complex(z)
+    def jets(self, z):
+        if is_array(z):
+            at0 = np.equal(z, 0)
+            value, dz, dzbar = jet_arrays(self._ast, z)
+            return (np.where(at0, 0j, value), np.where(at0, complex("nan+nanj"), dz),
+                    np.where(at0, complex("nan+nanj"), dzbar))
         if z == 0:
             raise ValueError(
                 "jet at the origin is undefined: the derivative norm "
                 "diverges like (1 - 2 log|z|)^alpha as z -> 0"
             )
         return eval_jet(self._ast, z)
-
-    def values(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        out = value_array(self._ast, zs)
-        return np.where(zs == 0, 0j, out)
-
-    def jets(self, zs):
-        zs = np.asarray(zs, dtype=complex)
-        value, dz, dzbar = jet_arrays(self._ast, zs)
-        at0 = zs == 0
-        if np.any(at0):
-            value = np.where(at0, 0j, value)
-            dz = np.where(at0, complex(np.nan, np.nan), dz)
-            dzbar = np.where(at0, complex(np.nan, np.nan), dzbar)
-        return value, dz, dzbar
 
 
 def _complex_literal(c: complex) -> str:
@@ -222,6 +210,22 @@ def builtin_map(name: str, params: Optional[Dict[str, object]] = None) -> MapDef
     if extra:
         raise ValueError(f"catalog map {name!r} got unknown parameters {extra}")
     return entry.build(name, params)
+
+
+def parse_params(entries: Optional[Sequence[str]]) -> Dict[str, object]:
+    """Catalog parameters from "key=value" strings, as `--param` gives them.
+
+    Keys and values are stripped of whitespace; a value with commas becomes
+    a tuple of its stripped items.  builtin_map converts them.
+    """
+    params: Dict[str, object] = {}
+    for entry in entries or ():
+        if "=" not in entry:
+            raise ValueError(f"--param needs key=value, got {entry!r}")
+        key, _, value = entry.partition("=")
+        items = tuple(v.strip() for v in value.split(","))
+        params[key.strip()] = items if len(items) > 1 else items[0]
+    return params
 
 
 def _invert_unit_leading(q: np.ndarray, degree: int) -> np.ndarray:

@@ -8,8 +8,9 @@ Every invocation prints one document, JSON by default:
 
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
 2 usage or configuration error, 3 numerical failure (non-convergence, a
-map that fails to evaluate on a length quadrature's path or on a
-coefficient circle, or a nan pair-check margin).  Identical argv yields
+map that fails to evaluate on a length quadrature's path, on a
+coefficient circle or on more than 1% of a scan's grid, or a nan
+pair-check margin).  Identical argv yields
 byte-identical output: reductions are deterministic, field order is fixed,
 floats render in shortest round-trip form.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import BoundContext, coefficient_bounds_report, derivative_bounds_report
-from .catalog import MapDefinition, builtin_map, catalog_names
+from .catalog import MapDefinition, builtin_map, catalog_names, parse_params
 from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
 from .expr import EvalDomainError, ParseError
@@ -72,22 +73,6 @@ def _parse_pairs(text: str) -> List[Tuple[complex, complex]]:
     return pairs
 
 
-def _parse_param_value(value: str):
-    if "," in value:
-        return tuple(v.strip() for v in value.split(","))
-    return value
-
-
-def _collect_params(entries: Optional[Sequence[str]]) -> Dict[str, object]:
-    params: Dict[str, object] = {}
-    for entry in entries or ():
-        if "=" not in entry:
-            raise ValueError(f"--param needs key=value, got {entry!r}")
-        key, _, value = entry.partition("=")
-        params[key.strip()] = _parse_param_value(value.strip())
-    return params
-
-
 def _grid_from(args) -> GridSpec:
     return GridSpec(
         radial_count=args.radial_count,
@@ -120,7 +105,7 @@ def _build_map(args, quad: QuadratureConfig
     if args.map is not None:
         return DslMap(args.map), {"map": args.map}, None
     if args.catalog is not None:
-        definition = builtin_map(args.catalog, _collect_params(args.param))
+        definition = builtin_map(args.catalog, parse_params(args.param))
         return definition.build(), {"catalog": definition.name,
                                     "parameters": definition.parameters}, definition
     m = solve_poisson(args.psi, _source_term(args), config=quad)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import ExprAst, EvalDomainError, contains_var, eval_value, parse_expr, value_array
-from .grids import GridSpec, polar_grid, shell_ladder
+from .grids import GridSpec, failed_points, polar_grid, shell_ladder
 from .maps import JetEvaluationError
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
@@ -177,7 +177,8 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
 
     The sup combines the polar grid with a shell ladder approaching the
     boundary, since the weighted derivative often peaks in the last
-    sliver that coarse radial spacing misses.
+    sliver that coarse radial spacing misses.  Non-finite values on the
+    polar grid are skipped, up to 1% of it (GridScanError beyond).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -189,9 +190,8 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
         d = 1.0 - np.abs(z)
         return (np.abs(dz) + np.abs(db)) * spec.eval(d**alpha)
 
-    pts = polar_grid(grid)
-    vals = weighted(pts)
-    sup = float(np.nanmax(vals))
+    vals = weighted(polar_grid(grid))
+    sup = float(np.max(np.where(failed_points(vals), -np.inf, vals)))
     origin = weighted(np.array([0j]))  # polar grids skip r = 0, the weight's max
     if np.isfinite(origin[0]):
         sup = max(sup, float(origin[0]))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 
 from .coefficients import MajorantSpec, extract_coeffs
-from .grids import GridSpec, grid_supremum, polar_grid
+from .grids import GridSpec, failed_points, grid_supremum, polar_grid
 from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .potential import GreenPotential, PoissonMap
 from .wirtinger import WirtingerJet, disk_distance, jet_metrics
@@ -612,7 +612,8 @@ def lemma22_check(
     omega(((1+|z1|)(1+|z2|))^{(1-alpha)/2}) / C4 and
     C4 / omega((d(z1) d(z2))^{(1-alpha)/2}).
     Clause (b), on the grid: l(D) >= omega((1+|z|)^{1-alpha}) / C5 and
-    ||D|| <= C5 / omega(d(z)^{1-alpha}).
+    ||D|| <= C5 / omega(d(z)^{1-alpha}); points with a non-finite margin
+    are skipped, up to 1% of the grid (GridScanError beyond).
     The derived constant beta(alpha) * C5 converts any (b)-type bound into
     an (a)-type one, with beta = Gamma((1+alpha)/2)^2 / Gamma(1+alpha).
     """
@@ -634,7 +635,7 @@ def lemma22_check(
     lower_b = spec.eval((1.0 + np.abs(pts)) ** (1.0 - alpha)) / C5
     upper_b = C5 / spec.eval(d ** (1.0 - alpha))
     margins_b = np.minimum(low - lower_b, upper_b - op)
-    margins_b = np.where(np.isfinite(margins_b), margins_b, np.inf)
+    margins_b = np.where(failed_points(margins_b), np.inf, margins_b)
     idx = int(np.argmin(margins_b.ravel()))
     worst_b = float(margins_b.ravel()[idx])
     witness_b = complex(pts.ravel()[idx])

@@ -15,7 +15,9 @@ Functions: conj, re, im, abs, log, exp take one argument; pow(u, c) takes a
 constant real exponent (any z-free expression).  `abs` is a primitive with
 its own derivative rule, so non-analytic maps carry exact jets.  The unicode
 minus sign is accepted wherever '-' is.  Integer exponents are limited to
-|n| <= 64 and nesting depth to 256.
+|n| <= 64, and both bracket nesting and the depth of the expression tree
+(where an operator chain z + z + ... + z counts one level per operator) to
+256.  The exponent of pow must be finite.
 
 Every operation is declared once, in `_OPS`: how it prints, its value rule,
 its Wirtinger derivative rule, and the zero argument at which scalar
@@ -30,6 +32,7 @@ lets non-finite values propagate so grid scans can mask them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import re as _re
@@ -253,6 +256,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        _check_depth(node)
         return node
 
     def expr(self) -> ExprAst:
@@ -347,22 +351,40 @@ class _Parser:
             if len(args) != 2:
                 raise ParseError("pow takes exactly two arguments", pos)
             base, exp_node = args
+            _check_depth(exp_node)
             if contains_var(exp_node):
                 raise ParseError(
                     "pow exponent must be a constant expression", exp_node.pos
                 )
             try:
-                value = eval_value(exp_node, 0j)
+                with np.errstate(all="ignore"):  # an overflow is reported below
+                    value = eval_value(exp_node, 0j)
             except EvalDomainError as err:
                 raise ParseError(
                     f"pow exponent is singular: {err.message}", exp_node.pos
                 ) from err
+            if not cmath.isfinite(value):
+                raise ParseError("pow exponent must be finite", exp_node.pos)
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ParseError("pow exponent must be real", exp_node.pos)
             return ExprAst("pow", (base,), float(value.real), pos=pos)
         if len(args) != 1:
             raise ParseError(f"{name} takes exactly one argument", pos)
         return ExprAst(name, (args[0],), pos=pos)
+
+
+def _check_depth(root: ExprAst) -> None:
+    """Raise ParseError if the tree is more than _MAX_DEPTH levels deep.
+
+    The evaluators and the printer recurse once per level, so this also
+    bounds operator chains (z + z + ... + z), which nest no brackets.
+    """
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH}", node.pos)
+        stack.extend((arg, depth + 1) for arg in node.args)
 
 
 def parse_expr(source: str) -> ExprAst:

@@ -14,7 +14,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["GridSpec", "GridScanError", "polar_grid", "grid_supremum", "shell_ladder"]
+__all__ = ["GridSpec", "GridScanError", "polar_grid", "grid_supremum", "failed_points",
+           "shell_ladder"]
 
 
 class GridScanError(RuntimeError):
@@ -54,6 +55,21 @@ def polar_grid(spec: GridSpec) -> np.ndarray:
     return radii[:, None] * np.exp(1j * angles)[None, :]
 
 
+def failed_points(vals: np.ndarray) -> np.ndarray:
+    """Mask of the non-finite entries of a field sampled on a base grid.
+
+    A scan may skip isolated failures, but raises GridScanError when they
+    exceed 1% of the grid: the map then fails on a region, not a point.
+    """
+    bad = ~np.isfinite(vals)
+    if bad.mean() > _MAX_FAILURE_FRACTION:
+        raise GridScanError(
+            f"{bad.mean():.1%} of grid points failed to evaluate "
+            f"(limit {_MAX_FAILURE_FRACTION:.0%})"
+        )
+    return bad
+
+
 def _local_window(r0: float, t0: float, dr: float, dt: float, r_cap: float) -> np.ndarray:
     offsets = np.arange(-4, 5, dtype=float)
     r = np.clip(r0 + offsets * dr, 0.0, r_cap)
@@ -84,14 +100,7 @@ def grid_supremum(
         vals = np.asarray(base_values, dtype=float)
         if vals.shape != pts.shape:
             raise ValueError(f"base_values have shape {vals.shape}, expected {pts.shape}")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        if bad.mean() > _MAX_FAILURE_FRACTION:
-            raise GridScanError(
-                f"{bad.mean():.1%} of grid points failed to evaluate "
-                f"(limit {_MAX_FAILURE_FRACTION:.0%})"
-            )
-        vals = np.where(bad, -np.inf, vals)
+    vals = np.where(failed_points(vals), -np.inf, vals)
     flat_idx = int(np.argmax(vals.ravel()))
     best_val = float(vals.ravel()[flat_idx])
     best_z = complex(pts.ravel()[flat_idx])

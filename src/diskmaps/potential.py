@@ -63,8 +63,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as _expr
-from .maps import PlanarMap, SeriesMap
-from .wirtinger import WirtingerJet
+from .maps import PlanarMap, SeriesMap, is_array
 
 __all__ = [
     "QuadratureConfig",
@@ -206,9 +205,10 @@ class GreenPotential(PlanarMap):
     docstring).  The modes of the last 512 radii are kept, so a radius
     visited again costs only the angular sum.  Values and both Wirtinger
     derivatives come from the same modes; points with |z| >= 1 evaluate
-    to nan.  `source` is a DSL string or an array callable w -> g(w);
-    construction only parses it and samples nothing.  The doubled-node
-    comparison runs only when `self_check` is called.
+    to nan in an array and raise ValueError alone.  `source` is a DSL
+    string or an array callable w -> g(w); construction only parses it and
+    samples nothing.  The doubled-node comparison runs only when
+    `self_check` is called.
     """
 
     def __init__(self, source: Union[str, Callable],
@@ -342,7 +342,13 @@ class GreenPotential(PlanarMap):
                 np.where(freq < 0, plus, minus))
 
     def _evaluate(self, z):
-        """(value, dz, dzbar) arrays shaped like z; nan where |z| >= 1."""
+        """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1; at one
+        point, complex numbers, and |z| >= 1 raises ValueError."""
+        if not is_array(z):
+            z = complex(z)
+            if abs(z) >= 1.0:
+                raise ValueError(f"point must be interior, got |z| = {abs(z)}")
+            return tuple(complex(part[0]) for part in self._evaluate(np.array([z])))
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         out = np.full((3, flat.size), complex("nan+nanj"))
@@ -369,28 +375,11 @@ class GreenPotential(PlanarMap):
 
     # --- PlanarMap interface ----------------------------------------------
 
-    def _interior(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if abs(z) >= 1.0:
-            raise ValueError(f"point must be interior, got |z| = {abs(z)}")
-        return np.array([z])
-
-    def value(self, z: complex) -> complex:
-        return complex(self._evaluate(self._interior(z))[0][0])
-
-    def jet(self, z: complex) -> WirtingerJet:
-        v, dz, db = self._evaluate(self._interior(z))
-        return WirtingerJet(value=complex(v[0]), dz=complex(dz[0]), dzbar=complex(db[0]))
-
-    def values(self, z) -> np.ndarray:
+    def values(self, z):
         return self._evaluate(z)[0]
 
     def jets(self, z):
         return self._evaluate(z)
-
-    def derivatives(self, z):
-        """Just the (dz, dzbar) arrays."""
-        return self._evaluate(z)[1:]
 
     # --- verification ------------------------------------------------------
 
@@ -458,15 +447,7 @@ class PoissonMap(PlanarMap):
     def laplacian_expr(self) -> Optional[str]:
         return self.potential.source_expr
 
-    def value(self, z: complex) -> complex:
-        return self.series.value(z) - self.potential.value(z)
-
-    def jet(self, z: complex) -> WirtingerJet:
-        sj = self.series.jet(z)
-        pj = self.potential.jet(z)
-        return WirtingerJet(sj.value - pj.value, sj.dz - pj.dz, sj.dzbar - pj.dzbar)
-
-    def values(self, z) -> np.ndarray:
+    def values(self, z):
         return self.series.values(z) - self.potential.values(z)
 
     def jets(self, z):
@@ -553,7 +534,7 @@ def green_derivative_sup(
 
     shell_sups = []
     for r in shell_radii:
-        dz, db = pot.derivatives(r * ring)
+        dz, db = pot.jets(r * ring)[1:]
         shell_sups.append(float(np.maximum(np.abs(dz), np.abs(db)).max()))
 
     # Shell spacing halves each step, so the last gap equals the distance
@@ -562,7 +543,7 @@ def green_derivative_sup(
 
     radii = shell_radii[0] * np.arange(1, 25) / 24
     grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
-    dz, db = pot.derivatives(np.concatenate([[0j], grid.ravel()]))
+    dz, db = pot.jets(np.concatenate([[0j], grid.ravel()]))[1:]
     interior_sup = float(np.maximum(np.abs(dz), np.abs(db)).max())
 
     sup = max(interior_sup, max(shell_sups), boundary_limit)

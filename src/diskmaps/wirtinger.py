@@ -29,6 +29,10 @@ class WirtingerJet:
     dz: complex
     dzbar: complex
 
+    def __iter__(self):
+        """Unpack as the triple (value, dz, dzbar) that `jets` gives at a point."""
+        return iter((self.value, self.dz, self.dzbar))
+
     def is_finite(self) -> bool:
         return all(cmath.isfinite(v) for v in (self.value, self.dz, self.dzbar))
 

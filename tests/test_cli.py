@@ -99,6 +99,12 @@ def test_dsl_parse_error_is_usage_error(capsys):
     # A literal that overflows to inf is a parse error, not a silent inf.
     assert cli.main(["analyze", "--map", "1e999*z"]) == 2
     assert "overflows" in capsys.readouterr().err
+    # So are an infinite pow exponent (it used to pass) and a 3,000-term sum
+    # (it overflowed the evaluators' recursion, exit 3).
+    assert cli.main(["analyze", "--map", "pow(z, 1e200*1e200)"]) == 2
+    assert "pow exponent must be finite" in capsys.readouterr().err
+    assert cli.main(["analyze", "--map", "+".join(["z"] * 3000)]) == 2
+    assert "nested deeper than 256" in capsys.readouterr().err
 
 
 def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):
@@ -109,6 +115,16 @@ def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):
     code = cli.main(["frontier", "--map", "z"])
     assert code == 3
     assert "non-convergence" in capsys.readouterr().err
+
+
+def test_bounds_scan_with_failing_region_is_a_numerical_failure(capsys):
+    # 13.5% of the grid's jets overflow; the derivative rows used to skip
+    # them and hold.
+    argv = ["bounds", "--map", "z + 0*exp(exp(exp(100*(abs(z) - 0.85))))",
+            "--K", "1", "--R", "1", "--radial-sup", "1"]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == 3
+    assert "13.5% of grid points failed to evaluate (limit 1%)" in capsys.readouterr().err
 
 
 def test_frontier_flags_a_sense_reversing_map(capsys):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from diskmaps import (
     DslMap,
+    GridScanError,
+    GridSpec,
     MajorantSpec,
     SeriesMap,
     bloch_norm,
@@ -108,3 +110,12 @@ def test_bloch_norm_identity_is_one():
 def test_bloch_norm_includes_value_at_origin():
     offset = SeriesMap([2.0, 1.0])
     assert bloch_norm(offset, "t", alpha=1.0) == pytest.approx(3.0, abs=1e-12)
+
+
+def test_bloch_norm_refuses_a_failing_grid():
+    # It used to take the max over the 56% of points that evaluate: 1.0.
+    m = DslMap("z + 0*exp(exp(exp(40*re(z))))")
+    grid = GridSpec(radial_count=8, angular_count=16)
+    with np.errstate(all="ignore"):
+        with pytest.raises(GridScanError, match="43.8% of grid points"):
+            bloch_norm(m, "t", alpha=0.5, grid=grid)

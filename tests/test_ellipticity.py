@@ -13,6 +13,7 @@ from diskmaps import (
     ConvergenceError,
     DslMap,
     EllipticityParams,
+    GridScanError,
     GridSpec,
     JetEvaluationError,
     PlanarMap,
@@ -230,6 +231,17 @@ def test_lemma22_nan_pair_margin_names_the_pair():
         with pytest.raises(JetEvaluationError, match=r"pair \(\(0\.9\+0j\), \(0\.95\+0j\)\)"):
             lemma22_check(m, "t", alpha=0.5, C4=10.0, C5=10.0,
                           pairs=[(0.1, 0.2), (0.9, 0.95)])
+
+
+def test_lemma22_pointwise_clause_refuses_a_failing_grid():
+    # exp(exp(exp(40 re z))) overflows on 44% of an 8 x 16 grid; clause (b)
+    # used to skip those points and hold.
+    m = DslMap("z + 0*exp(exp(exp(40*re(z))))")
+    grid = GridSpec(radial_count=8, angular_count=16)
+    with np.errstate(all="ignore"):
+        with pytest.raises(GridScanError, match="43.8% of grid points"):
+            lemma22_check(m, "t", alpha=0.5, C4=2.0, C5=2.0,
+                          pairs=[(-0.5, -0.2)], grid=grid)
 
 
 def test_lemma22_identity_is_tight():

@@ -77,11 +77,22 @@ def test_integer_power_jets_are_exact():
 
 
 @pytest.mark.parametrize("bad", ["z +* 2", "conj(z", "2 ** z", "z @ 1", "",
-                                 "foo(z)", "z^z^", "1e999", "2*z + 1e400"])
+                                 "foo(z)", "z^z^", "1e999", "2*z + 1e400",
+                                 "pow(z, 1e200*1e200)",
+                                 pytest.param("+".join(["z"] * 3000), id="3000-term-sum")])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError) as exc:
         parse_expr(bad)
     assert exc.value.position >= 0
+
+
+def test_operator_chains_count_toward_the_depth_limit():
+    # A 200-term sum is a tree 200 levels deep, inside the limit of 256.
+    assert eval_value(parse_expr("+".join(["z"] * 200)), 0.5) == 100
+    with pytest.raises(ParseError, match="nested deeper than 256"):
+        parse_expr("*".join(["z"] * 300))
+    with pytest.raises(ParseError, match="nested deeper than 256"):
+        parse_expr("pow(z, " + "+".join(["1"] * 300) + ")")
 
 
 def test_scalar_eval_is_strict_about_domain():

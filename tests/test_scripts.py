@@ -36,6 +36,13 @@ def test_frontier_sweep_builds_kalaj_from_the_catalog(monkeypatch, capsys):
     assert doc["dilatation_unbounded"] is False
 
 
+def test_frontier_sweep_reads_params_like_the_cli(monkeypatch, capsys):
+    # The script had its own --param parser, which kept the space in "c ".
+    run_script(monkeypatch, "frontier_sweep.py", "--catalog", "scale",
+               "--param", "c =1.5", "--k-count", "2", "--json")
+    assert json.loads(capsys.readouterr().out)["parameters"] == {"c": repr(1.5 + 0j)}
+
+
 def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
     # syspath_prepend also undoes the script's own sys.path entries.
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
@@ -49,6 +56,7 @@ def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
             argvs.add(case.argv)
             if case.oracle["kind"] == "twin":
                 argvs.add(tuple(case.oracle["argv"]))
+    argvs.update(runpy.run_path(str(SCRIPTS / "output_digest.py"))["EDGE_ARGVS"])
     assert len(lines) == len(argvs)
     assert all(re.fullmatch(r"[0-9a-f]{64} \S.*", line) for line in lines)
     assert {tuple(shlex.split(line[65:])) for line in lines} == argvs
