@@ -62,6 +62,23 @@ EDGE_ARGVS = (
     ("analyze", "--map", "pow(z, 1e200*1e200)"),
     ("analyze", "--map", "+".join(["z"] * 3000)),
     ("frontier", "--catalog", "scale", "--param", "c =1.5", "--K", "1"),
+    ("bounds", "--map", _FAILING, "--K", "1", "--R", "1", "--radial-sup", "1",
+     "--points", "0.9, 0.95, 0.99, 0.1"),
+    ("bounds", "--map", _FAILING, "--K", "1", "--R", "1", "--radial-sup", "1",
+     "--points", "0.9, 0.95, 0.99, 0.1", "--per-point"),
+) + tuple(
+    # Length scans on each kind of map: DSL, catalog series, a map singular
+    # only at 0 (the endpoint rule) and a Poisson map; sup-perimeter is in no
+    # workload.
+    ("length", *source, "--kind", kind, "--radial-count", "12", "--angular-count", "16")
+    for kind in ("sup-radial", "sup-perimeter")
+    for source in (
+        ("--map", "z + 0.3*conj(z)^2 + 0.1*z*abs(z)^2"),
+        ("--catalog", "polyharmonic", "--param", "a=0,1,0.2", "--param", "b=0,0.3"),
+        ("--catalog", "example13", "--param", "alpha=0.25"),
+        ("--psi", "z + 0.2*z^2", "--g", "abs(z)^2", "--radial-nodes", "32",
+         "--angular-nodes", "32"),
+    )
 )
 
 

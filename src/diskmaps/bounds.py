@@ -40,6 +40,7 @@ import numpy as np
 from .coefficients import CoeffTable
 from .ellipticity import EllipticityParams
 from .grids import GridSpec, failed_points, polar_grid
+from .maps import JetEvaluationError
 
 __all__ = [
     "INEQUALITY_IDS",
@@ -188,8 +189,10 @@ def derivative_bounds_report(
     row whose index is the witness point; per_point=True emits one row per
     evaluation point instead.  Pass explicit points to probe equality cases
     that a polar grid misses (attainment points rarely land on grid nodes).
-    Points whose jet is not finite are skipped; on a grid, more than 1% of
-    them raise GridScanError.
+    A grid skips points whose jet is not finite, up to 1% of them (beyond,
+    GridScanError).  Explicit points are each checked: in worst-row mode the
+    first one with a non-finite jet raises JetEvaluationError, as a pair
+    check does; per_point rows keep it as an indeterminate row.
     """
     if points is not None:
         pts = np.asarray([complex(z) for z in points], dtype=complex)
@@ -204,6 +207,8 @@ def derivative_bounds_report(
     adz = np.abs(dz)
     op = adz + np.abs(db)
     ok = np.isfinite(op) if points is not None else ~failed_points(op)
+    if points is not None and not per_point and not ok.all():
+        raise JetEvaluationError(f"jet is not finite at the point {complex(pts[np.argmin(ok)])}")
     if not ok.any():
         raise ValueError("no evaluation point produced a finite jet")
     lhs_of = {"dz": adz, "op": op}

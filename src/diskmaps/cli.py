@@ -9,8 +9,8 @@ Every invocation prints one document, JSON by default:
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
 2 usage or configuration error, 3 numerical failure (non-convergence, a
 map that fails to evaluate on a length quadrature's path, on a
-coefficient circle or on more than 1% of a scan's grid, or a nan
-pair-check margin).  Identical argv yields
+coefficient circle, at an explicit `bounds --points` point or on more than
+1% of a scan's grid, or a nan pair-check margin).  Identical argv yields
 byte-identical output: reductions are deterministic, field order is fixed,
 floats render in shortest round-trip form.
 """

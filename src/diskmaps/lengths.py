@@ -9,12 +9,23 @@ the ray segment [0, r e^{i theta}] has integrand
 periodic (resp. smooth) for the maps handled here, so trapezoid and
 composite Simpson rules converge fast; every quadrature doubles its node
 count once and reports whether the value moved by more than 1e-6 relative.
+
+A quadrature over several rays or circles evaluates its map once, on a 2-D
+array with one row per ray or circle, and then sums each row on its own.
+So a radial supremum scan is one jets call of (2 radial_count + 1) x
+angular_count points (37k at the default grid, about twice the polar grid
+the derivative rows of a bounds report sample) plus one call for its
+refinement rays.  For maps whose array jets are elementwise (DSL, series
+and callable maps) this gives the same bytes as one call per ray.  A
+Poisson map's Green potential sums a radius's angular modes by a BLAS gemv
+when one point has that radius and by a gemm when several do, so its ray
+scans can differ from one call per ray in the last bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,15 +72,23 @@ class LengthReport:
             raise ValueError("length must be nonnegative")
 
 
-def _perimeter_value(m, r: float, nodes: int) -> float:
+def _circle_lengths(m, radii, nodes: int) -> List[float]:
+    """Trapezoid lengths of the images of the circles |z| = r, r in radii.
+
+    One jets call on a (circles, nodes) array, one row per circle; a circle
+    with a non-finite jet raises JetEvaluationError, the first in order.
+    """
+    radii = np.asarray(radii, dtype=float)
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    pts = r * np.exp(1j * theta)
-    _, dz, db = m.jets(pts)
-    integrand = r * np.abs(dz - np.exp(-2j * theta) * db)
-    if not np.all(np.isfinite(integrand)):
-        raise JetEvaluationError(f"jet evaluation failed on the circle |z| = {r}")
-    # Periodic integrand: the trapezoid rule is the uniform Riemann sum.
-    return float(integrand.mean() * 2.0 * np.pi)
+    _, dz, db = m.jets(radii[:, None] * np.exp(1j * theta))
+    integrand = radii[:, None] * np.abs(dz - np.exp(-2j * theta) * db)
+    lengths = []
+    for r, row in zip(radii.tolist(), integrand):
+        if not np.all(np.isfinite(row)):
+            raise JetEvaluationError(f"jet evaluation failed on the circle |z| = {r}")
+        # Periodic integrand: the trapezoid rule is the uniform Riemann sum.
+        lengths.append(float(row.mean() * 2.0 * np.pi))
+    return lengths
 
 
 def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
@@ -78,32 +97,46 @@ def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
         raise ValueError("r must lie in (0, 1)")
     if nodes < 8:
         raise ValueError("nodes must be >= 8")
-    coarse = _perimeter_value(m, r, nodes)
-    fine = _perimeter_value(m, r, 2 * nodes)
+    [coarse] = _circle_lengths(m, [r], nodes)
+    [fine] = _circle_lengths(m, [r], 2 * nodes)
     converged = abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)
     return LengthReport(kind="perimeter", radius=r, theta=None, value=fine,
                         node_count=2 * nodes, converged=converged)
 
 
-def _radial_value(m, r: float, theta: float, nodes: int) -> float:
+def _ray_lengths(m, radii, thetas, nodes: int) -> List[float]:
+    """Simpson lengths of the images of the segments [0, r e^{i theta}], one
+    per pair of the broadcast 1-D radii and thetas.
+
+    One jets call on a (rays, nodes) array, one row per ray.  Each ray keeps
+    its own Simpson sum (a dot product over its contiguous row) and its own
+    endpoint rule; a ray failing elsewhere raises JetEvaluationError, the
+    first in order.
+    """
     if nodes % 2 == 0:
         nodes += 1  # composite Simpson needs an odd node count
-    rho = np.linspace(0.0, r, nodes)
-    pts = rho * complex(np.exp(1j * theta))
-    _, dz, db = m.jets(pts)
-    integrand = np.abs(dz + np.exp(-2j * theta) * db)
-    bad = ~np.isfinite(integrand)
-    if bad.any():
-        # Isolated singular endpoints (maps not differentiable at 0) get the
-        # nearest finite node value; interior failures are real errors.
-        if bad.sum() > 1 or not bad[0]:
-            raise JetEvaluationError(f"jet evaluation failed on the ray theta = {theta}")
-        integrand[0] = integrand[1]
+    radii, thetas = np.broadcast_arrays(np.asarray(radii, dtype=float),
+                                        np.asarray(thetas, dtype=float))
+    # linspace along the last axis strides its rows; the dot products below
+    # need contiguous rows to sum in the order of a single ray.
+    rho = np.ascontiguousarray(np.linspace(0.0, radii, nodes, axis=-1))
+    _, dz, db = m.jets(rho * np.exp(1j * thetas)[:, None])
+    integrand = np.abs(dz + np.exp(-2j * thetas)[:, None] * db)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    h = r / (nodes - 1)
-    return float((w @ integrand) * h / 3.0)
+    lengths = []
+    for r, theta, row in zip(radii.tolist(), thetas.tolist(), integrand):
+        bad = ~np.isfinite(row)
+        if bad.any():
+            # Isolated singular endpoints (maps not differentiable at 0) get the
+            # nearest finite node value; interior failures are real errors.
+            if bad.sum() > 1 or not bad[0]:
+                raise JetEvaluationError(f"jet evaluation failed on the ray theta = {theta}")
+            row[0] = row[1]
+        h = r / (nodes - 1)
+        lengths.append(float((w @ row) * h / 3.0))
+    return lengths
 
 
 def radial_length(m, r: float, theta: float, nodes: int = 257) -> LengthReport:
@@ -117,8 +150,8 @@ def radial_length(m, r: float, theta: float, nodes: int = 257) -> LengthReport:
     if nodes < 9:
         raise ValueError("nodes must be >= 9")
     upper = min(r, _RADIAL_CAP)
-    coarse = _radial_value(m, upper, theta, nodes)
-    fine = _radial_value(m, upper, theta, 2 * nodes)
+    [coarse] = _ray_lengths(m, upper, [theta], nodes)
+    [fine] = _ray_lengths(m, upper, [theta], 2 * nodes)
     converged = abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)
     return LengthReport(kind="radial", radius=r, theta=float(theta), value=fine,
                         node_count=2 * nodes + 1, converged=converged)
@@ -135,12 +168,17 @@ def length_sup(m, kind: str,
     The detail lists the rungs and their values.
     radial: max over an angle grid of the radial length at r -> 1, with one
     local refinement round around the argmax; the detail gives its angle.
+
+    The ladder is one jets call of (rungs) x 2 max(angular_count, 256)
+    points; the radial scan is one call of (2 radial_count + 1) x
+    angular_count points (37k at the default grid, about twice the polar
+    grid a derivative scan samples), then one call for the 8 refinement
+    rays.
     """
     cfg = cfg or GridSpec()
     if kind == "perimeter":
         radii = shell_ladder(cfg.max_radius)
-        nodes = 2 * max(cfg.angular_count, 256)
-        values = [_perimeter_value(m, float(r), nodes) for r in radii]
+        values = _circle_lengths(m, radii, 2 * max(cfg.angular_count, 256))
         diffs = np.diff(values)
         monotone = bool(np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(values[:-1]))))
         note = ("ladder supremum up to max_radius; a lower estimate of the "
@@ -152,13 +190,14 @@ def length_sup(m, kind: str,
     if kind == "radial":
         nodes = 2 * cfg.radial_count + 1
         thetas = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
-        values = [_radial_value(m, _RADIAL_CAP, float(t), nodes) for t in thetas]
+        values = _ray_lengths(m, _RADIAL_CAP, thetas, nodes)
         best = int(np.argmax(values))
         sup, sup_theta = values[best], float(thetas[best])
+        # One local refinement round around the argmax, whose own ray (offset
+        # 0) is already evaluated.
         dt = 2.0 * np.pi / cfg.angular_count / 4.0
-        for j in range(-4, 5):  # one local refinement round around the argmax
-            t = float(thetas[best] + j * dt)
-            v = _radial_value(m, _RADIAL_CAP, t, nodes)
+        local = [float(thetas[best] + j * dt) for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
+        for t, v in zip(local, _ray_lengths(m, _RADIAL_CAP, local, nodes)):
             if v > sup:
                 sup, sup_theta = v, t
         return sup, {"theta": sup_theta,
@@ -166,25 +205,24 @@ def length_sup(m, kind: str,
     raise ValueError("kind must be 'perimeter' or 'radial'")
 
 
-def _polyline_length(m, r: float) -> float:
-    theta = 2.0 * np.pi * np.arange(_POLYLINE_SEGMENTS + 1) / _POLYLINE_SEGMENTS
-    vals = m.values(r * np.exp(1j * theta))
-    if not np.all(np.isfinite(vals)):
-        raise JetEvaluationError(f"map evaluation failed on the circle |z| = {r}")
-    return float(np.sum(np.abs(np.diff(vals))))
-
-
 def boundary_length(m) -> LengthReport:
     """Boundary image length by inscribed polylines with extrapolation.
 
     4096-segment polyline lengths are computed at r = 1 - 2^{-k} for
-    k = 8..11; since the last gap (2^{-11}) equals the remaining distance
-    to the boundary, the linear extrapolation 2 L_last - L_prev cancels the
-    leading error term for lengths with a C^1 radial profile.  converged
-    reflects the last two extrapolations agreeing to 1e-6 relative.
+    k = 8..11, all four from one values call; since the last gap (2^{-11})
+    equals the remaining distance to the boundary, the linear extrapolation
+    2 L_last - L_prev cancels the leading error term for lengths with a C^1
+    radial profile.  converged reflects the last two extrapolations
+    agreeing to 1e-6 relative.
     """
     radii = [1.0 - 0.5**k for k in (8, 9, 10, 11)]
-    lengths = [_polyline_length(m, r) for r in radii]
+    theta = 2.0 * np.pi * np.arange(_POLYLINE_SEGMENTS + 1) / _POLYLINE_SEGMENTS
+    vals = m.values(np.asarray(radii)[:, None] * np.exp(1j * theta))
+    lengths = []
+    for r, row in zip(radii, vals):
+        if not np.all(np.isfinite(row)):
+            raise JetEvaluationError(f"map evaluation failed on the circle |z| = {r}")
+        lengths.append(float(np.sum(np.abs(np.diff(row)))))
     value = 2.0 * lengths[-1] - lengths[-2]
     previous = 2.0 * lengths[-2] - lengths[-3]
     converged = abs(value - previous) <= 1e-6 * max(abs(value), 1e-300)
@@ -195,13 +233,12 @@ def boundary_length(m) -> LengthReport:
 def radial_length_limit(m, theta: float) -> float:
     """Extrapolated limit of the radial length as r -> 1.
 
-    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (513 Simpson nodes each) and
-    extrapolates linearly (again the gap equals the distance to the
-    boundary).  Exact for maps whose radial length is linear in r near the
-    boundary, e.g. f = c z.
+    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (513 Simpson nodes each, one
+    jets call) and extrapolates linearly (again the gap equals the distance
+    to the boundary).  Exact for maps whose radial length is linear in r
+    near the boundary, e.g. f = c z.
     """
-    v0 = _radial_value(m, 1.0 - 4e-6, theta, 513)
-    v1 = _radial_value(m, 1.0 - 2e-6, theta, 513)
+    v0, v1 = _ray_lengths(m, [1.0 - 4e-6, 1.0 - 2e-6], [theta], 513)
     return 2.0 * v1 - v0
 
 

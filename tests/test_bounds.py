@@ -12,6 +12,7 @@ from diskmaps import (
     BoundContext,
     BoundReport,
     EllipticityParams,
+    JetEvaluationError,
     SeriesMap,
     coefficient_bounds_report,
     derivative_bounds_report,
@@ -128,6 +129,19 @@ def test_derivative_rows_skip_nan_jets():
     kalaj = {r.index: r for r in rows if r.inequality_id == "kalaj-1"}
     assert kalaj[0.01 + 0j].status == "indeterminate"
     assert kalaj[0.5 + 0j].status == "holds"
+
+
+def test_worst_row_refuses_explicit_points_with_nan_jets():
+    # The worst row cannot skip a point it was asked about: it names the
+    # first failing one, as a pair check does.
+    class Spotty(SeriesMap):
+        def jets(self, z):
+            v, dz, db = super().jets(z)
+            return v, np.where(np.abs(z) < 0.05, complex("nan"), dz), db
+
+    with pytest.raises(JetEvaluationError, match=r"at the point \(0\.02\+0j\)"):
+        derivative_bounds_report(identity_context(), Spotty([0, 1]),
+                                 points=[0.5, 0.02, 0.01])
 
 
 COEFFICIENT_IDS = ("chen-1.0", "CRP-1c", "Mat-1", "eq-2017", "chen-1.2")

@@ -127,6 +127,22 @@ def test_bounds_scan_with_failing_region_is_a_numerical_failure(capsys):
     assert "13.5% of grid points failed to evaluate (limit 1%)" in capsys.readouterr().err
 
 
+def test_bounds_explicit_points_refuse_a_failing_jet(capsys):
+    # Three of the four jets overflow; the worst row used to skip them and
+    # hold at 0.1.  Per-point rows keep them as indeterminate rows.
+    argv = ["bounds", "--map", "z + 0*exp(exp(exp(100*(abs(z) - 0.85))))",
+            "--K", "1", "--R", "1", "--radial-sup", "1",
+            "--points", "0.9, 0.95, 0.99, 0.1"]
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == 3
+    assert "jet is not finite at the point (0.9+0j)" in capsys.readouterr().err
+    with np.errstate(all="ignore"):
+        code, doc = run_json(capsys, argv + ["--per-point"])
+    assert code == 0
+    kalaj = [r for r in doc["reports"] if r.get("inequality_id") == "kalaj-1"]
+    assert [r["status"] for r in kalaj] == ["indeterminate"] * 3 + ["holds"]
+
+
 def test_frontier_flags_a_sense_reversing_map(capsys):
     code, doc = run_json(capsys, ["frontier", "--map", "conj(z)", "--K", "2",
                                   "--radial-count", "4", "--angular-count", "8"])
