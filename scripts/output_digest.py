@@ -5,7 +5,7 @@ Each line is the sha256 of the exit code, standard output and standard
 error of one in-process `diskmaps.cli.main(argv)` call, then the argv.  The
 argvs are the warm-ups and every report of the benchmark workloads
 (perfbench/workloads.py) at the given seeds, each followed by its
-closed-form twin when it has one, and then the fixed error-path argvs of
+closed-form twin when it has one, and then the fixed edge-case argvs of
 EDGE_ARGVS.  Run it in two checkouts and diff the outputs to see whether a
 change moves any byte a report or an error message prints:
 
@@ -33,6 +33,7 @@ from workloads import WARMUP, WORKLOADS, generate  # noqa: E402
 
 _THM11 = ("--omega", "t", "--alpha", "0.5", "--C1", "10", "--C2", "100", "--line-nodes", "5")
 _FAILING = "z + 0*exp(exp(exp(100*(abs(z) - 0.85))))"
+_SOLVE_POINTS = "0, 0.3, 0.25+0.1j, -0.6j, 0.95"
 
 # Singular points, poles, bad input and failing scans: each must keep its
 # exit code and message.
@@ -66,6 +67,10 @@ EDGE_ARGVS = (
      "--points", "0.9, 0.95, 0.99, 0.1"),
     ("bounds", "--map", _FAILING, "--K", "1", "--R", "1", "--radial-sup", "1",
      "--points", "0.9, 0.95, 0.99, 0.1", "--per-point"),
+    # Poisson maps at the two ends of the chop: boundary data with no noise
+    # plateau (all 256 modes kept) and a source with a wide angular band.
+    ("solve", "--psi", "abs(re(z))", "--g", "1", "--points", _SOLVE_POINTS),
+    ("solve", "--psi", "z", "--g", "exp(-50*abs(z-0.3)^2)", "--points", _SOLVE_POINTS),
 ) + tuple(
     # Length scans on each kind of map: DSL, catalog series, a map singular
     # only at 0 (the endpoint rule) and a Poisson map; sup-perimeter is in no

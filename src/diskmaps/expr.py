@@ -130,10 +130,21 @@ def _quotient_jet(p, w, zero, a: _Triple, b: _Triple):
     return (a[1] * b[0] - a[0] * b[1]) / den, (a[2] * b[0] - a[0] * b[2]) / den
 
 
+def _int_power(x, n: int):
+    # A negative power of one point goes through numpy as an array's does:
+    # Python's complex power rounds differently and keeps a +0 imaginary part
+    # where numpy's reciprocal gives -0, so log and pow would see the other
+    # side of their cut.
+    if n >= 0 or getattr(x, "ndim", 0):
+        return x ** n
+    x ** n  # raises ZeroDivisionError or OverflowError where numpy gives inf
+    return complex(np.asarray(x) ** n)
+
+
 def _int_power_jet(n: int, w, zero, u: _Triple):
     if n == 0:
         return zero, zero
-    dfactor = n * u[0] ** (n - 1) if n != 1 else 1.0
+    dfactor = n * _int_power(u[0], n - 1) if n != 1 else 1.0
     return dfactor * u[1], dfactor * u[2]
 
 
@@ -156,7 +167,7 @@ _OPS = {
     "*": _Op("({0} * {1})", operator.mul,
              lambda p, w, zero, a, b: (a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])),
     "/": _Op("({0} / {1})", operator.truediv, _quotient_jet, _at_zero, "division by zero"),
-    "^": _Op("({0})^{p}", operator.pow, _int_power_jet, lambda n, x: n < 0 and x == 0,
+    "^": _Op("({0})^{p}", _int_power, _int_power_jet, lambda n, x: n < 0 and x == 0,
              "zero base with non-positive exponent"),
     "pow": _Op("pow({0}, {p})", np.power, _real_power_jet, _at_zero, "pow at zero base"),
     "conj": _Op("conj({0})", np.conj, lambda p, w, zero, u: (np.conj(u[2]), np.conj(u[1]))),

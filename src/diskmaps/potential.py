@@ -44,9 +44,25 @@ through d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the combinations
 u_m' +- (|m|/r) u_m have closed-form kernels with no division by r, so
 z = 0 is exact.
 
+Angular band.  The FFT of the panel samples also fixes the modes that
+carry the source: K + 1 is the chopped length (Aurentz & Trefethen,
+"Chopping a Chebyshev series", ACM TOMS 43 (2017), at tolerance eps) of
+the envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes, and only
+the modes |m| <= K get moments, kernels and angular sums: K = 0 for a
+radial source such as c |z|^(2k), 1 for c re(z), 26 for a bump of width
+0.05.  A source whose modes reach no noise plateau keeps all of them,
+K = angular_nodes/2 - 1.  The source is still sampled on the full grid
+and every split panel is still FFT'd at full size, so the band assumes
+nothing about the source that its samples do not show.
+
 Query points are grouped by radius (rounded to 1e-14), so the cost scales
 with the number of distinct radii: a circle or a ring of a polar grid
-costs one split panel.
+costs one split panel.  Each point sums its 2K + 1 modes by itself, so
+its value does not depend on how many points share its radius.
+
+Boundary data psi is expanded in its Fourier series on the circle, each
+half (powers of z, powers of conj(z)) chopped the same way, so a
+polynomial psi gives a polynomial of its own degree.
 
 Sources g and boundary data psi are either DSL strings in z or array
 callables w -> g(w) over complex arrays; anything else is a TypeError.
@@ -80,7 +96,8 @@ __all__ = [
 
 # Radial solves kept per potential, so that repeat visits to a radius (Newton
 # steps, stencils around a point, a circle scanned twice) reuse the modes.
-# Each entry holds 3 x angular_nodes complex numbers (12 KB by default).
+# Each entry holds 3 x (2K + 1) complex numbers for a source of angular band
+# K: 48 bytes for c |z|^(2k), at most 12 KB at the default 256 angular nodes.
 _SOLVED_RADII = 512
 
 # Gauss nodes per radial panel.
@@ -176,6 +193,52 @@ def _panel_rule(n: int, nphi: int):
     return edges, s, below, above, log_weight
 
 
+def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
+    """Length of a coefficient sequence up to its noise plateau.
+
+    The plateau test of Aurentz & Trefethen, "Chopping a Chebyshev series"
+    (ACM TOMS 43, 2017), at tolerance eps relative to max(scale, largest
+    magnitude); below that level the sequence counts as zero and the length
+    is 1.  The monotone envelope (running maximum from the right) must
+    first fall below tol^(2/3) and then level off; rough data whose
+    coefficients still decay at the end (abs(re(z)) on a 512-point circle)
+    has no plateau and keeps its full length, as does any sequence shorter
+    than 17.
+    """
+    n = magnitudes.size
+    envelope = np.maximum.accumulate(magnitudes[::-1])[::-1]
+    peak = envelope[0]
+    tol = np.finfo(float).eps * max(1.0, scale / peak) if peak > 0.0 else 1.0
+    if tol >= 1.0:
+        return 1
+    if n < 17:
+        return n
+    envelope = envelope / peak
+    # 1-based indices as in the paper: is the envelope at j2 = 1.25 j + 5
+    # no longer much below its value at j?
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not plateau.any():
+        return n
+    first = int(np.argmax(plateau))
+    start, j2 = int(j[first]) - 1, int(j2[first])
+    if envelope[start - 1] == 0.0:
+        return start
+    # The cut is the lowest point of the envelope tilted up by a ramp of a
+    # third of the tolerance's decades, clipped at tol^(7/6).
+    floor = tol ** (7.0 / 6.0)
+    above = int(np.count_nonzero(envelope >= floor))
+    if above < j2:
+        j2 = above + 1
+        envelope[j2 - 1] = floor
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
 def _powers(x: np.ndarray, top: int) -> np.ndarray:
     """Columns x^0..x^top by running products; no overflow while |x| <= 1."""
     table = np.ones((x.size, top + 1))
@@ -198,17 +261,18 @@ class GreenPotential(PlanarMap):
     """The map z -> G[g](z) for a fixed source g, by a polar-spectral solve.
 
     The first evaluation samples the source once on the panel grid
-    (`radial_nodes` x `angular_nodes` points), FFTs it in angle and keeps
-    per-panel moments of every mode.  Each distinct radius among the query
-    points then costs one split panel, 2 x 16 x `angular_nodes` samples,
-    plus a contraction with the moments of the other panels (see the module
-    docstring).  The modes of the last 512 radii are kept, so a radius
-    visited again costs only the angular sum.  Values and both Wirtinger
-    derivatives come from the same modes; points with |z| >= 1 evaluate
-    to nan in an array and raise ValueError alone.  `source` is a DSL
-    string or an array callable w -> g(w); construction only parses it and
-    samples nothing.  The doubled-node comparison runs only when
-    `self_check` is called.
+    (`radial_nodes` x `angular_nodes` points), FFTs it in angle, reads the
+    source's angular band K from those modes and keeps per-panel moments of
+    the 2K + 1 modes |m| <= K.  Each distinct radius among the query points
+    then costs one split panel, 2 x 16 x `angular_nodes` samples, plus a
+    contraction of its band with the moments of the other panels (see the
+    module docstring).  The modes of the last 512 radii are kept, so a
+    radius visited again costs only the angular sum of 2K + 1 terms.
+    Values and both Wirtinger derivatives come from the same modes; points
+    with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
+    `source` is a DSL string or an array callable w -> g(w); construction
+    only parses it and samples nothing.  The doubled-node comparison runs
+    only when `self_check` is called.
     """
 
     def __init__(self, source: Union[str, Callable],
@@ -218,6 +282,7 @@ class GreenPotential(PlanarMap):
         self.source_expr = source if isinstance(source, str) else None
         self.label = f"green[{self.source_expr or 'source'}]"
         self._moments = None  # (A; B) panel moments, built at first use
+        self._band = None  # FFT columns of the source's angular band, likewise
         self._grid_sup = math.nan  # max |g| over the panel grid
         self._solved = {}  # radius -> stacked _radial_modes, oldest first
 
@@ -250,27 +315,37 @@ class GreenPotential(PlanarMap):
     def _panel_moments(self) -> np.ndarray:
         """Rows A of every panel, then rows B; B's m = 0 column holds L.
 
-        B_0 would repeat A_0, and an outer panel needs L in its place.
+        B_0 would repeat A_0, and an outer panel needs L in its place.  Only
+        the FFT columns of the source's angular band are kept, listed in
+        `self._band`: |m| <= K, where K + 1 is the chopped length of the
+        envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes.
         """
         if self._moments is None:
             cfg = self.config
             _, s, below, above, log_weight = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)
             samples, modes = self._angular_modes(s.ravel())
             self._grid_sup = float(np.max(np.abs(samples)))
-            modes = modes.reshape(below.shape)
-            moments = np.concatenate([np.einsum("qjm,qjm->qm", below, modes),
-                                      np.einsum("qjm,qjm->qm", above, modes)])
+            peak = np.max(np.abs(modes), axis=0)
+            half = cfg.angular_nodes // 2
+            # Entry k of the envelope covers the FFT columns of m = k and -k.
+            top = _chop_length(np.maximum(peak[:half], peak[-np.arange(half)])) - 1
+            band = np.flatnonzero(np.abs(_spectral_tables(cfg.angular_nodes)[0]) <= top)
+            modes = modes[:, band].reshape(s.shape + band.shape)
+            moments = np.concatenate([np.einsum("qjm,qjm->qm", below[:, :, band], modes),
+                                      np.einsum("qjm,qjm->qm", above[:, :, band], modes)])
             moments[s.shape[0]:, 0] = np.einsum("qj,qj->q", log_weight, modes[:, :, 0])
-            self._moments = moments
+            self._moments, self._band = moments, band
         return self._moments
 
     def _radial_modes(self, r: float):
         """Per mode m at radius r: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
 
-        The second feeds d/dz and the third d/dzbar.  With k = |m|, a panel
-        [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A (-log r A for
-        k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel outside r
-        contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
+        Only the modes |m| <= K of the source's band are solved, in the FFT
+        column order of `self._band`; kernels and power tables stop at
+        k = K.  The second output feeds d/dz and the third d/dzbar.  With
+        k = |m|, a panel [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A
+        (-log r A for k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel
+        outside r contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
         (r/a)^(k-1) B / a - (r b)^(k-1) b A and 0.  The panel holding r is
         split there and sampled (see the module docstring); on it the same
         kernels act on g_m s ds directly.  At r = 0 the outer side is graded
@@ -281,9 +356,10 @@ class GreenPotential(PlanarMap):
         cfg = self.config
         edges, nodes = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)[:2]
         count, q = nodes.shape
-        top = cfg.angular_nodes // 2
-        freq = _spectral_tables(cfg.angular_nodes)[0]
+        moments = self._panel_moments()
+        freq = _spectral_tables(cfg.angular_nodes)[0][self._band]
         kabs = np.abs(freq)
+        top = int(kabs.max())
         k2 = 2.0 * np.arange(1, top + 1)
         p = min(int(r * count), count - 1)
         a, b = edges[:-1], edges[1:]
@@ -335,7 +411,7 @@ class GreenPotential(PlanarMap):
         minus[split:split + inner] = -ratio[:inner] / r
         kernel[:, split:] *= weight[:, None]
 
-        data = np.concatenate([self._panel_moments(), self._angular_modes(s)[1]])
+        data = np.concatenate([moments, self._angular_modes(s)[1][:, self._band]])
         value, plus, minus = np.einsum("tjm,jm->tm", kernel[:, :, kabs], data)
         return (value,
                 np.where(freq > 0, plus, minus),
@@ -357,17 +433,21 @@ class GreenPotential(PlanarMap):
         # lets the whole circle share one radial solve.
         radii, group, counts = np.unique(np.round(np.abs(flat[inside]), 14),
                                          return_inverse=True, return_counts=True)
-        freq = _spectral_tables(self.config.angular_nodes)[0]
         members = np.split(inside[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
         for r, idx in zip(radii, members):
             theta = np.angle(flat[idx])
             modes = self._solved.get(r)
             if modes is None:
-                modes = np.stack(self._radial_modes(float(r)), axis=1)
+                modes = np.stack(self._radial_modes(float(r)))
                 if len(self._solved) >= _SOLVED_RADII:
                     del self._solved[next(iter(self._solved))]
                 self._solved[r] = modes
-            value, plus, minus = (np.exp(1j * np.outer(theta, freq)) @ modes).T
+            # A product and a sum over the contiguous mode axis: each point's
+            # sum is the same however many points share its radius (a matrix
+            # product switches between gemv and gemm, which round differently).
+            freq = _spectral_tables(self.config.angular_nodes)[0][self._band]
+            phase = np.exp(1j * np.outer(theta, freq))
+            value, plus, minus = ((phase * part).sum(axis=1) for part in modes)
             out[0, idx] = value
             out[1, idx] = 0.5 * np.exp(-1j * theta) * plus
             out[2, idx] = 0.5 * np.exp(1j * theta) * minus
@@ -406,7 +486,12 @@ def poisson_coefficients(psi, boundary_nodes: int = 512):
     psi is a DSL string or an array callable, sampled at e^{i theta}.
     Returns arrays (a, b) such that the harmonic extension of psi is
     sum a[n] z^n + sum b[n] conj(z)^n, keeping modes below the Nyquist
-    frequency of the sample grid.
+    frequency of the sample grid, each array cut to its numerical degree:
+    where its coefficients reach the noise plateau at eps times the largest
+    coefficient of either (Aurentz & Trefethen's chop).  So
+    z + 0.3 z^2 + 0.25 conj(z) gives arrays of lengths 3 and 2, and data
+    whose coefficients still decay at Nyquist (abs(re(z))) keeps them all.
+    b[0] is always 0.
     """
     n = int(boundary_nodes)
     if n < 16:
@@ -415,9 +500,11 @@ def poisson_coefficients(psi, boundary_nodes: int = 512):
     samples = _sampler(psi)(np.exp(1j * theta))
     coeff = np.fft.fft(samples) / n
     keep = n // 2 - 1
-    a = coeff[: keep + 1].copy()
+    a = coeff[: keep + 1]
     b = np.concatenate([[0.0], coeff[-1 : -(keep + 1) : -1]])
-    return a, b
+    size_a, size_b = np.abs(a), np.abs(b)
+    scale = max(size_a.max(), size_b.max())
+    return a[:_chop_length(size_a, scale)].copy(), b[:_chop_length(size_b, scale)]
 
 
 def poisson_extension(psi, config: Optional[QuadratureConfig] = None) -> SeriesMap:
@@ -427,7 +514,8 @@ def poisson_extension(psi, config: Optional[QuadratureConfig] = None) -> SeriesM
     uniform boundary samples are transformed and the kernel collapses each
     mode m to z^m (m >= 0) or conj(z)^|m| (m < 0).  This equals the
     trapezoid rule with all above-Nyquist aliases dropped, which keeps the
-    evaluation uniformly accurate up to the boundary for smooth data.
+    evaluation uniformly accurate up to the boundary for smooth data.  The
+    series stops at its numerical degree (see `poisson_coefficients`).
     """
     cfg = config if config is not None else QuadratureConfig()
     a, b = poisson_coefficients(psi, cfg.boundary_nodes)

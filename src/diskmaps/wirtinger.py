@@ -72,12 +72,13 @@ def finite_difference_jet(
 ) -> WirtingerJet:
     """Second-order central-difference jet of a point evaluator at z.
 
-    The default step is 1e-5 * max(1, |z|).  The four stencil points must
-    stay inside the unit disk.
+    The default step is min(1e-5 * max(1, |z|), (1 - |z|)/2), so that the
+    stencil fits inside the disk at every interior point.  An explicit step
+    must keep the four stencil points inside the unit disk.
     """
     if h is None:
-        h = 1e-5 * max(1.0, abs(z))
-    if h <= 0.0:
+        h = min(1e-5 * max(1.0, abs(z)), (1.0 - abs(z)) / 2.0)
+    elif h <= 0.0:
         raise ValueError("step must be positive")
     if abs(z) + h >= 1.0:
         raise ValueError("difference stencil leaves the unit disk; reduce the step")

@@ -1,5 +1,7 @@
 """Green potentials, Poisson extensions, and the disk Poisson solver."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,7 @@ from diskmaps import (
     poisson_extension,
     solve_poisson,
 )
-from diskmaps.potential import _SOLVED_RADII
+from diskmaps.potential import _SOLVED_RADII, _chop_length, poisson_coefficients
 
 
 def test_constant_source_matches_closed_form(quad_fast, rng):
@@ -272,4 +274,81 @@ def test_green_scalar_jet_equals_array_jets(pts):
     for i, z in enumerate(pts):
         jet = pot.jet(z)
         for got, want in zip((jet.value, jet.dz, jet.dzbar), arrays):
-            assert abs(got - want[i]) <= MODE_ROUNDOFF
+            assert got == want[i]
+
+
+# --- chopping to the numerical bandwidth ----------------------------------------
+
+
+def test_chop_keeps_exact_degree_and_rough_tails():
+    rng = np.random.default_rng(3)
+    noise = 1e-17 * rng.uniform(size=253)
+    assert _chop_length(np.concatenate([[0.7, 1.0, 0.36], noise])) == 3
+    # abs(re(z)): even coefficients decaying like n^-2 up to Nyquist.
+    a, b = poisson_coefficients("abs(re(z))")
+    assert a.size == b.size == 256
+    assert _chop_length(np.abs(a)) == 256
+    assert _chop_length(np.zeros(256)) == 1
+    # Below eps times the scale, a whole sequence is noise.
+    assert _chop_length(noise, scale=1.0) == 1
+
+
+def test_poisson_coefficients_are_cut_to_their_degree():
+    a, b = poisson_coefficients("z + (0.3-0.2*i)*z^2 + 0.25*conj(z)")
+    assert (a.size, b.size) == (3, 2)
+    assert abs(a[1] - 1.0) < 1e-15 and abs(a[2] - (0.3 - 0.2j)) < 1e-15
+    assert b[0] == 0.0 and abs(b[1] - 0.25) < 1e-15
+
+
+@pytest.mark.parametrize("source,band", [("0.3*abs(z)^4", 0), ("0.4*re(z)", 1),
+                                         ("abs(re(z))", 127)])
+def test_green_moments_keep_the_sources_angular_band(source, band):
+    # One moment column per mode m with |m| <= band.
+    assert GreenPotential(source)._panel_moments().shape[1] == 2 * band + 1
+
+
+def _full_band():
+    """Patch that turns the chop off, as for data with no plateau."""
+    return mock.patch("diskmaps.potential._chop_length",
+                      lambda magnitudes, scale=0.0: magnitudes.size)
+
+
+_SOURCE_TERMS = st.sampled_from(["1", "z", "conj(z)^2", "abs(z)^2", "re(z)^3", "exp(z)",
+                                 "z^3*conj(z)", "exp(-30*abs(z - 0.2 - 0.3*i)^2)",
+                                 "abs(re(z))", "log(abs(z))"])
+_SOURCES = st.lists(st.tuples(st.floats(-2.0, 2.0), _SOURCE_TERMS), min_size=1, max_size=4).map(
+    lambda terms: " + ".join(f"({c!r})*{term}" for c, term in terms))
+
+
+@given(source=_SOURCES, pts=st.lists(_disk_points, min_size=1, max_size=6))
+def test_chopped_green_equals_a_full_band_solve(source, pts):
+    z = np.array(pts)
+    chopped = np.array(GreenPotential(source).jets(z))
+    with _full_band():
+        full = np.array(GreenPotential(source).jets(z))
+    assert np.all(np.abs(chopped - full) <= 1e-15 * np.maximum(1.0, np.abs(full)))
+
+
+def test_narrow_source_keeps_its_doubled_rule_gap():
+    # A bump of width ~0.05 in panel 0: the fixed panels resolve it to a few
+    # 1e-12, and the chop to its 26 modes loses nothing measurable.
+    source = "exp(-400*abs(z-0.06)^2)"
+    radii = np.concatenate([np.linspace(0.001, 0.124, 9), np.linspace(0.13, 0.95, 8)])
+    z = radii * np.exp(0.7j)
+    pot = GreenPotential(source)
+    fine = GreenPotential(source, QuadratureConfig().doubled())
+    assert pot._panel_moments().shape[1] == 2 * 26 + 1
+    assert np.max(np.abs(np.array(pot.jets(z)) - np.array(fine.jets(z)))) <= 3.0e-12
+
+
+def test_ring_points_get_the_same_jets_alone_and_together():
+    # The angular sum of a point does not depend on how many points share
+    # its radius.
+    solution = solve_poisson("z + 0.2*z^2", "exp(-abs(z-0.3)^2)")
+    ring = 0.83 * np.exp(2j * np.pi * np.arange(48) / 48)
+    together = solution.jets(ring)
+    green = solution.potential.jets(ring)
+    for k, z in enumerate(ring):
+        alone = solution.jets(np.array([z]))
+        assert all(a[0] == t[k] for a, t in zip(alone, together))
+        assert tuple(solution.potential.jet(z)) == tuple(t[k] for t in green)
