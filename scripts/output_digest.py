@@ -71,6 +71,13 @@ EDGE_ARGVS = (
     # plateau (all 256 modes kept) and a source with a wide angular band.
     ("solve", "--psi", "abs(re(z))", "--g", "1", "--points", _SOLVE_POINTS),
     ("solve", "--psi", "z", "--g", "exp(-50*abs(z-0.3)^2)", "--points", _SOLVE_POINTS),
+    # Chord preimages that take Newton steps at the default line nodes (every
+    # workload check-thm11 map is affine or near the identity), and a pole at
+    # one of the points of a per-point report and of a pair check.
+    ("check-thm11", "--map", "z + 0.3*conj(z)^2 + 0.1*z^3", *_THM11[:-2],
+     "--pairs", "0.1:0.6j,-0.5:0.4+0.3j,0.7:-0.7"),
+    ("analyze", "--map", "1/(z-0.5)", "--points", "0.1, 0.5"),
+    ("check-prop14", "--map", "0.5*z + 1/(z-0.9)", "--C3", "1.5", "--pairs", "0.1:0.9"),
 ) + tuple(
     # Length scans on each kind of map: DSL, catalog series, a map singular
     # only at 0 (the endpoint rule) and a Poisson map; sup-perimeter is in no

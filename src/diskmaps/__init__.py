@@ -13,12 +13,11 @@ from .bounds import (HOLD_TOLERANCE, INEQUALITY_IDS, BoundContext, BoundReport,
                      coefficient_bounds_report, derivative_bounds_report)
 from .catalog import MapDefinition, builtin_map, catalog_names, harmonic_catalog
 from .coefficients import CoeffTable, MajorantSpec, bloch_norm, extract_coeffs
-from .ellipticity import (CauchyPair, ConvergenceError, EllipticityParams,
-                          FrontierReport, HypothesisReport, QcResult,
-                          beta_constant, check_prop14, check_theorem11, frontier,
-                          invert_map, lemma22_check, lemma24_convert, min_kprime,
-                          pointwise_defect, qc_constant)
-from .expr import EvalDomainError, ParseError, parse_expr
+from .ellipticity import (CauchyPair, EllipticityParams, FrontierReport,
+                          HypothesisReport, QcResult, beta_constant, check_prop14,
+                          check_theorem11, frontier, invert_map, lemma22_check,
+                          lemma24_convert, min_kprime, pointwise_defect, qc_constant)
+from .expr import ParseError, parse_expr
 from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, shell_ladder
 from .kernels import green_eval, poisson_eval
 from .lengths import (LengthReport, boundary_length, length_sup, perimeter,
@@ -39,7 +38,7 @@ __all__ = [
     "WirtingerJet", "DerivedMetrics", "jet_metrics", "disk_distance",
     "finite_difference_jet",
     # expr
-    "parse_expr", "ParseError", "EvalDomainError",
+    "parse_expr", "ParseError",
     # kernels
     "green_eval", "poisson_eval",
     # maps
@@ -52,7 +51,7 @@ __all__ = [
     "GridSpec", "GridScanError", "polar_grid", "grid_supremum", "shell_ladder",
     # ellipticity
     "EllipticityParams", "CauchyPair", "FrontierReport", "HypothesisReport",
-    "QcResult", "ConvergenceError", "pointwise_defect", "min_kprime",
+    "QcResult", "pointwise_defect", "min_kprime",
     "qc_constant", "frontier", "lemma24_convert", "invert_map",
     "check_theorem11", "check_prop14", "lemma22_check", "beta_constant",
     # coefficients

@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .expr import eval_jet, eval_value, jet_arrays, parse_expr, value_array
-from .maps import DslMap, PlanarMap, SeriesMap, is_array
+from .expr import jet_arrays, parse_expr, value_array
+from .maps import DslMap, PlanarMap, SeriesMap
 
 __all__ = [
     "MapDefinition",
@@ -65,8 +65,8 @@ class Example13Map(PlanarMap):
 
     Continuous on the closed disk for alpha in (0, 1/2), sense-preserving,
     but not Lipschitz at 0: the derivative norm grows like
-    (1 - 2 log |z|)^alpha, so jets at exactly 0 are refused rather than
-    faked with a large finite number.
+    (1 - 2 log |z|)^alpha, so the derivatives at exactly 0 are nan rather
+    than faked with a large finite number (and `jet(0)` raises).
     """
 
     def __init__(self, alpha: float):
@@ -77,22 +77,13 @@ class Example13Map(PlanarMap):
         self._ast = parse_expr(f"z * pow(log(e / abs(z)^2), {self.alpha!r})")
 
     def values(self, z):
-        if is_array(z):
-            return np.where(np.equal(z, 0), 0j, value_array(self._ast, z))
-        return 0j if z == 0 else eval_value(self._ast, z)
+        return np.where(np.equal(z, 0), 0j, value_array(self._ast, z))
 
     def jets(self, z):
-        if is_array(z):
-            at0 = np.equal(z, 0)
-            value, dz, dzbar = jet_arrays(self._ast, z)
-            return (np.where(at0, 0j, value), np.where(at0, complex("nan+nanj"), dz),
-                    np.where(at0, complex("nan+nanj"), dzbar))
-        if z == 0:
-            raise ValueError(
-                "jet at the origin is undefined: the derivative norm "
-                "diverges like (1 - 2 log|z|)^alpha as z -> 0"
-            )
-        return eval_jet(self._ast, z)
+        at0 = np.equal(z, 0)
+        value, dz, dzbar = jet_arrays(self._ast, z)
+        return (np.where(at0, 0j, value), np.where(at0, complex("nan+nanj"), dz),
+                np.where(at0, complex("nan+nanj"), dzbar))
 
 
 def _complex_literal(c: complex) -> str:

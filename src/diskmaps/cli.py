@@ -7,10 +7,11 @@ Every invocation prints one document, JSON by default:
      "summary": {"worst_margin": ..., "status": ...}}
 
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
-2 usage or configuration error, 3 numerical failure (non-convergence, a
-map that fails to evaluate on a length quadrature's path, on a
-coefficient circle, at an explicit `bounds --points` point or on more than
-1% of a scan's grid, or a nan pair-check margin).  Identical argv yields
+2 usage or configuration error, 3 numerical failure (a map that fails to
+evaluate on a length quadrature's path, on a coefficient circle, at an
+explicit `bounds --points` point or on more than 1% of a scan's grid, or a
+nan pair-check margin, which includes a map that is not finite at a pair's
+endpoint).  Identical argv yields
 byte-identical output: reductions are deterministic, field order is fixed,
 floats render in shortest round-trip form.
 """
@@ -23,18 +24,19 @@ import sys
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .bounds import BoundContext, coefficient_bounds_report, derivative_bounds_report
 from .catalog import MapDefinition, builtin_map, catalog_names, parse_params
 from .coefficients import extract_coeffs
 from .ellipticity import EllipticityParams, check_prop14, check_theorem11, frontier
-from .expr import EvalDomainError, ParseError
 from .grids import GridSpec
 from .lengths import (boundary_length, length_sup, perimeter, radial_length,
                       radial_length_limit, subharmonic_radial_check)
-from .maps import DslMap, JetEvaluationError, PlanarMap
+from .maps import DslMap, JetEvaluationError, PlanarMap, at_point
 from .potential import QuadratureConfig, laplacian_residual, solve_poisson
 from .reports import render_csv, render_json
-from .wirtinger import jet_metrics
+from .wirtinger import WirtingerJet, jet_metrics
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -171,11 +173,12 @@ def _cmd_analyze(args) -> int:
     quad = _quad_from(args)
     m, source_desc, _ = _build_map(args, quad)
     points = _parse_points(args.points)
+    jets = m.jets(np.array(points))
     rows = []
-    for z in points:
+    for i, z in enumerate(points):
         row: Dict[str, object] = {"type": "PointMetrics", "point": z}
         try:
-            jet = m.jet(z)
+            jet = WirtingerJet(*at_point(z, (part[i] for part in jets)))
             metrics = jet_metrics(jet)
             row.update({
                 "value": jet.value, "dz": jet.dz, "dzbar": jet.dzbar,
@@ -184,7 +187,7 @@ def _cmd_analyze(args) -> int:
             })
             if args.K is not None:
                 row["defect"] = metrics.op_norm**2 - args.K * metrics.jacobian
-        except (ValueError, ArithmeticError) as exc:
+        except ValueError as exc:
             row["error"] = str(exc)
         rows.append(row)
     config = _config_base(args, "analyze", source_desc, quad=quad)
@@ -312,10 +315,11 @@ def _cmd_solve(args) -> int:
     g = _source_term(args)
     m = solve_poisson(args.psi, g, config=quad)
     points = _parse_points(args.points)
+    values = m.values(np.array(points))
     rows = []
-    for z in points:
+    for z, value in zip(points, values):
         row: Dict[str, object] = {"type": "SolutionSample", "point": z,
-                                  "value": m.value(z)}
+                                  "value": at_point(z, [value])[0]}
         if 1.0 - abs(z) >= 2 * args.residual_h:
             row["residual"] = laplacian_residual(m, g or "0", z, h=args.residual_h)
         else:
@@ -489,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ParseError, EvalDomainError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import ExprAst, EvalDomainError, contains_var, eval_value, parse_expr, value_array
+from .expr import ExprAst, contains_var, parse_expr, value_array
 from .grids import GridSpec, failed_points, polar_grid, shell_ladder
 from .maps import JetEvaluationError
 
@@ -144,12 +144,9 @@ class MajorantSpec:
         if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):
             raise ValueError("majorant must be real-valued")
         w = vals.real
-        try:
-            at0 = eval_value(self.ast, 0j)
-            w0 = abs(at0)
-        except EvalDomainError:
-            # 0 may be a singular point of the formula; take a limit instead.
-            w0 = abs(eval_value(self.ast, complex(1e-300)))
+        # 0 may be a singular point of the formula; then take a limit instead.
+        at0, near0 = value_array(self.ast, np.array([0j, 1e-300]))
+        w0 = abs(at0) if np.isfinite(at0) else abs(near0)
         if w0 > 1e-12:
             raise ValueError(f"majorant must vanish at 0 (got {w0:.3e})")
         if w[0] < -1e-12:
@@ -161,11 +158,8 @@ class MajorantSpec:
             raise ValueError("majorant must have nonincreasing omega(t) / t")
 
     def eval(self, t):
-        """omega at a positive real argument (scalar or array)."""
-        arr = np.asarray(t, dtype=float)
-        if arr.ndim == 0:
-            return float(eval_value(self.ast, complex(float(arr))).real)
-        return value_array(self.ast, arr.astype(complex)).real
+        """omega at an array of positive real arguments; nan where singular."""
+        return value_array(self.ast, np.asarray(t, dtype=complex)).real
 
     def __repr__(self):
         src = self.source if self.source is not None else "<ast>"

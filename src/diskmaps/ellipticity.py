@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -31,7 +31,6 @@ __all__ = [
     "FrontierReport",
     "HypothesisReport",
     "QcResult",
-    "ConvergenceError",
     "pointwise_defect",
     "min_kprime",
     "qc_constant",
@@ -43,10 +42,6 @@ __all__ = [
     "lemma22_check",
     "beta_constant",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve failed to converge."""
 
 
 # Margins within this of zero count as holding: shields exact-equality cases
@@ -266,44 +261,58 @@ def lemma24_convert(params: Union[EllipticityParams, CauchyPair]):
     raise TypeError("expected EllipticityParams or CauchyPair")
 
 
-def invert_map(m: PlanarMap, w: complex, guess: complex,
-               tol: float = 1e-12, max_iter: int = 100) -> complex:
-    """Solve f(z) = w by damped Newton steps in the Wirtinger frame.
+def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
+               max_iter: int = 100) -> np.ndarray:
+    """Solve f(z) = w for an array of targets by damped Newton steps.
 
     The update inverts the real-linear differential: with residual
     r = f(z) - w and J = |f_z|^2 - |f_zbar|^2,
 
         z <- z - (conj(f_z) r - f_zbar conj(r)) / J.
 
-    Steps are halved (at most 20 times) whenever the residual fails to
-    decrease or the iterate leaves the disk.  Raises ConvergenceError on a
-    degenerate Jacobian (J <= 1e-12) or after max_iter iterations.
+    guess is an array shaped like w (or one point for every target), each
+    in the open unit disk (ValueError otherwise).  Every iteration makes one
+    `jets` call on the targets still unsolved, and each target halves its
+    own step (at most 20 times) while its residual fails to decrease or its
+    iterate leaves the disk.  Returns the preimages shaped like w, nan where
+    a target fails: a non-finite residual, a degenerate Jacobian
+    (J <= 1e-12), a stalled step or no convergence in max_iter iterations.
     """
-    z = complex(guess)
-    if abs(z) >= 1.0:
-        raise ValueError("guess must lie in the open unit disk")
-    r = m.value(z) - w
+    w = np.asarray(w, dtype=complex)
+    z = np.array(np.broadcast_to(np.asarray(guess, dtype=complex), w.shape)).ravel()
+    if not np.all(np.abs(z) < 1.0):
+        raise ValueError("every guess must lie in the open unit disk")
+    shape, w = w.shape, w.ravel()
+    r = m.values(z) - w
+    out = np.full(z.shape, complex("nan+nanj"))
+    unsolved = np.flatnonzero(np.isfinite(r))
     for _ in range(max_iter):
-        if abs(r) <= tol:
-            return z
-        jet = m.jet(z)
-        jac = abs(jet.dz) ** 2 - abs(jet.dzbar) ** 2
-        if jac <= 1e-12:
-            raise ConvergenceError(f"degenerate Jacobian {jac:.3e} at z = {z}")
-        step = (jet.dz.conjugate() * r - jet.dzbar * r.conjugate()) / jac
-        lam = 1.0
+        done = np.abs(r[unsolved]) <= tol
+        out[unsolved[done]] = z[unsolved[done]]
+        unsolved = unsolved[~done]
+        if not unsolved.size:
+            break
+        _, dz, db = m.jets(z[unsolved])
+        jac = np.abs(dz) ** 2 - np.abs(db) ** 2
+        steady = jac > 1e-12  # also drops a nan Jacobian
+        unsolved = unsolved[steady]
+        res = r[unsolved]
+        step = (np.conj(dz[steady]) * res - db[steady] * np.conj(res)) / jac[steady]
+        pending, lam = np.arange(unsolved.size), 1.0
         for _ in range(20):
-            cand = z - lam * step
-            if abs(cand) < 1.0:
-                r_cand = m.value(cand) - w
-                if abs(r_cand) < abs(r):
-                    z, r = cand, r_cand
-                    break
+            idx = unsolved[pending]
+            cand = z[idx] - lam * step[pending]
+            inside = np.abs(cand) < 1.0
+            r_cand = np.full(cand.shape, complex("nan+nanj"))
+            r_cand[inside] = m.values(cand[inside]) - w[idx[inside]]
+            better = np.abs(r_cand) < np.abs(r[idx])
+            z[idx[better]], r[idx[better]] = cand[better], r_cand[better]
+            pending = pending[~better]
+            if not pending.size:
+                break
             lam *= 0.5
-        else:
-            raise ConvergenceError(f"stalled at z = {z} with residual {abs(r):.3e}")
-    raise ConvergenceError(f"no convergence after {max_iter} iterations "
-                           f"(residual {abs(r):.3e})")
+        unsolved = np.delete(unsolved, pending)  # a stalled target fails
+    return out.reshape(shape)
 
 
 def _as_majorant(omega) -> MajorantSpec:
@@ -333,42 +342,45 @@ def _validated_pairs(pairs: Sequence[Tuple[complex, complex]]
     return pairs
 
 
-def _worst_pair(pairs: Sequence[Tuple[complex, complex]],
-                margins: Callable[[complex, complex], Sequence[float]]
+def _worst_pair(pairs: Sequence[Tuple[complex, complex]], margins: np.ndarray
                 ) -> Tuple[float, Optional[tuple]]:
-    """(least clause margin, first pair attaining it); each pair is evaluated once.
+    """(least clause margin, first pair attaining it) of a (pairs, clauses) array.
 
     A nan clause margin leaves the pair undecided (the map or the majorant
     failed to evaluate there), so it raises JetEvaluationError naming the
-    pair instead of dropping out of the minimum.
+    first such pair instead of dropping out of the minimum.
     """
-    worst, witness = math.inf, None
-    for z1, z2 in pairs:
-        clauses = margins(z1, z2)
-        if any(math.isnan(c) for c in clauses):
-            raise JetEvaluationError(f"a clause margin is nan on the pair ({z1}, {z2})")
-        value = min(clauses)
-        if value < worst:
-            worst, witness = value, (z1, z2)
-    return worst, witness
+    undecided = np.isnan(margins).any(axis=1)
+    if undecided.any():
+        z1, z2 = pairs[int(np.argmax(undecided))]
+        raise JetEvaluationError(f"a clause margin is nan on the pair ({z1}, {z2})")
+    least = margins.min(axis=1)
+    i = int(np.argmin(least))
+    return float(least[i]), (pairs[i] if least[i] < math.inf else None)
 
 
-def _chord_margins(spec: MajorantSpec, expo: float, C: float, z1: complex, z2: complex,
-                   w1: complex, w2: complex) -> Tuple[float, float]:
-    """Margins of omega(((1+|z1|)(1+|z2|))^expo) / C <= |w1 - w2| / |z1 - z2|
-    <= C / omega((d(z1) d(z2))^expo), lower clause first."""
-    ratio = abs(w1 - w2) / abs(z1 - z2)
-    lower = spec.eval(((1.0 + abs(z1)) * (1.0 + abs(z2))) ** expo) / C
-    upper = C / spec.eval((disk_distance(z1) * disk_distance(z2)) ** expo)
-    return ratio - lower, upper - ratio
+def _pair_values(m: PlanarMap, pairs: Sequence[Tuple[complex, complex]]):
+    """(z1, z2, f(z1), f(z2)) arrays from one values call; f is nan at an end
+    where it is not finite, so every margin of that pair is nan."""
+    z1, z2 = np.array(pairs).T
+    w = m.values(np.concatenate([z1, z2]))
+    w = np.where(np.isfinite(w), w, np.nan)
+    return z1, z2, w[:len(pairs)], w[len(pairs):]
 
 
-def _check_univalence_on_sample(m: PlanarMap, points: Sequence[complex]) -> None:
-    pts = np.array(sorted(set(map(complex, points)), key=lambda z: (z.real, z.imag)))
-    vals = m.values(pts)
-    n = len(pts)
-    if n < 2:
-        return
+def _chord_margins(spec: MajorantSpec, expo: float, C: float, z1: np.ndarray,
+                   z2: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """(pairs, 2) margins of omega(((1+|z1|)(1+|z2|))^expo) / C
+    <= |w1 - w2| / |z1 - z2| <= C / omega((d(z1) d(z2))^expo), lower clause first."""
+    ratio = np.abs(w1 - w2) / np.abs(z1 - z2)
+    lower = spec.eval(((1.0 + np.abs(z1)) * (1.0 + np.abs(z2))) ** expo) / C
+    upper = C / spec.eval(((1.0 - np.abs(z1)) * (1.0 - np.abs(z2))) ** expo)
+    return np.stack([ratio - lower, upper - ratio], axis=1)
+
+
+def _check_univalence_on_sample(pts: np.ndarray, vals: np.ndarray) -> None:
+    order = np.lexsort((pts.imag, pts.real))
+    pts, vals = pts[order], vals[order]
     dz = np.abs(pts[:, None] - pts[None, :])
     dv = np.abs(vals[:, None] - vals[None, :])
     clash = (dz > 1e-10) & (dv < 1e-10)
@@ -398,10 +410,12 @@ def check_theorem11(
 
     and integrates 1 / omega(d(Phi(t))^{1-alpha}) along the preimage
     Phi(t) = f^{-1}((1-t) f(z1) + t f(z2)) of the image segment (composite
-    Simpson, Newton inversion marched with warm starts), requiring the
-    integral to stay <= C2.  The worst margin over all clauses and pairs is
-    reported; pairs whose inversion fails are counted as indeterminate, and
-    a nan clause margin raises JetEvaluationError.
+    Simpson), requiring the integral to stay <= C2.  The preimages of every
+    (pair, node) target come from one `invert_map` call, each started from
+    its point z1 + t (z2 - z1) on the straight chord.  The worst margin over
+    all clauses and pairs is reported; pairs with a target whose inversion
+    fails are counted as indeterminate, and a nan clause margin (also where
+    f is not finite at an endpoint) raises JetEvaluationError.
     """
     _check_alpha(alpha, C1=C1, C2=C2)
     pairs = _validated_pairs(pairs)
@@ -412,33 +426,23 @@ def check_theorem11(
     spec = _as_majorant(omega)
     expo = (1.0 - alpha) / 2.0
 
-    _check_univalence_on_sample(m, [z for pair in pairs for z in pair])
+    z1, z2, w1, w2 = _pair_values(m, pairs)
+    _check_univalence_on_sample(np.concatenate([z1, z2]), np.concatenate([w1, w2]))
+    margins = _chord_margins(spec, expo, C1, z1, z2, w1, w2)
 
-    integrals: List[float] = []
     ts = np.linspace(0.0, 1.0, line_nodes)
     simpson_w = np.ones(line_nodes)
     simpson_w[1:-1:2] = 4.0
     simpson_w[2:-1:2] = 2.0
     simpson_w /= 3.0 * (line_nodes - 1)
+    preimages = invert_map(m, (1.0 - ts) * w1[:, None] + ts * w2[:, None],
+                           z1[:, None] + ts * (z2 - z1)[:, None], tol=1e-10)
+    solved = np.isfinite(preimages).all(axis=1)
+    integrals = (1.0 / spec.eval((1.0 - np.abs(preimages)) ** (1.0 - alpha))) @ simpson_w
+    integral_margin = np.where(solved, C2 - integrals, math.inf)
 
-    def pair_margins(z1: complex, z2: complex) -> List[float]:
-        w1, w2 = m.value(z1), m.value(z2)
-        margins = list(_chord_margins(spec, expo, C1, z1, z2, w1, w2))
-        try:
-            guess = z1
-            integrand = np.empty(line_nodes)
-            for i, t in enumerate(ts):
-                target = (1.0 - t) * w1 + t * w2
-                guess = invert_map(m, target, guess, tol=1e-10)
-                integrand[i] = 1.0 / spec.eval(disk_distance(guess) ** (1.0 - alpha))
-        except ConvergenceError:
-            return margins
-        integral = float(simpson_w @ integrand)
-        integrals.append(integral)
-        return margins + [C2 - integral]
-
-    worst, witness = _worst_pair(pairs, pair_margins)
-    indeterminate = len(pairs) - len(integrals)
+    worst, witness = _worst_pair(pairs, np.column_stack([margins, integral_margin]))
+    indeterminate = len(pairs) - int(solved.sum())
     notes = ""
     if indeterminate:
         notes = (f"{indeterminate} of {len(pairs)} chord integrals skipped "
@@ -447,7 +451,7 @@ def check_theorem11(
         "alpha": alpha,
         "C1": C1,
         "C2": C2,
-        "max_chord_integral": max(integrals, default=math.nan),
+        "max_chord_integral": float(integrals[solved].max()) if solved.any() else math.nan,
     }
     return HypothesisReport(
         condition_id="growth-and-chord-integral",
@@ -571,12 +575,11 @@ def check_prop14(m: PlanarMap, C3: float,
     if pairs is None:
         pairs = _default_prop14_pairs(m, h1)
 
-    def pair_margins(z1: complex, z2: complex) -> Tuple[float]:
-        lhs = abs(m.value(z1) - m.value(z2))
-        rhs = C3 * abs(h1.value(z1) - h1.value(z2))
-        return ((rhs - lhs) / abs(z1 - z2),)  # per unit chord, comparable across deltas
-
-    worst, witness = _worst_pair(pairs, pair_margins)
+    z1, z2, f1, f2 = _pair_values(m, pairs)
+    _, _, g1, g2 = _pair_values(h1, pairs)
+    # Per unit chord, comparable across deltas.
+    margins = (C3 * np.abs(g1 - g2) - np.abs(f1 - f2)) / np.abs(z1 - z2)
+    worst, witness = _worst_pair(pairs, margins[:, None])
     if witness is None:
         raise ValueError("no pair produced a finite margin")
 
@@ -623,8 +626,8 @@ def lemma22_check(
     grid = grid or GridSpec()
     expo = (1.0 - alpha) / 2.0
 
-    worst_a, witness_a = _worst_pair(pairs, lambda z1, z2: _chord_margins(
-        spec, expo, C4, z1, z2, m.value(z1), m.value(z2)))
+    worst_a, witness_a = _worst_pair(
+        pairs, _chord_margins(spec, expo, C4, *_pair_values(m, pairs)))
 
     pts = polar_grid(grid)
     _, dz, db = m.jets(pts)

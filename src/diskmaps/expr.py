@@ -19,15 +19,17 @@ minus sign is accepted wherever '-' is.  Integer exponents are limited to
 (where an operator chain z + z + ... + z counts one level per operator) to
 256.  The exponent of pow must be finite.
 
-Every operation is declared once, in `_OPS`: how it prints, its value rule,
-its Wirtinger derivative rule, and the zero argument at which scalar
-evaluation raises.  An expression is a tree of one node type, `ExprAst`,
-and the walkers (`_value`, `_jet`, `contains_var`, `to_source`) recurse over
-it generically, looking each operation up in that table.
+Every operation is declared once, in `_OPS`: how it prints, its value rule
+and its Wirtinger derivative rule.  An expression is a tree of one node
+type, `ExprAst`, and the walkers (`_value`, `_jet`, `contains_var`,
+`to_source`) recurse over it generically, looking each operation up in that
+table.
 
-Evaluation is numpy-aware: `z` may be a scalar or an ndarray.  Scalar
-evaluation raises `EvalDomainError` at singular arguments; array evaluation
-lets non-finite values propagate so grid scans can mask them.
+Evaluation runs on arrays only (`value_array`, `jet_arrays`): numpy's
+arithmetic elementwise, so a point gets the same bits alone as in a batch.
+Singular arguments (log, abs, pow or division at zero) give non-finite
+entries instead of raising; `maps.PlanarMap.value` and `jet` turn them into
+a ValueError at one point.
 """
 
 from __future__ import annotations
@@ -37,19 +39,14 @@ import math
 import operator
 import re as _re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Iterator, NamedTuple, Tuple, Union
 
 import numpy as np
-
-from .wirtinger import WirtingerJet
 
 __all__ = [
     "ExprAst",
     "ParseError",
-    "EvalDomainError",
     "parse_expr",
-    "eval_value",
-    "eval_jet",
     "value_array",
     "jet_arrays",
     "contains_var",
@@ -62,15 +59,6 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.message = message
-        self.position = position
-
-
-class EvalDomainError(ValueError):
-    """Evaluation hit a singular argument (log/abs/pow/division at zero)."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (expression position {position})")
         self.message = message
         self.position = position
 
@@ -95,7 +83,7 @@ class ExprAst:
     pos: int = field(default=0, compare=False)
 
 
-# A jet triple (value, d/dz, d/dzbar); entries are numpy scalars or arrays.
+# A jet triple (value, d/dz, d/dzbar) of arrays.
 _Triple = tuple
 
 
@@ -108,21 +96,11 @@ class _Op(NamedTuple):
     jet: (param, value, zero, *argument jets) -> (d/dz, d/dzbar), where each
         argument jet is a triple (value, d/dz, d/dzbar) and `zero` is the
         evaluation's shared zero derivative.
-    singular: (param, value of the last argument) -> True where scalar
-        evaluation raises EvalDomainError(message); None if never.
-    jet_only: the singular check applies to jet evaluation only.
     """
 
     source: str
     value: Callable
     jet: Callable
-    singular: Optional[Callable] = None
-    message: str = ""
-    jet_only: bool = False
-
-
-def _at_zero(param, x) -> bool:
-    return x == 0
 
 
 def _quotient_jet(p, w, zero, a: _Triple, b: _Triple):
@@ -130,21 +108,10 @@ def _quotient_jet(p, w, zero, a: _Triple, b: _Triple):
     return (a[1] * b[0] - a[0] * b[1]) / den, (a[2] * b[0] - a[0] * b[2]) / den
 
 
-def _int_power(x, n: int):
-    # A negative power of one point goes through numpy as an array's does:
-    # Python's complex power rounds differently and keeps a +0 imaginary part
-    # where numpy's reciprocal gives -0, so log and pow would see the other
-    # side of their cut.
-    if n >= 0 or getattr(x, "ndim", 0):
-        return x ** n
-    x ** n  # raises ZeroDivisionError or OverflowError where numpy gives inf
-    return complex(np.asarray(x) ** n)
-
-
 def _int_power_jet(n: int, w, zero, u: _Triple):
     if n == 0:
         return zero, zero
-    dfactor = n * _int_power(u[0], n - 1) if n != 1 else 1.0
+    dfactor = n * u[0] ** (n - 1) if n != 1 else 1.0
     return dfactor * u[1], dfactor * u[2]
 
 
@@ -166,10 +133,9 @@ _OPS = {
              lambda p, w, zero, a, b: (a[1] - b[1], a[2] - b[2])),
     "*": _Op("({0} * {1})", operator.mul,
              lambda p, w, zero, a, b: (a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])),
-    "/": _Op("({0} / {1})", operator.truediv, _quotient_jet, _at_zero, "division by zero"),
-    "^": _Op("({0})^{p}", _int_power, _int_power_jet, lambda n, x: n < 0 and x == 0,
-             "zero base with non-positive exponent"),
-    "pow": _Op("pow({0}, {p})", np.power, _real_power_jet, _at_zero, "pow at zero base"),
+    "/": _Op("({0} / {1})", operator.truediv, _quotient_jet),
+    "^": _Op("({0})^{p}", operator.pow, _int_power_jet),
+    "pow": _Op("pow({0}, {p})", np.power, _real_power_jet),
     "conj": _Op("conj({0})", np.conj, lambda p, w, zero, u: (np.conj(u[2]), np.conj(u[1]))),
     "re": _Op("re({0})", lambda u: (u + np.conj(u)) / 2.0,
               lambda p, w, zero, u: ((u[1] + np.conj(u[2])) / 2.0,
@@ -177,10 +143,8 @@ _OPS = {
     "im": _Op("im({0})", lambda u: (u - np.conj(u)) / 2j,
               lambda p, w, zero, u: ((u[1] - np.conj(u[2])) / 2j,
                                      (u[2] - np.conj(u[1])) / 2j)),
-    "abs": _Op("abs({0})", lambda u: np.abs(u) + 0j, _abs_jet, _at_zero,
-               "abs jet at zero argument", jet_only=True),
-    "log": _Op("log({0})", np.log, lambda p, w, zero, u: (u[1] / u[0], u[2] / u[0]),
-               _at_zero, "log at zero argument"),
+    "abs": _Op("abs({0})", lambda u: np.abs(u) + 0j, _abs_jet),
+    "log": _Op("log({0})", np.log, lambda p, w, zero, u: (u[1] / u[0], u[2] / u[0])),
     "exp": _Op("exp({0})", np.exp, lambda p, w, zero, u: (w * u[1], w * u[2])),
 }
 
@@ -367,13 +331,7 @@ class _Parser:
                 raise ParseError(
                     "pow exponent must be a constant expression", exp_node.pos
                 )
-            try:
-                with np.errstate(all="ignore"):  # an overflow is reported below
-                    value = eval_value(exp_node, 0j)
-            except EvalDomainError as err:
-                raise ParseError(
-                    f"pow exponent is singular: {err.message}", exp_node.pos
-                ) from err
+            value = complex(value_array(exp_node, 0j))
             if not cmath.isfinite(value):
                 raise ParseError("pow exponent must be finite", exp_node.pos)
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
@@ -406,74 +364,45 @@ def parse_expr(source: str) -> ExprAst:
 # --- evaluation -------------------------------------------------------------
 
 
-def _value(node: ExprAst, z, strict: bool):
+def _value(node: ExprAst, z: np.ndarray):
     args, p = node.args, node.param
     if not args:
         return z if node.op == "z" else np.asarray(p, dtype=complex)
-    _, value, _, singular, message, jet_only = _OPS[node.op]
-    x = _value(args[0], z, strict)
-    xs = (x,) if len(args) == 1 else (x, _value(args[1], z, strict))
-    if strict and singular is not None and not jet_only and singular(p, xs[-1]):
-        raise EvalDomainError(message, node.pos)
+    value = _OPS[node.op].value
+    xs = [_value(arg, z) for arg in args]
     return value(*xs) if p is None else value(*xs, p)
 
 
 def _jet(node: ExprAst, env: tuple) -> _Triple:
-    # env = (z, one, zero, shape, strict); shape is None for scalar z.
+    # env = (z, one, zero): z and the jets of z and of a constant.
     args, p = node.args, node.param
     if not args:
         if node.op == "z":
-            return env[0], env[1], env[2]
-        shape = env[3]
-        c = complex(p) if shape is None else np.broadcast_to(np.asarray(p, dtype=complex), shape)
-        return c, env[2], env[2]
-    _, value, jet, singular, message, _ = _OPS[node.op]
-    u = _jet(args[0], env)
-    if len(args) == 1:
-        jets, xs = (u,), (u[0],)
-    else:
-        v = _jet(args[1], env)
-        jets, xs = (u, v), (u[0], v[0])
-    if env[4] and singular is not None and singular(p, xs[-1]):
-        raise EvalDomainError(message, node.pos)
+            return env
+        return np.broadcast_to(np.asarray(p, dtype=complex), env[0].shape), env[2], env[2]
+    _, value, jet = _OPS[node.op]
+    jets = [_jet(arg, env) for arg in args]
+    xs = [u[0] for u in jets]
     w = value(*xs) if p is None else value(*xs, p)
     return (w, *jet(p, w, env[2], *jets))
 
 
-def _jet_env(z, strict: bool) -> tuple:
-    """The shared state of one jet evaluation: z, its unit and zero jets."""
-    if np.ndim(z):
-        shape = np.shape(z)
-        return z, np.ones(shape, dtype=complex), np.zeros(shape, dtype=complex), shape, strict
-    return z, 1. + 0j, 0j, None, strict
-
-
-def eval_value(ast: ExprAst, z: complex) -> complex:
-    """Evaluate the expression at a scalar point, raising on singular input."""
-    return complex(_value(ast, complex(z), strict=True))
-
-
-def eval_jet(ast: ExprAst, z: complex) -> WirtingerJet:
-    """Evaluate value and Wirtinger partials at a scalar point."""
-    v, dz, db = _jet(ast, _jet_env(complex(z), strict=True))
-    return WirtingerJet(value=complex(v), dz=complex(dz), dzbar=complex(db))
-
-
-def value_array(ast: ExprAst, z: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation; non-finite values propagate instead of raising."""
+def value_array(ast: ExprAst, z) -> np.ndarray:
+    """Values shaped like z; non-finite where the expression is singular."""
     zz = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        out = np.asarray(_value(ast, zz, strict=False), dtype=complex)
+        out = np.asarray(_value(ast, zz), dtype=complex)
     if out.shape != zz.shape:
         out = np.broadcast_to(out, zz.shape).copy()
     return out
 
 
-def jet_arrays(ast: ExprAst, z: np.ndarray):
-    """Vectorized jet evaluation returning (value, dz, dzbar) arrays."""
+def jet_arrays(ast: ExprAst, z):
+    """(value, dz, dzbar) arrays shaped like z; non-finite where singular."""
     zz = np.asarray(z, dtype=complex)
+    env = (zz, np.ones(zz.shape, dtype=complex), np.zeros(zz.shape, dtype=complex))
     with np.errstate(all="ignore"):
-        v, dz, db = _jet(ast, _jet_env(zz, strict=False))
+        v, dz, db = _jet(ast, env)
     out = []
     for a in (v, dz, db):
         arr = np.asarray(a, dtype=complex)

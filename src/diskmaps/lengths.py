@@ -15,11 +15,9 @@ array with one row per ray or circle, and then sums each row on its own.
 So a radial supremum scan is one jets call of (2 radial_count + 1) x
 angular_count points (37k at the default grid, about twice the polar grid
 the derivative rows of a bounds report sample) plus one call for its
-refinement rays.  For maps whose array jets are elementwise (DSL, series
-and callable maps) this gives the same bytes as one call per ray.  A
-Poisson map's Green potential sums a radius's angular modes by a BLAS gemv
-when one point has that radius and by a gemm when several do, so its ray
-scans can differ from one call per ray in the last bit.
+refinement rays.  A point's jet does not depend on the other points of
+the call, for every map here, so this gives the same bytes as one call per
+ray.
 """
 
 from __future__ import annotations

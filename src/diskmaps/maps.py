@@ -1,28 +1,24 @@
 """Planar maps of the unit disk with uniform access to first-order jets.
 
-A map is its `values` and `jets`, each taken at one point or at an array of
-points.  At a point they raise on a singular point; over an array they
-return nan entries instead so grid scans can mask isolated failures.
-`PlanarMap` derives the scalar `value` and `jet` from them once.
+A map is its `values` and `jets` over an array of points, with non-finite
+entries where it fails, so grid scans can mask isolated failures.
+`PlanarMap.value` and `jet` are the one view of them at a single point:
+they raise ValueError naming the point where any part is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .expr import eval_jet, eval_value, jet_arrays, parse_expr, to_source, value_array
+from .expr import jet_arrays, parse_expr, to_source, value_array
 from .wirtinger import WirtingerJet, finite_difference_jet
 
-__all__ = ["JetEvaluationError", "PlanarMap", "DslMap", "SeriesMap", "CallableMap", "is_array"]
-
-
-def is_array(z) -> bool:
-    """True for an array of points, False for one point.  A Python complex
-    skips np.ndim, which costs ~1.5 us on a scalar (a tenth of a DSL jet)."""
-    return not isinstance(z, complex) and np.ndim(z) > 0
+__all__ = ["JetEvaluationError", "PlanarMap", "DslMap", "SeriesMap", "CallableMap",
+           "at_point"]
 
 
 class JetEvaluationError(ArithmeticError):
@@ -37,11 +33,11 @@ class JetEvaluationError(ArithmeticError):
 class PlanarMap:
     """Base class: a map of the open unit disk into the plane.
 
-    Subclasses implement `values` and `jets`: at one point z they return the
-    value, and the triple (value, d/dz, d/dzbar), raising on a singular
-    point; at an array of points, arrays shaped like z with nan entries
-    where the map fails.  `laplacian_expr` optionally names the Laplacian of
-    the map as expression source, for maps where it is known in closed form.
+    Subclasses implement `values` and `jets` over an array of points z:
+    the values, and the triple (value, d/dz, d/dzbar), as arrays shaped like
+    z with non-finite entries where the map fails.  `laplacian_expr`
+    optionally names the Laplacian of the map as expression source, for
+    maps where it is known in closed form.
     """
 
     label: str = "map"
@@ -54,11 +50,13 @@ class PlanarMap:
         raise NotImplementedError
 
     def value(self, z: complex) -> complex:
-        return complex(self.values(complex(z)))
+        """The value at one point; ValueError where it is not finite."""
+        return at_point(z, self.values(np.array([complex(z)])))[0]
 
     def jet(self, z: complex) -> WirtingerJet:
-        jet = self.jets(complex(z))
-        return jet if isinstance(jet, WirtingerJet) else WirtingerJet(*map(complex, jet))
+        """The jet at one point; ValueError where a part is not finite."""
+        parts = self.jets(np.array([complex(z)]))
+        return WirtingerJet(*at_point(z, (part[0] for part in parts)))
 
     def analytic_parts(self) -> Optional[tuple["PlanarMap", "PlanarMap"]]:
         """Analytic maps (h1, h2) with f = h1 + conj(h2) + (potential terms).
@@ -86,10 +84,10 @@ class DslMap(PlanarMap):
         self.laplacian_expr = laplacian_expr
 
     def values(self, z):
-        return value_array(self.ast, z) if is_array(z) else eval_value(self.ast, z)
+        return value_array(self.ast, z)
 
     def jets(self, z):
-        return jet_arrays(self.ast, z) if is_array(z) else eval_jet(self.ast, z)
+        return jet_arrays(self.ast, z)
 
     def __repr__(self) -> str:
         return f"DslMap({to_source(self.ast)})"
@@ -119,11 +117,11 @@ class SeriesMap(PlanarMap):
         self._db = npoly.polyder(self.b) if self.b.size > 1 else np.zeros(1, dtype=complex)
 
     def values(self, z):
-        z = np.asarray(z, dtype=complex) if is_array(z) else complex(z)
+        z = np.asarray(z, dtype=complex)
         return npoly.polyval(z, self.a) + npoly.polyval(np.conj(z), self.b)
 
     def jets(self, z):
-        z = np.asarray(z, dtype=complex) if is_array(z) else complex(z)
+        z = np.asarray(z, dtype=complex)
         zb = np.conj(z)
         return (npoly.polyval(z, self.a) + npoly.polyval(zb, self.b),
                 npoly.polyval(z, self._da), npoly.polyval(zb, self._db))
@@ -137,8 +135,8 @@ class SeriesMap(PlanarMap):
 class CallableMap(PlanarMap):
     """Wrap a plain python function of one point.
 
-    Jets fall back to central differences, and arrays are evaluated point
-    by point, with nan where the function or its stencil fails.
+    Arrays are evaluated point by point, with jets from central
+    differences, and nan where the function or its stencil fails.
     """
 
     def __init__(self, fn: Callable[[complex], complex], label: str = "callable"):
@@ -146,14 +144,10 @@ class CallableMap(PlanarMap):
         self.label = label
 
     def values(self, z):
-        if is_array(z):
-            return _pointwise(lambda p: [self.values(p)], z, 1)[0]
-        return complex(self.fn(complex(z)))
+        return _pointwise(lambda p: [self.fn(p)], z, 1)[0]
 
     def jets(self, z):
-        if is_array(z):
-            return tuple(_pointwise(lambda p: list(self.jets(p)), z, 3))
-        return finite_difference_jet(self.fn, complex(z))
+        return tuple(_pointwise(lambda p: list(finite_difference_jet(self.fn, p)), z, 3))
 
 
 def _pointwise(evaluate, z, parts: int) -> np.ndarray:
@@ -166,4 +160,13 @@ def _pointwise(evaluate, z, parts: int) -> np.ndarray:
             out[(slice(None),) + idx] = evaluate(complex(zz[idx]))
         except (ValueError, ArithmeticError):
             pass
+    return out
+
+
+def at_point(z, parts) -> list:
+    """The parts (value, or value and partials) of a map at the point z, as
+    complex numbers; ValueError naming z where one of them is not finite."""
+    out = [complex(part) for part in parts]
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"the map is not finite at z = {complex(z)}")
     return out

@@ -55,10 +55,12 @@ K = angular_nodes/2 - 1.  The source is still sampled on the full grid
 and every split panel is still FFT'd at full size, so the band assumes
 nothing about the source that its samples do not show.
 
-Query points are grouped by radius (rounded to 1e-14), so the cost scales
-with the number of distinct radii: a circle or a ring of a polar grid
-costs one split panel.  Each point sums its 2K + 1 modes by itself, so
-its value does not depend on how many points share its radius.
+The potential is evaluated on arrays of query points, nan outside the
+open disk (so `value` and `jet` refuse such a point).  Query points are
+grouped by radius (rounded to 1e-14), so the cost scales with the number
+of distinct radii: a circle or a ring of a polar grid costs one split
+panel.  Each point sums its 2K + 1 modes by itself, so its value does not
+depend on how many points share its radius.
 
 Boundary data psi is expanded in its Fourier series on the circle, each
 half (powers of z, powers of conj(z)) chopped the same way, so a
@@ -79,7 +81,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as _expr
-from .maps import PlanarMap, SeriesMap, is_array
+from .maps import PlanarMap, SeriesMap
 
 __all__ = [
     "QuadratureConfig",
@@ -418,13 +420,7 @@ class GreenPotential(PlanarMap):
                 np.where(freq < 0, plus, minus))
 
     def _evaluate(self, z):
-        """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1; at one
-        point, complex numbers, and |z| >= 1 raises ValueError."""
-        if not is_array(z):
-            z = complex(z)
-            if abs(z) >= 1.0:
-                raise ValueError(f"point must be interior, got |z| = {abs(z)}")
-            return tuple(complex(part[0]) for part in self._evaluate(np.array([z])))
+        """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
         out = np.full((3, flat.size), complex("nan+nanj"))

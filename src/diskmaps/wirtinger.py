@@ -30,7 +30,7 @@ class WirtingerJet:
     dzbar: complex
 
     def __iter__(self):
-        """Unpack as the triple (value, dz, dzbar) that `jets` gives at a point."""
+        """Unpack as the triple (value, dz, dzbar), the order of `jets`."""
         return iter((self.value, self.dz, self.dzbar))
 
     def is_finite(self) -> bool:

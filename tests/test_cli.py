@@ -214,6 +214,30 @@ def test_nan_pair_margin_is_a_numerical_failure(capsys):
     assert "nan on the pair ((0.9+0j), (0.95+0j))" in captured.err
 
 
+def test_pole_at_a_pair_endpoint_is_a_numerical_failure(capsys):
+    # f(0.5) is not finite; its chord ratio is inf, which once gave
+    # infinite margins and "violated".
+    with np.errstate(all="ignore"):
+        code = cli.main(["check-thm11", "--map", "1/(z-0.5)", "--omega", "t",
+                         "--alpha", "0.5", "--C1", "10", "--C2", "100",
+                         "--pairs", "0.1:0.5", "--line-nodes", "5"])
+    assert code == 3
+    assert "nan on the pair ((0.1+0j), (0.5+0j))" in capsys.readouterr().err
+
+
+def test_chord_integral_from_the_singular_origin(capsys):
+    # example13's jet at 0 is undefined; the chord's guess there is the
+    # exact preimage, so no jet is asked for and the integral is computed.
+    code, doc = run_json(capsys, [
+        "check-thm11", "--catalog", "example13", "--param", "alpha=0.25",
+        "--omega", "t", "--alpha", "0.5", "--C1", "10", "--C2", "100",
+        "--pairs", "0:0.5", "--line-nodes", "5"])
+    assert code == 0
+    rep = doc["reports"][0]
+    assert rep["notes"] == ""
+    assert 0.0 < rep["derived_constants"]["max_chord_integral"] < 100.0
+
+
 def test_csv_flattening(capsys):
     code = cli.main(["bounds", "--catalog", "identity", "--K", "1",
                      "--Kprime", "0", "--R", "1", "--n-max", "2",

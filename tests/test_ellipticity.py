@@ -10,7 +10,6 @@ from scipy.special import gamma
 
 from diskmaps import (
     CauchyPair,
-    ConvergenceError,
     DslMap,
     EllipticityParams,
     GridScanError,
@@ -148,17 +147,49 @@ def test_parameter_validation():
 def test_invert_map_recovers_moebius_preimages(w0):
     defn = builtin_map("moebius", {"a": 0.4})
     m = defn.build()
-    target = m.value(complex(w0) * 0.9)
-    z = invert_map(m, target, guess=0.0)
-    assert abs(m.value(z) - target) < 1e-11
+    targets = m.values(np.array([complex(w0) * 0.9, -0.5j, 0.3]))
+    z = invert_map(m, targets, guess=0.0)
+    assert np.all(np.abs(m.values(z) - targets) < 1e-11)
 
 
-def test_invert_map_degenerate_jacobian_raises():
-    square = SeriesMap([0, 0, 1])  # dz = 2z vanishes at the guess
-    with pytest.raises(ConvergenceError):
-        invert_map(square, 0.25, guess=0.0)
-    with pytest.raises(ValueError):
-        invert_map(square, 0.25, guess=1.5)
+def test_invert_map_gives_nan_where_a_target_fails():
+    square = SeriesMap([0, 0, 1])  # dz = 2z vanishes at 0
+    z = invert_map(square, np.array([0.25, 0.25, 0.09]), np.array([0.0, 0.4, 0.3]))
+    assert np.isnan(z[0])  # a degenerate Jacobian at its guess
+    assert abs(z[1] - 0.5) < 1e-12
+    assert z[2] == 0.3  # solved by its guess: no step taken
+    with pytest.raises(ValueError, match="open unit disk"):
+        invert_map(square, np.array([0.25, 0.25]), np.array([0.1, 1.5]))
+
+
+def _marched_chord_integral(m, alpha, z1, z2, nodes=129):
+    """check_theorem11's chord integral for omega = t, with each node's
+    preimage found by scalar Newton steps from the preimage of the node
+    before it (a march along the image segment)."""
+    ts = np.linspace(0.0, 1.0, nodes)
+    w1, w2 = m.value(z1), m.value(z2)
+    weights = np.ones(nodes)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    z, integrand = z1, []
+    for t in ts:
+        target = (1.0 - t) * w1 + t * w2
+        r = m.value(z) - target
+        while abs(r) > 1e-10:
+            jet = m.jet(z)
+            jac = abs(jet.dz) ** 2 - abs(jet.dzbar) ** 2
+            z -= (jet.dz.conjugate() * r - jet.dzbar * r.conjugate()) / jac
+            r = m.value(z) - target
+        integrand.append(1.0 / (1.0 - abs(z)) ** (1.0 - alpha))
+    return float(weights @ integrand) / (3.0 * (nodes - 1))
+
+
+@pytest.mark.parametrize("pair", [(0.1, 0.6j), (-0.5, 0.4 + 0.3j), (0.7, -0.7)])
+def test_chord_preimages_from_the_straight_chord_match_a_march(pair):
+    m = DslMap("z + 0.3*conj(z)^2 + 0.1*z^3")
+    rep = check_theorem11(m, "t", alpha=0.5, C1=10.0, C2=100.0, pairs=[pair])
+    assert rep.notes == ""
+    got = rep.derived_constants["max_chord_integral"]
+    assert abs(got - _marched_chord_integral(m, 0.5, *pair)) <= 1e-9
 
 
 def test_theorem11_identity_holds_with_zero_margin():
