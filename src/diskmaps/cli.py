@@ -41,7 +41,7 @@ from .wirtinger import WirtingerJet, jet_metrics
 EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
-EXIT_NONCONVERGENT = 3
+EXIT_NUMERICAL = 3
 
 _DEFAULT_POINTS = "0.25, 0.5j, -0.3+0.4j"
 
@@ -315,16 +315,15 @@ def _cmd_solve(args) -> int:
     g = _source_term(args)
     m = solve_poisson(args.psi, g, config=quad)
     points = _parse_points(args.points)
-    values = m.values(np.array(points))
-    rows = []
-    for z, value in zip(points, values):
-        row: Dict[str, object] = {"type": "SolutionSample", "point": z,
-                                  "value": at_point(z, [value])[0]}
-        if 1.0 - abs(z) >= 2 * args.residual_h:
-            row["residual"] = laplacian_residual(m, g or "0", z, h=args.residual_h)
-        else:
-            row["residual"] = None
-        rows.append(row)
+    pts = np.array(points)
+    values = m.values(pts)
+    # Residuals where the stencil stays inside the disk, all in one call.
+    inner = 1.0 - np.abs(pts) >= 2 * args.residual_h
+    residuals = np.full(pts.size, None, dtype=object)
+    residuals[inner] = laplacian_residual(m, g or "0", pts[inner], h=args.residual_h).tolist()
+    rows = [{"type": "SolutionSample", "point": z, "value": at_point(z, [value])[0],
+             "residual": residual}
+            for z, value, residual in zip(points, values, residuals)]
     config = _config_base(args, "solve", {"psi": args.psi, "g": args.g}, quad=quad)
     config["points"] = points
     config["residual_h"] = args.residual_h
@@ -496,12 +495,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
-    except JetEvaluationError as exc:
+    except (RuntimeError, JetEvaluationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -387,26 +387,35 @@ def _jet(node: ExprAst, env: tuple) -> _Triple:
     return (w, *jet(p, w, env[2], *jets))
 
 
+def _own(arr, shape, taken) -> np.ndarray:
+    """arr as a writable array of the given shape that shares no memory with
+    the arrays in `taken`; copied only where it would."""
+    arr = np.asarray(arr, dtype=complex)
+    if (arr.shape != shape or not arr.flags.writeable
+            or any(np.may_share_memory(arr, other) for other in taken)):
+        arr = np.broadcast_to(arr, shape).copy()
+    return arr
+
+
 def value_array(ast: ExprAst, z) -> np.ndarray:
-    """Values shaped like z; non-finite where the expression is singular."""
+    """Values shaped like z, in a new array; non-finite where singular."""
     zz = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        out = np.asarray(_value(ast, zz), dtype=complex)
-    if out.shape != zz.shape:
-        out = np.broadcast_to(out, zz.shape).copy()
-    return out
+        return _own(_value(ast, zz), zz.shape, (zz,))
 
 
 def jet_arrays(ast: ExprAst, z):
-    """(value, dz, dzbar) arrays shaped like z; non-finite where singular."""
+    """(value, dz, dzbar) arrays shaped like z; non-finite where singular.
+
+    The three are new arrays: none shares memory with z or with another.
+    """
     zz = np.asarray(z, dtype=complex)
     env = (zz, np.ones(zz.shape, dtype=complex), np.zeros(zz.shape, dtype=complex))
     with np.errstate(all="ignore"):
-        v, dz, db = _jet(ast, env)
+        jet = _jet(ast, env)
     out = []
-    for a in (v, dz, db):
-        arr = np.asarray(a, dtype=complex)
-        out.append(np.broadcast_to(arr, zz.shape).copy() if arr.shape != zz.shape else arr)
+    for part in jet:
+        out.append(_own(part, zz.shape, [zz, *out]))
     return tuple(out)
 
 

@@ -45,22 +45,32 @@ u_m' +- (|m|/r) u_m have closed-form kernels with no division by r, so
 z = 0 is exact.
 
 Angular band.  The FFT of the panel samples also fixes the modes that
-carry the source: K + 1 is the chopped length (Aurentz & Trefethen,
-"Chopping a Chebyshev series", ACM TOMS 43 (2017), at tolerance eps) of
-the envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes, and only
-the modes |m| <= K get moments, kernels and angular sums: K = 0 for a
-radial source such as c |z|^(2k), 1 for c re(z), 26 for a bump of width
+carry the source.  Over the envelope max_s max(|g_k(s)|, |g_-k(s)|) at the
+panel nodes, K + 1 is the chopped length (Aurentz & Trefethen, "Chopping a
+Chebyshev series", ACM TOMS 43 (2017), at tolerance eps), raised where
+needed so that every mode past K is below 4 eps times the largest (the
+plateau test alone cuts an algebraic tail such as 1e-9 |re z| at ~1e-11).
+Only the modes |m| <= K get moments, kernels and angular sums: K = 0 for
+a radial source such as c |z|^(2k), 1 for c re(z), 26 for a bump of width
 0.05.  A source whose modes reach no noise plateau keeps all of them,
-K = angular_nodes/2 - 1.  The source is still sampled on the full grid
-and every split panel is still FFT'd at full size, so the band assumes
-nothing about the source that its samples do not show.
+K = angular_nodes/2 - 1.  The panel grid is sampled at all angular_nodes
+angles, since that is where K is read, but a split panel only at
+M = min(angular_nodes, 4(K + 1)) angles, FFT'd at size M and read at the
+columns m mod M.  A mode |m| <= K then picks up aliases only from modes
+|m'| >= M - K >= 3K + 4, which the panel grid's FFT measured at
+roundoff, the content a full-size split panel would drop; once
+K >= angular_nodes/4 - 1, M is angular_nodes.
 
 The potential is evaluated on arrays of query points, nan outside the
 open disk (so `value` and `jet` refuse such a point).  Query points are
 grouped by radius (rounded to 1e-14), so the cost scales with the number
 of distinct radii: a circle or a ring of a polar grid costs one split
-panel.  Each point sums its 2K + 1 modes by itself, so its value does not
-depend on how many points share its radius.
+panel.  The radii of a call are taken in blocks of consecutive radii, at
+most `_BLOCK_MODES` // (2K + 1) of them, and the new radii of a block are
+solved together with array operations over radii.  Each point
+sums its 2K + 1 modes by itself, and a radius's modes do not depend on the
+other radii of its block, so a value does not depend on the other points
+of the call.
 
 Boundary data psi is expanded in its Fourier series on the circle, each
 half (powers of z, powers of conj(z)) chopped the same way, so a
@@ -102,8 +112,18 @@ __all__ = [
 # K: 48 bytes for c |z|^(2k), at most 12 KB at the default 256 angular nodes.
 _SOLVED_RADII = 512
 
+# Radii times band modes (2K + 1) per block of an evaluation: 384 radii of a
+# radial source, 5 of a band K = 36, one from K = 96 up.  The block's
+# kernels, split-panel samples and angular sums then stay near a few MB
+# however many radii a call has; wider blocks of a wide band run slower.
+_BLOCK_MODES = 384
+
 # Gauss nodes per radial panel.
 _PANEL_NODES = 16
+
+# FFT roundoff of the source's angular modes, relative to the largest: 1e-17
+# to 2e-16 on the panel grid for smooth sources.
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
@@ -118,7 +138,9 @@ class QuadratureConfig:
         `radial_nodes // 16` panels of 16 Gauss nodes (one panel below 16);
         the source is sampled on these radii once per potential.  Each
         field radius adds one split panel of 2 x 16 nodes.
-    angular_nodes: uniform angular count, the FFT size in angle.
+    angular_nodes: uniform angular count, the FFT size in angle on the
+        panel grid.  A split panel takes M = min(angular_nodes, 4(K + 1))
+        of them for a source of angular band K.
     boundary_nodes: FFT size for boundary data.
     """
 
@@ -241,11 +263,13 @@ def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
     return max(int(np.argmin(tilted)), 1)
 
 
-def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """Columns x^0..x^top by running products; no overflow while |x| <= 1."""
-    table = np.ones((x.size, top + 1))
-    table[:, 1:] = x[:, None]
-    return np.cumprod(table, axis=1)
+def _powers(x: np.ndarray, top: int, mask=True) -> np.ndarray:
+    """x^0..x^top along a new last axis by running products, 0 where `mask`
+    is false; no overflow where |x| <= 1 or the mask is false."""
+    table = np.empty(x.shape + (top + 1,))
+    table[..., 0] = mask
+    table[..., 1:] = x[..., None]
+    return np.cumprod(table, axis=-1)
 
 
 def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]:
@@ -266,10 +290,12 @@ class GreenPotential(PlanarMap):
     (`radial_nodes` x `angular_nodes` points), FFTs it in angle, reads the
     source's angular band K from those modes and keeps per-panel moments of
     the 2K + 1 modes |m| <= K.  Each distinct radius among the query points
-    then costs one split panel, 2 x 16 x `angular_nodes` samples, plus a
-    contraction of its band with the moments of the other panels (see the
-    module docstring).  The modes of the last 512 radii are kept, so a
-    radius visited again costs only the angular sum of 2K + 1 terms.
+    then costs one split panel, 2 x 16 x M samples with
+    M = min(`angular_nodes`, 4(K + 1)), plus a contraction of its band with
+    the moments of the other panels (see the module docstring); the new
+    radii of a call are solved together, in blocks.  The modes of the last
+    512 radii are kept, so a radius visited again costs only the angular sum
+    of 2K + 1 terms.
     Values and both Wirtinger derivatives come from the same modes; points
     with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
     `source` is a DSL string or an array callable w -> g(w); construction
@@ -285,8 +311,14 @@ class GreenPotential(PlanarMap):
         self.label = f"green[{self.source_expr or 'source'}]"
         self._moments = None  # (A; B) panel moments, built at first use
         self._band = None  # FFT columns of the source's angular band, likewise
+        self._split_angles = None  # angles M of a split panel, likewise
         self._grid_sup = math.nan  # max |g| over the panel grid
-        self._solved = {}  # radius -> stacked _radial_modes, oldest first
+        # The kept radial solves: radii (nan in an empty slot), their stacked
+        # _radial_modes once the band is known, and the slot written next,
+        # which holds the oldest entry.
+        self._solved_radii = np.full(_SOLVED_RADII, np.nan)
+        self._solved = None
+        self._next_slot = 0
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -320,7 +352,9 @@ class GreenPotential(PlanarMap):
         B_0 would repeat A_0, and an outer panel needs L in its place.  Only
         the FFT columns of the source's angular band are kept, listed in
         `self._band`: |m| <= K, where K + 1 is the chopped length of the
-        envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes.
+        envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes, or
+        more where a later mode is above roundoff (see the module
+        docstring).  Also fixes the split panel's angle count M.
         """
         if self._moments is None:
             cfg = self.config
@@ -330,30 +364,40 @@ class GreenPotential(PlanarMap):
             peak = np.max(np.abs(modes), axis=0)
             half = cfg.angular_nodes // 2
             # Entry k of the envelope covers the FFT columns of m = k and -k.
-            top = _chop_length(np.maximum(peak[:half], peak[-np.arange(half)])) - 1
+            envelope = np.maximum(peak[:half], peak[-np.arange(half)])
+            # Past the chopped length, modes above FFT roundoff stay in the
+            # band too (the chop's plateau test cuts algebraic tails such as
+            # 1e-9 |re z| at ~1e-11), so every mode left out, and every mode
+            # a split panel folds onto the band, is roundoff.
+            loud = np.flatnonzero(envelope > _ROUNDOFF * envelope.max())
+            top = max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0)
             band = np.flatnonzero(np.abs(_spectral_tables(cfg.angular_nodes)[0]) <= top)
             modes = modes[:, band].reshape(s.shape + band.shape)
             moments = np.concatenate([np.einsum("qjm,qjm->qm", below[:, :, band], modes),
                                       np.einsum("qjm,qjm->qm", above[:, :, band], modes)])
             moments[s.shape[0]:, 0] = np.einsum("qj,qj->q", log_weight, modes[:, :, 0])
             self._moments, self._band = moments, band
+            self._split_angles = min(cfg.angular_nodes, 4 * (top + 1))
         return self._moments
 
-    def _radial_modes(self, r: float):
-        """Per mode m at radius r: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
+    def _radial_modes(self, r: np.ndarray) -> np.ndarray:
+        """Per radius r and mode m: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
 
-        Only the modes |m| <= K of the source's band are solved, in the FFT
-        column order of `self._band`; kernels and power tables stop at
-        k = K.  The second output feeds d/dz and the third d/dzbar.  With
+        `r` is an array of radii in [0, 1); the result is stacked as
+        (radius, output, mode), the modes |m| <= K of the source's band in the
+        FFT column order of `self._band`, and kernels and power tables stop
+        at k = K.  The second output feeds d/dz and the third d/dzbar.  With
         k = |m|, a panel [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A
         (-log r A for k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel
         outside r contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
         (r/a)^(k-1) B / a - (r b)^(k-1) b A and 0.  The panel holding r is
-        split there and sampled (see the module docstring); on it the same
-        kernels act on g_m s ds directly.  At r = 0 the outer side is graded
-        as s = b u^4, which resolves the s log s endpoint, and the empty
-        inner side is not sampled, which also keeps a source with an
-        integrable singularity at 0 (log|z|) finite.
+        split there and sampled at M = min(angular_nodes, 4(K + 1)) angles
+        (see the module docstring); on it the same kernels act on g_m s ds
+        directly.  Every radius gets the same arrays: at r = 0 the outer side
+        is graded as s = b u^4, which resolves the s log s endpoint, and the
+        empty inner side has zero weight at the outer side's nodes, where the
+        source is finite, so a source with an integrable singularity at 0
+        (log|z|) stays finite.
         """
         cfg = self.config
         edges, nodes = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)[:2]
@@ -363,61 +407,101 @@ class GreenPotential(PlanarMap):
         kabs = np.abs(freq)
         top = int(kabs.max())
         k2 = 2.0 * np.arange(1, top + 1)
-        p = min(int(r * count), count - 1)
+        r = np.asarray(r, dtype=float)[:, None]
+        p = np.minimum((r * count).astype(int), count - 1)
+        panel = np.arange(count)
+        inside, outside = panel < p, panel > p
+        # Nothing lies inside r = 0, so there r only needs to be finite where
+        # it divides or takes a log.
+        rs = np.where(r > 0.0, r, 1.0)
         a, b = edges[:-1], edges[1:]
+        # Panel 0 is never outside r; its edge 0 would only divide by zero.
+        outer_a = np.concatenate([[1.0], a[1:]])
+
+        # Kernel rows per output (value, plus, minus), radius and k: rows
+        # [0, count) act on the A moments, [count, 2 count) on the B
+        # moments, the rest on the split panel's modes.  (r b)^k for every
+        # panel but the split one, (b/r)^k inside r and (r/a)^k outside, 0
+        # elsewhere: every power ratio used is <= 1, so nothing overflows
+        # even where r^k underflows.
+        kernel = np.zeros((3, r.shape[0], 2 * count + 2 * q, top + 1))
+        value, plus, minus = kernel[:, :, :count]
+        ratios = np.broadcast_arrays(r * b, b / rs, r / outer_a)
+        image, down, up = _powers(np.stack(ratios), top, np.stack([panel != p, inside, outside]))
+        value[:, :, 0] = -np.log(rs) * inside
+        value[:, :, 1:] = down[:, :, 1:] / k2 - image[:, :, 1:] / k2
+        plus[:, :, 1:] = -image[:, :, :-1] * b[:, None]
+        minus[:] = -down / rs[:, :, None]
+        value, plus = kernel[:2, :, count:2 * count]
+        value[:, :, 0] = outside  # the L moment
+        value[:, :, 1:] = up[:, :, 1:] / k2
+        plus[:, :, 1:] = up[:, :, :-1] / outer_a[:, None]
 
         # The split panel's nodes.  With s = r + (hi - r) u^4 on panel 0,
         # G[1] erred by 2e-13 near r = 1e-4; spacing s^(1/4) keeps it 1e-16.
+        # At r = 0 the empty inner side sits on the outer side's nodes.
         u, w = _gauss01(q)
         lo, hi = a[p], b[p]
-        if p > 0:
-            s = np.concatenate([lo + (r - lo) * u, r + (hi - r) * u**4])
-            weight = np.concatenate([(r - lo) * w, 4.0 * (hi - r) * w * u**3]) * s
-        else:
-            root = r**0.25 + (hi**0.25 - r**0.25) * u
-            s = root**4
-            weight = 4.0 * (hi**0.25 - r**0.25) * w * root**3 * s
-            if r > 0.0:
-                s = np.concatenate([r * u**3, s])
-                weight = np.concatenate([3.0 * r * w * u * u * s[:q], weight])
+        first = p == 0
+        root = r**0.25 + (hi**0.25 - r**0.25) * u
+        s_out = np.where(first, root**4, r + (hi - r) * u**4)
+        w_out = np.where(first, 4.0 * (hi**0.25 - r**0.25) * w * root**3,
+                         4.0 * (hi - r) * w * u**3) * s_out
+        s_in = np.where(first, r * u**3, lo + (r - lo) * u)
+        w_in = np.where(first, 3.0 * r * w * u * u, (r - lo) * w) * s_in
+        s_in = np.where(r > 0.0, s_in, s_out)
+        s = np.concatenate([s_in, s_out], axis=1)
 
-        # Kernel rows per output (value, plus, minus) and per k: rows
-        # [0, count) act on the A moments, [count, 2 count) on the B
-        # moments, the rest on the split panel's modes.  Every power ratio
-        # is <= 1, so nothing overflows even where r^k underflows.
-        kernel = np.zeros((3, 2 * count + s.size, top + 1))
-        value, plus, minus = kernel
-        # (r b)^k for every panel, (b/r)^k inside r and (r/a)^k outside.
-        powers = _powers(np.concatenate([r * b, b[:p] / r, r / a[p + 1:]]), top)
-        image, down, up = powers[:count], powers[count:count + p], powers[count + p:]
-        image[p] = 0.0
-        value[:count, 1:] = -image[:, 1:] / k2
-        plus[:count, 1:] = -image[:, :-1] * b[:, None]
-        if p > 0:
-            value[:p, 0] = -math.log(r)
-            value[:p, 1:] += down[:, 1:] / k2
-            minus[:p] = -down / r
-        outer = slice(count + p + 1, 2 * count)
-        value[outer, 0] = 1.0  # the L moment
-        value[outer, 1:] = up[:, 1:] / k2
-        plus[outer, 1:] = up[:, :-1] / a[p + 1:, None]
+        # Split-panel rows, inner side [lo, r] first.
+        value, plus, minus = kernel[:, :, 2 * count:]
+        ratio, product = _powers(np.stack([np.concatenate([s_in / rs, r / s_out], axis=1),
+                                           r * s]), top)
+        value[:, :q, 0] = -np.log(rs)
+        value[:, q:, 0] = -np.log(s_out)
+        value[:, :, 1:] = (ratio[:, :, 1:] - product[:, :, 1:]) / k2
+        plus[:, :, 1:] = -product[:, :, :-1] * s[:, :, None]
+        plus[:, q:, 1:] += ratio[:, q:, :-1] / s_out[:, :, None]
+        minus[:, :q] = -ratio[:, :q] / rs[:, :, None]
+        size = self._split_angles
+        kernel[:, :, 2 * count:] *= np.concatenate([w_in, w_out], axis=1)[:, :, None] / size
 
-        split = 2 * count
-        inner = s.size - q
-        powers = _powers(np.concatenate([np.minimum(s, r) / np.maximum(s, r), r * s]), top)
-        ratio, product = powers[:s.size], powers[s.size:]
-        value[split:, 0] = -np.log(np.maximum(s, r))
-        value[split:, 1:] = (ratio[:, 1:] - product[:, 1:]) / k2
-        plus[split:, 1:] = -product[:, :-1] * s[:, None]
-        plus[split + inner:, 1:] += ratio[inner:, :-1] / s[inner:, None]
-        minus[split:split + inner] = -ratio[:inner] / r
-        kernel[:, split:] *= weight[:, None]
+        # The moments, then the split panel's modes, sampled at the band's M
+        # angles: a mode |m| <= K aliases only modes |m'| >= M - K > 3K,
+        # which the panel grid's FFT showed at roundoff.
+        data = np.empty((r.shape[0], 2 * count + 2 * q, freq.size), dtype=complex)
+        data[:, :2 * count] = moments
+        data[:, 2 * count:] = np.fft.fft(self._g(s[:, :, None] * _spectral_tables(size)[2]),
+                                         axis=2)[:, :, freq % size]
+        value, plus, minus = np.einsum("trjm,rjm->trm", kernel[..., kabs], data)
+        return np.stack([value, np.where(freq > 0, plus, minus),
+                         np.where(freq < 0, plus, minus)], axis=1)
 
-        data = np.concatenate([moments, self._angular_modes(s)[1][:, self._band]])
-        value, plus, minus = np.einsum("tjm,jm->tm", kernel[:, :, kabs], data)
-        return (value,
-                np.where(freq > 0, plus, minus),
-                np.where(freq < 0, plus, minus))
+    def _modes_at(self, radii: np.ndarray) -> np.ndarray:
+        """Stacked `_radial_modes` of distinct radii, through the kept solves.
+
+        Kept radii are looked up at once; the others are solved in one call
+        and written over the oldest kept entries.  Their modes come from that
+        call, not from the cache, which they may already have overwritten.
+        """
+        keys = self._solved_radii
+        order = np.argsort(keys)
+        slot = order[np.minimum(np.searchsorted(keys[order], radii), keys.size - 1)]
+        kept = keys[slot] == radii
+        if kept.all():
+            return self._solved[slot]
+        new = radii[~kept]
+        solved = self._radial_modes(new)
+        if self._solved is None:
+            self._solved = np.empty((_SOLVED_RADII,) + solved.shape[1:], dtype=complex)
+        modes = np.empty((radii.size,) + solved.shape[1:], dtype=complex)
+        modes[kept] = self._solved[slot[kept]]
+        modes[~kept] = solved
+        last = min(new.size, _SOLVED_RADII)
+        slots = (self._next_slot + np.arange(last)) % _SOLVED_RADII
+        keys[slots] = new[-last:]
+        self._solved[slots] = solved[-last:]
+        self._next_slot = int(slots[-1] + 1) % _SOLVED_RADII
+        return modes
 
     def _evaluate(self, z):
         """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1."""
@@ -425,25 +509,28 @@ class GreenPotential(PlanarMap):
         flat = z.ravel()
         out = np.full((3, flat.size), complex("nan+nanj"))
         inside = np.flatnonzero(np.abs(flat) < 1.0)
+        if inside.size == 0:  # nothing to sample the source for
+            return tuple(part.reshape(z.shape) for part in out)
         # |z| of points built as r e^{i theta} scatters by a few ulps; rounding
         # lets the whole circle share one radial solve.
-        radii, group, counts = np.unique(np.round(np.abs(flat[inside]), 14),
-                                         return_inverse=True, return_counts=True)
-        members = np.split(inside[np.argsort(group, kind="stable")], np.cumsum(counts)[:-1])
-        for r, idx in zip(radii, members):
+        radii, group = np.unique(np.round(np.abs(flat[inside]), 14), return_inverse=True)
+        order = np.argsort(group, kind="stable")
+        inside, group = inside[order], group[order]
+        self._panel_moments()
+        freq = _spectral_tables(self.config.angular_nodes)[0][self._band]
+        # Blocks of consecutive radii, each with the points on them.
+        size = max(1, _BLOCK_MODES // freq.size)
+        starts = np.searchsorted(group, np.arange(0, radii.size + size, size))
+        for block, (i, j) in enumerate(zip(starts[:-1], starts[1:])):
+            modes = self._modes_at(radii[block * size:(block + 1) * size])
+            idx = inside[i:j]
             theta = np.angle(flat[idx])
-            modes = self._solved.get(r)
-            if modes is None:
-                modes = np.stack(self._radial_modes(float(r)))
-                if len(self._solved) >= _SOLVED_RADII:
-                    del self._solved[next(iter(self._solved))]
-                self._solved[r] = modes
             # A product and a sum over the contiguous mode axis: each point's
-            # sum is the same however many points share its radius (a matrix
+            # sum is the same however many points share its block (a matrix
             # product switches between gemv and gemm, which round differently).
-            freq = _spectral_tables(self.config.angular_nodes)[0][self._band]
             phase = np.exp(1j * np.outer(theta, freq))
-            value, plus, minus = ((phase * part).sum(axis=1) for part in modes)
+            rows = group[i:j] - block * size
+            value, plus, minus = ((phase * modes[rows, part]).sum(axis=1) for part in range(3))
             out[0, idx] = value
             out[1, idx] = 0.5 * np.exp(-1j * theta) * plus
             out[2, idx] = 0.5 * np.exp(1j * theta) * minus
@@ -564,24 +651,27 @@ def solve_poisson(
 def laplacian_residual(
     m: PlanarMap,
     g: Union[str, Callable],
-    z: complex,
+    z,
     h: float = 1e-3,
-) -> float:
-    """|five-point finite-difference Laplacian of m at z  -  g(z)|.
+) -> np.ndarray:
+    """|five-point finite-difference Laplacian of m  -  g| at each point of z.
 
-    g is the expected Laplacian, a DSL string or an array callable.
-    Requires 1 - |z| >= 2h so the stencil stays inside the disk.
+    g is the expected Laplacian, a DSL string or an array callable.  Returns
+    residuals shaped like z, from one `values` call on every stencil.
+    Requires 1 - |z| >= 2h at every point so the stencils stay inside the
+    disk.
     """
-    z = complex(z)
+    z = np.asarray(z, dtype=complex)
     if h <= 0:
         raise ValueError("h must be positive")
-    if 1.0 - abs(z) < 2.0 * h:
+    if np.any(1.0 - np.abs(z) < 2.0 * h):
         raise ValueError("stencil too close to the boundary: need 1 - |z| >= 2h")
-    ref = complex(_sampler(g)(np.array([z]))[0])
-    stencil = np.array([z + h, z - h, z + 1j * h, z - 1j * h, z], dtype=complex)
+    flat = z.ravel()
+    ref = _sampler(g)(flat)
+    stencil = np.stack([flat + h, flat - h, flat + 1j * h, flat - 1j * h, flat], axis=1)
     vals = m.values(stencil)
-    fd = (vals[:4].sum() - 4.0 * vals[4]) / (h * h)
-    return float(abs(fd - ref))
+    fd = (vals[:, :4].sum(axis=1) - 4.0 * vals[:, 4]) / (h * h)
+    return np.abs(fd - ref).reshape(z.shape)
 
 
 # --- derivative supremum -----------------------------------------------------

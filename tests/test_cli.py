@@ -113,8 +113,8 @@ def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "frontier", explode)
     code = cli.main(["frontier", "--map", "z"])
-    assert code == 3
-    assert "non-convergence" in capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL == 3
+    assert capsys.readouterr().err == "numerical failure: ladder failed to settle\n"
 
 
 def test_bounds_scan_with_failing_region_is_a_numerical_failure(capsys):
@@ -293,6 +293,22 @@ def test_solve_reports_values_and_residuals(capsys):
     code, doc = run_json(capsys, ["solve", "--psi", "z", "--g", "", "--points", "0.3"])
     assert code == 0
     assert doc["reports"][0]["residual"] < 1e-4
+
+
+def test_solve_takes_every_residual_in_one_call(monkeypatch, capsys):
+    calls = []
+    real = cli.laplacian_residual
+
+    def residual(m, g, z, h):
+        calls.append(np.shape(z))
+        return real(m, g, z, h)
+
+    monkeypatch.setattr(cli, "laplacian_residual", residual)
+    code, doc = run_json(capsys, ["solve", "--psi", "z", "--g", "1",
+                                  "--points", "0.1, 0.9995, 0.3j, -0.5"])
+    assert code == 0
+    assert calls == [(3,)]
+    assert [row["residual"] is None for row in doc["reports"]] == [False, True, False, False]
 
 
 def test_unknown_catalog_parameter_is_usage_error(capsys):

@@ -205,3 +205,19 @@ def test_negative_power_takes_the_array_paths_signed_zero():
     assert np.isinf(value_array(parse_expr("z^-2"), np.array([1e-200]))[0])
     with pytest.raises(ValueError):
         DslMap("z^-2").jet(1e-200)
+
+
+@pytest.mark.parametrize("source", ["z", "2", "conj(z)", "z + 0*conj(z)", "abs(z)"])
+def test_results_share_no_memory_with_the_input_or_each_other(source):
+    # z alone used to come back as the caller's own array, and a constant's
+    # dz and dzbar as one shared zeros array.
+    z = np.array([0.3 + 0.1j, -0.2j])
+    saved = z.copy()
+    ast = parse_expr(source)
+    value = value_array(ast, z)
+    value[:] = 7.0
+    jets = jet_arrays(ast, z)
+    for k, part in enumerate(jets):
+        part[:] = 9.0 + k
+    assert [part.tolist() for part in jets] == [[9.0 + k] * 2 for k in range(3)]
+    assert np.array_equal(z, saved)

@@ -65,6 +65,19 @@ def test_residual_guards_boundary_and_step(quad_fast):
         laplacian_residual(m, "1", 0.0, h=0.0)
 
 
+def test_residuals_of_an_array_equal_per_point_calls(quad_fast, rng):
+    m = solve_poisson("z + 0.1*conj(z)^2", "exp(re(z))", config=quad_fast)
+    pts = 0.9 * np.sqrt(rng.uniform(0, 1, 12)) * np.exp(2j * np.pi * rng.uniform(0, 1, 12))
+    together = laplacian_residual(m, "exp(re(z))", pts.reshape(3, 4), h=1e-3)
+    assert together.shape == (3, 4)
+    alone = [laplacian_residual(m, "exp(re(z))", z, h=1e-3) for z in pts]
+    assert np.array_equal(together.ravel(), alone)
+    assert np.all(together < 1e-4)
+    # One stencil within 2h of the circle refuses the whole array.
+    with pytest.raises(ValueError, match="too close to the boundary"):
+        laplacian_residual(m, "exp(re(z))", np.append(pts, 0.9985j), h=1e-3)
+
+
 def test_quadrature_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(radial_nodes=0)
@@ -176,6 +189,60 @@ def test_green_of_re_z_matches_closed_form():
                        c / 16.0 * ((1.0 - z * zb) - (z + zb) * z))
 
 
+def _green_of_monomial(j, k, z):
+    """Jets of G[z^j conj(z)^k] = (z^(j-k) - z^(j+1) conj(z)^(k+1)) / 4(j+1)(k+1),
+    with conj(z)^(k-j) in place of z^(j-k) when j < k."""
+    zb = np.conj(z)
+    c = 4.0 * (j + 1) * (k + 1)
+    d = abs(j - k)
+    lead = (z if j >= k else zb) ** d
+    dlead = d * (z if j >= k else zb) ** max(d - 1, 0)
+    return ((lead - z ** (j + 1) * zb ** (k + 1)) / c,
+            ((dlead if j > k else 0.0) - (j + 1) * z**j * zb ** (k + 1)) / c,
+            ((dlead if j < k else 0.0) - (k + 1) * z ** (j + 1) * zb**k) / c)
+
+
+MONOMIALS = ((5, 2), (1, 4), (7, 0), (3, 3))
+
+
+def _scattered_points(n, seed):
+    """n points at distinct radii up to 0.995, with 0 and radii in panel 0."""
+    rng = np.random.default_rng(seed)
+    r = np.concatenate([[0.0, 1e-8, 1e-4, 0.01, 0.06, 0.1, 0.995],
+                        rng.uniform(0.0, 0.995, n - 7)])
+    return r * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+def _monomial_source(j, k):
+    return "*".join(f"{base}^{n}" for base, n in (("z", j), ("conj(z)", k)) if n)
+
+
+@pytest.mark.parametrize("terms", [[jk] for jk in MONOMIALS] + [list(MONOMIALS)],
+                         ids=[_monomial_source(*jk) for jk in MONOMIALS] + ["sum"])
+def test_green_of_monomial_sources_matches_closed_form(terms):
+    # ~200 scattered points in one call: split panels at the source's band.
+    z = _scattered_points(200, 14)
+    pot = GreenPotential(" + ".join(_monomial_source(j, k) for j, k in terms))
+    want = sum(np.array(_green_of_monomial(j, k, z)) for j, k in terms)
+    _assert_jets_close(pot.jets(z), *want, tol=1e-14)
+
+
+def test_green_of_a_band_past_a_quarter_of_the_angles_matches_closed_form():
+    # re(z^70) has band K >= 70 >= 256/4 - 1, so its split panels take all
+    # 256 angles.  The 16-node panels resolve s^70 near r = 0.9 only to
+    # ~1e-13 in value and ~5e-12 in the derivatives, at the parent commit too.
+    z = _scattered_points(200, 14)
+    pot = GreenPotential("re((z^35)^2)")
+    assert pot._panel_moments().shape[1] >= 2 * 70 + 1
+    assert pot._split_angles == 256
+    value, dz, dzbar = (np.array(_green_of_monomial(70, 0, z))
+                        + np.array(_green_of_monomial(0, 70, z))) / 2.0
+    got = pot.jets(z)
+    assert np.max(np.abs(got[0] - value)) <= 3e-13
+    assert np.max(np.abs(got[1] - dz)) <= 1e-11
+    assert np.max(np.abs(got[2] - dzbar)) <= 1e-11
+
+
 def test_green_of_log_source_is_finite_at_the_origin():
     # G[log|z|] = (r^2 - 1)/4 - (r^2/4) log r: -1/4 at z = 0.  The source
     # is singular there, so away from 0 the rule converges more slowly.
@@ -199,7 +266,9 @@ def test_green_is_nan_outside_the_disk():
 
 def test_ring_jets_cost_one_radial_solve():
     cfg = QuadratureConfig()
-    split = 2 * 16 * cfg.angular_nodes
+    # The source's angular band is K = 1, so each split panel of 2 x 16 nodes
+    # is sampled at M = 4 (K + 1) = 8 angles.
+    split = 2 * 16 * 8
     sampled = []
 
     def source(w):
@@ -352,3 +421,25 @@ def test_ring_points_get_the_same_jets_alone_and_together():
         alone = solution.jets(np.array([z]))
         assert all(a[0] == t[k] for a, t in zip(alone, together))
         assert tuple(solution.potential.jet(z)) == tuple(t[k] for t in green)
+
+
+def test_scattered_points_get_the_same_jets_alone_and_together():
+    # 300 points at distinct radii share one call; each point's jet is its
+    # entry bit for bit.
+    solution = solve_poisson("z + 0.2*z^2", "exp(-abs(z-0.3)^2)")
+    z = _scattered_points(300, 3)
+    together = solution.jets(z)
+    for k in range(z.size):
+        assert tuple(solution.jet(z[k])) == tuple(t[k] for t in together)
+
+
+@pytest.mark.parametrize("source", ["0.4*re(z)", "exp(-400*abs(z-0.06)^2)", "log(abs(z))"])
+def test_a_call_past_the_kept_solves_equals_calls_of_ten(source):
+    # More new radii than are kept: the call takes its modes from its own
+    # solves, not from the cache it overwrites.
+    z = _scattered_points(_SOLVED_RADII + 100, 5)
+    together = np.array(GreenPotential(source).jets(z))
+    pot = GreenPotential(source)
+    tens = np.concatenate([np.array(pot.jets(z[i:i + 10])) for i in range(0, z.size, 10)], axis=1)
+    assert np.isfinite(together).all()
+    assert np.array_equal(together, tens)
