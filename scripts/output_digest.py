@@ -11,6 +11,11 @@ change moves any byte a report or an error message prints:
 
     python3 scripts/output_digest.py [--seeds 1 2 3] > digest.txt
 
+With --documents each line is instead a JSON object with the argv, the exit
+code, standard output and standard error themselves;
+scripts/compare_outputs.py reads two such files and says by how much the
+numbers of each moved argv changed.
+
 Python warnings (numpy overflow notices) are suppressed: they name source
 files and line numbers, which differ between checkouts.  The diskmaps
 package is imported from this checkout's src/.
@@ -20,6 +25,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import shlex
 import sys
 import warnings
@@ -108,8 +114,8 @@ def argvs(seeds):
     return list(seen)
 
 
-def digest(argv):
-    """sha256 hex of the exit code, standard output and error of one CLI call."""
+def run(argv):
+    """Exit code, standard output and standard error of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -120,16 +126,28 @@ def digest(argv):
             code = exc.code
         except Exception as exc:  # a crash is part of the output being compared
             code = f"raised {type(exc).__name__}: {exc}"
-    text = f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(argv):
+    """sha256 hex of the exit code, standard output and error of one CLI call."""
+    code, out, err = run(argv)
+    text = f"{code}\n{out}\n{err}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--documents", action="store_true",
+                    help="print each call's exit code, stdout and stderr as a JSON line")
     args = ap.parse_args()
     for argv in argvs(args.seeds):
-        print(digest(argv), shlex.join(argv))
+        if args.documents:
+            code, out, err = run(argv)
+            print(json.dumps({"argv": list(argv), "code": code, "stdout": out, "stderr": err}))
+        else:
+            print(digest(argv), shlex.join(argv))
     return 0
 
 

@@ -16,7 +16,7 @@ from .coefficients import CoeffTable, MajorantSpec, bloch_norm, extract_coeffs
 from .ellipticity import (CauchyPair, EllipticityParams, FrontierReport,
                           HypothesisReport, QcResult, beta_constant, check_prop14,
                           check_theorem11, frontier, invert_map, lemma22_check,
-                          lemma24_convert, min_kprime, pointwise_defect, qc_constant)
+                          lemma24_convert, min_kprime, qc_constant)
 from .expr import ParseError, parse_expr
 from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, shell_ladder
 from .kernels import green_eval, poisson_eval
@@ -51,7 +51,7 @@ __all__ = [
     "GridSpec", "GridScanError", "polar_grid", "grid_supremum", "shell_ladder",
     # ellipticity
     "EllipticityParams", "CauchyPair", "FrontierReport", "HypothesisReport",
-    "QcResult", "pointwise_defect", "min_kprime",
+    "QcResult", "min_kprime",
     "qc_constant", "frontier", "lemma24_convert", "invert_map",
     "check_theorem11", "check_prop14", "lemma22_check", "beta_constant",
     # coefficients

@@ -23,7 +23,7 @@ from .coefficients import MajorantSpec, extract_coeffs
 from .grids import GridSpec, failed_points, grid_supremum, polar_grid
 from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .potential import GreenPotential, PoissonMap
-from .wirtinger import WirtingerJet, disk_distance, jet_metrics
+from .wirtinger import disk_distance
 
 __all__ = [
     "EllipticityParams",
@@ -31,7 +31,6 @@ __all__ = [
     "FrontierReport",
     "HypothesisReport",
     "QcResult",
-    "pointwise_defect",
     "min_kprime",
     "qc_constant",
     "frontier",
@@ -112,14 +111,6 @@ class QcResult:
     flag: str  # "finite" | "unbounded" | "not-sense-preserving"
     witness: Optional[complex] = None
     shell_dilatations: Tuple[float, ...] = ()  # outermost shells, inner to outer
-
-
-def pointwise_defect(jet: WirtingerJet, K: float) -> float:
-    """||D||^2 - K J at one jet; positive part is the K' needed there."""
-    if K < 1.0:
-        raise ValueError("K must be >= 1")
-    m = jet_metrics(jet)
-    return m.op_norm**2 - K * m.jacobian
 
 
 def _jet_arrays(m: PlanarMap, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -23,12 +23,12 @@ where r_< = min(r, s) and r_> = max(r, s).  The radial interval is split
 into fixed panels, `radial_nodes // 16` uniform panels of 16 Gauss nodes
 (one panel of `radial_nodes` nodes below 16); panel 0 is graded toward
 s = 0 as s = h u^3 for the s log s endpoint.  The source is sampled on
-this panel grid once per potential, at its first evaluation, and an FFT
-in angle gives g_m at every node (Nyquist mode dropped).  Off the
-diagonal the kernel separates, so each panel keeps three scaled moments
-per mode, with k = |m| and panel [a, b] (Greengard & Lee, "A direct
-adaptive Poisson solver of arbitrary order accuracy", J. Comput. Phys.
-125 (1996)):
+this panel grid once per potential, at its first evaluation, at the
+angles its band needs (below), and an FFT in angle gives g_m at every
+node (Nyquist mode dropped).  Off the diagonal the kernel separates, so
+each panel keeps three scaled moments per mode, with k = |m| and panel
+[a, b] (Greengard & Lee, "A direct adaptive Poisson solver of arbitrary
+order accuracy", J. Comput. Phys. 125 (1996)):
 
     A = integral (s/b)^k g_m s ds,   B = integral (a/s)^k g_m s ds,
     L = integral -log(s) g_0 s ds.
@@ -53,13 +53,21 @@ plateau test alone cuts an algebraic tail such as 1e-9 |re z| at ~1e-11).
 Only the modes |m| <= K get moments, kernels and angular sums: K = 0 for
 a radial source such as c |z|^(2k), 1 for c re(z), 26 for a bump of width
 0.05.  A source whose modes reach no noise plateau keeps all of them,
-K = angular_nodes/2 - 1.  The panel grid is sampled at all angular_nodes
-angles, since that is where K is read, but a split panel only at
-M = min(angular_nodes, 4(K + 1)) angles, FFT'd at size M and read at the
-columns m mod M.  A mode |m| <= K then picks up aliases only from modes
-|m'| >= M - K >= 3K + 4, which the panel grid's FFT measured at
-roundoff, the content a full-size split panel would drop; once
-K >= angular_nodes/4 - 1, M is angular_nodes.
+K = angular_nodes/2 - 1.  K is read the way Chebfun builds a function:
+the panel grid is sampled at N = 64 angles (`_start_angles`) and N is
+doubled, up to the cap angular_nodes, until K read at N has
+4(K + 1) <= N and the band's sum matches g at four check angles that lie
+on no power-of-two grid, on every panel radius, to 32 eps of max |g|.
+The check sees modes that N folds onto the band or onto the dropped
+Nyquist column (1 + re(z^64) reads K = 0 at 64 angles), at their own
+size.  The angles at 2N are those at N and the odd ones, so a doubling
+samples only the odd ones, and a source that ends at the cap takes the
+same samples, moments and values as a grid sampled there at once.  A
+split panel is sampled at M = min(N, 4(K + 1)) angles, FFT'd at size M
+and read at the columns m mod M.  A mode |m| <= K then picks up aliases
+only from modes |m'| >= M - K >= 3K + 4, which the panel grid's FFT
+measured at roundoff, the content a full-size split panel would drop;
+once K >= angular_nodes/4 - 1, M is angular_nodes.
 
 The potential is evaluated on arrays of query points, nan outside the
 open disk (so `value` and `jet` refuse such a point).  Query points are
@@ -125,6 +133,19 @@ _PANEL_NODES = 16
 # to 2e-16 on the panel grid for smooth sources.
 _ROUNDOFF = 4.0 * np.finfo(float).eps
 
+# Angles of the first panel grid.  At 32 angles (16 envelope entries) the
+# chop finds no plateau, so a radial source would read K = 15.
+_START_ANGLES = 64
+
+# Off-grid check angles, 2 pi frac(j / golden ratio) for j = 1..4: no uniform
+# grid of a power-of-two size holds one, so a mode that a coarse grid folds
+# onto the band shows there at its own size.
+_CHECK_ANGLES = 2.0 * np.pi * np.modf(np.arange(1, 5) * (math.sqrt(5.0) - 1.0) / 2.0)[0]
+
+# Largest deviation of the band's sum from g at the check angles, relative to
+# max |g|, that a grid accepts: bands that hold deviate by <= 4 eps.
+_CHECK_TOL = 32.0 * np.finfo(float).eps
+
 
 class QuadratureError(RuntimeError):
     """Self-check detected quadrature disagreement beyond tolerance."""
@@ -138,9 +159,11 @@ class QuadratureConfig:
         `radial_nodes // 16` panels of 16 Gauss nodes (one panel below 16);
         the source is sampled on these radii once per potential.  Each
         field radius adds one split panel of 2 x 16 nodes.
-    angular_nodes: uniform angular count, the FFT size in angle on the
-        panel grid.  A split panel takes M = min(angular_nodes, 4(K + 1))
-        of them for a source of angular band K.
+    angular_nodes: the cap on the uniform angular count N of the panel
+        grid, which starts at 64 (`_start_angles`) and doubles until it
+        holds the source's angular band K; a split panel takes
+        M = min(N, 4(K + 1)).  A band with no noise plateau is sampled at
+        all angular_nodes.
     boundary_nodes: FFT size for boundary data.
     """
 
@@ -187,14 +210,12 @@ def _spectral_tables(nphi: int):
 
 
 @lru_cache(maxsize=None)
-def _panel_rule(n: int, nphi: int):
-    """The radial panel grid and its moment weights, cached and read-only.
+def _panel_nodes(n: int):
+    """The radial panel grid, cached and read-only.
 
     `n // 16` uniform panels of 16 Gauss nodes, or one panel of n nodes
     when n < 16; panel 0 is graded as s = h u^3.  Returns the panel edges,
-    the nodes s as a (panels, nodes per panel) array, and the weights that
-    turn g_m at the nodes into the moments: (s/b)^k s ds and (a/s)^k s ds
-    per node and FFT column, and -log(s) s ds per node.
+    the nodes s as a (panels, nodes per panel) array and the weights s ds.
     """
     q = min(n, _PANEL_NODES)
     count = n // q
@@ -205,16 +226,54 @@ def _panel_rule(n: int, nphi: int):
     ds = np.tile(h * w, (count, 1))
     s[0] = h * u**3
     ds[0] = 3.0 * h * w * u * u
-    weight = (ds * s)[:, :, None]
-    kabs = np.abs(_spectral_tables(nphi)[0])
-    below = _powers((s / edges[1:, None]).ravel(), nphi // 2)[:, kabs]
-    above = _powers((edges[:-1, None] / s).ravel(), nphi // 2)[:, kabs]
-    below = below.reshape(count, q, nphi) * weight
-    above = above.reshape(count, q, nphi) * weight
-    log_weight = -np.log(s) * weight[:, :, 0]
-    for arr in (edges, s, below, above, log_weight):
+    weight = ds * s
+    for arr in (edges, s, weight):
         arr.flags.writeable = False
-    return edges, s, below, above, log_weight
+    return edges, s, weight
+
+
+@lru_cache(maxsize=None)
+def _moment_weights(n: int, nphi: int):
+    """Weights that turn g_m at the panel nodes into the moments, cached and
+    read-only: (s/b)^k s ds and (a/s)^k s ds per node and k = |m| <= nphi/2,
+    and -log(s) s ds per node."""
+    edges, s, weight = _panel_nodes(n)
+    count, q = s.shape
+    below = _powers((s / edges[1:, None]).ravel(), nphi // 2)
+    above = _powers((edges[:-1, None] / s).ravel(), nphi // 2)
+    below = below.reshape(count, q, -1) * weight[:, :, None]
+    above = above.reshape(count, q, -1) * weight[:, :, None]
+    log_weight = -np.log(s) * weight
+    for arr in (below, above, log_weight):
+        arr.flags.writeable = False
+    return below, above, log_weight
+
+
+def _start_angles(cap: int) -> int:
+    """First angle count of the panel grid: cap / 2^j for the largest j that
+    keeps it even and at least `_START_ANGLES`, or cap when that is smaller,
+    so that every doubling up to the cap lands on the cap's own angles."""
+    size = cap
+    while size % 4 == 0 and size // 2 >= _START_ANGLES:
+        size //= 2
+    return size
+
+
+def _band_top(modes: np.ndarray) -> int:
+    """The angular band K of scaled FFT modes (radius, FFT column).
+
+    Over the envelope max_s max(|g_k(s)|, |g_-k(s)|), K + 1 is the chopped
+    length, or more where a later mode is above roundoff: the chop's plateau
+    test cuts algebraic tails such as 1e-9 |re z| at ~1e-11, so this keeps
+    every mode left out, and every mode a split panel folds onto the band,
+    at roundoff.
+    """
+    peak = np.max(np.abs(modes), axis=0)
+    half = modes.shape[1] // 2
+    # Entry k of the envelope covers the FFT columns of m = k and -k.
+    envelope = np.maximum(peak[:half], peak[-np.arange(half)])
+    loud = np.flatnonzero(envelope > _ROUNDOFF * envelope.max())
+    return max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0)
 
 
 def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
@@ -287,15 +346,17 @@ class GreenPotential(PlanarMap):
     """The map z -> G[g](z) for a fixed source g, by a polar-spectral solve.
 
     The first evaluation samples the source once on the panel grid
-    (`radial_nodes` x `angular_nodes` points), FFTs it in angle, reads the
-    source's angular band K from those modes and keeps per-panel moments of
-    the 2K + 1 modes |m| <= K.  Each distinct radius among the query points
-    then costs one split panel, 2 x 16 x M samples with
-    M = min(`angular_nodes`, 4(K + 1)), plus a contraction of its band with
-    the moments of the other panels (see the module docstring); the new
-    radii of a call are solved together, in blocks.  The modes of the last
-    512 radii are kept, so a radius visited again costs only the angular sum
-    of 2K + 1 terms.
+    (`radial_nodes` x N points), FFTs it in angle, reads the source's
+    angular band K from those modes and keeps per-panel moments of the
+    2K + 1 modes |m| <= K.  N starts at 64 and doubles, up to
+    `angular_nodes`, until it holds the band (see `_panel_moments`), so a
+    smooth source of band K <= 15 takes 64 angles plus 4 check angles.
+    Each distinct radius among the query points then costs one split panel,
+    2 x 16 x M samples with M = min(N, 4(K + 1)), plus a contraction of its
+    band with the moments of the other panels (see the module docstring);
+    the new radii of a call are solved together, in blocks.  The modes of
+    the last 512 radii are kept, so a radius visited again costs only the
+    angular sum of 2K + 1 terms.
     Values and both Wirtinger derivatives come from the same modes; points
     with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
     `source` is a DSL string or an array callable w -> g(w); construction
@@ -310,9 +371,8 @@ class GreenPotential(PlanarMap):
         self.source_expr = source if isinstance(source, str) else None
         self.label = f"green[{self.source_expr or 'source'}]"
         self._moments = None  # (A; B) panel moments, built at first use
-        self._band = None  # FFT columns of the source's angular band, likewise
+        self._band = None  # signed modes m of the source's angular band, likewise
         self._split_angles = None  # angles M of a split panel, likewise
-        self._grid_sup = math.nan  # max |g| over the panel grid
         # The kept radial solves: radii (nan in an empty slot), their stacked
         # _radial_modes once the band is known, and the slot written next,
         # which holds the oldest entry.
@@ -327,57 +387,67 @@ class GreenPotential(PlanarMap):
         return f"-({self.source_expr})"
 
     def source_grid_sup(self) -> float:
-        """Max |g| over the panel grid and the boundary circle.
+        """Max |g| over the full panel grid and the boundary circle.
 
-        A sampled lower estimate of sup |g|.  The panel grid is the one the
-        radial solves sample (built here if nothing was evaluated yet); the
-        r = 1 ring is added because Gauss nodes stop short of the boundary,
-        where |g| often peaks.
+        A sampled lower estimate of sup |g|.  The source is sampled here, at
+        all `radial_nodes` x `angular_nodes` panel nodes whatever angles the
+        radial solves need, plus the r = 1 ring, because Gauss nodes stop
+        short of the boundary, where |g| often peaks.
         """
-        self._panel_moments()
-        ring = self._g(_spectral_tables(self.config.angular_nodes)[2])
-        return float(max(self._grid_sup, np.max(np.abs(ring))))
+        cfg = self.config
+        unit = _spectral_tables(cfg.angular_nodes)[2]
+        grid = np.max(np.abs(self._g(_panel_nodes(cfg.radial_nodes)[1].ravel()[:, None] * unit)))
+        return float(max(grid, np.max(np.abs(self._g(unit)))))
 
     # --- radial solve ------------------------------------------------------
-
-    def _angular_modes(self, s: np.ndarray):
-        """Samples of g on the circles of radii s, FFT'd in angle and scaled."""
-        _, scale, unit = _spectral_tables(self.config.angular_nodes)
-        samples = self._g(s[:, None] * unit)
-        return samples, np.fft.fft(samples, axis=1) * scale
 
     def _panel_moments(self) -> np.ndarray:
         """Rows A of every panel, then rows B; B's m = 0 column holds L.
 
-        B_0 would repeat A_0, and an outer panel needs L in its place.  Only
-        the FFT columns of the source's angular band are kept, listed in
-        `self._band`: |m| <= K, where K + 1 is the chopped length of the
-        envelope max_s max(|g_k(s)|, |g_-k(s)|) over the panel nodes, or
-        more where a later mode is above roundoff (see the module
-        docstring).  Also fixes the split panel's angle count M.
+        B_0 would repeat A_0, and an outer panel needs L in its place.  The
+        panel grid is sampled at N angles, from `_start_angles` up: N is
+        accepted once the band K read there (`_band_top`) has
+        4(K + 1) <= N and the band's sum matches g at the off-grid check
+        angles on every panel radius, and otherwise doubled, sampling only
+        the new odd angles; at N = `angular_nodes` it is accepted as is.
+        Only the modes |m| <= K are kept, listed in `self._band`; also fixes
+        the split panel's angle count M = min(N, 4(K + 1)).
         """
         if self._moments is None:
             cfg = self.config
-            _, s, below, above, log_weight = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)
-            samples, modes = self._angular_modes(s.ravel())
-            self._grid_sup = float(np.max(np.abs(samples)))
-            peak = np.max(np.abs(modes), axis=0)
-            half = cfg.angular_nodes // 2
-            # Entry k of the envelope covers the FFT columns of m = k and -k.
-            envelope = np.maximum(peak[:half], peak[-np.arange(half)])
-            # Past the chopped length, modes above FFT roundoff stay in the
-            # band too (the chop's plateau test cuts algebraic tails such as
-            # 1e-9 |re z| at ~1e-11), so every mode left out, and every mode
-            # a split panel folds onto the band, is roundoff.
-            loud = np.flatnonzero(envelope > _ROUNDOFF * envelope.max())
-            top = max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0)
-            band = np.flatnonzero(np.abs(_spectral_tables(cfg.angular_nodes)[0]) <= top)
+            s = _panel_nodes(cfg.radial_nodes)[1]
+            radii = s.ravel()[:, None]
+            size = _start_angles(cfg.angular_nodes)
+            samples = self._g(radii * _spectral_tables(size)[2])
+            check = None
+            while True:
+                freq, scale, _ = _spectral_tables(size)
+                modes = np.fft.fft(samples, axis=1) * scale
+                top = _band_top(modes)
+                band = np.flatnonzero(np.abs(freq) <= top)
+                if size == cfg.angular_nodes:
+                    break
+                if 4 * (top + 1) <= size:
+                    if check is None:
+                        check = self._g(radii * np.exp(1j * _CHECK_ANGLES))
+                    fit = modes[:, band] @ np.exp(1j * np.outer(freq[band], _CHECK_ANGLES))
+                    peak = max(np.max(np.abs(samples)), np.max(np.abs(check)))
+                    if np.max(np.abs(fit - check)) <= _CHECK_TOL * peak:
+                        break
+                # The angles at 2N are those at N, bit for bit, and the odd ones.
+                finer = np.empty((radii.size, 2 * size), dtype=complex)
+                finer[:, ::2] = samples
+                size *= 2
+                finer[:, 1::2] = self._g(radii * _spectral_tables(size)[2][1::2])
+                samples = finer
+            below, above, log_weight = _moment_weights(cfg.radial_nodes, size)
+            kabs = np.abs(freq[band])
             modes = modes[:, band].reshape(s.shape + band.shape)
-            moments = np.concatenate([np.einsum("qjm,qjm->qm", below[:, :, band], modes),
-                                      np.einsum("qjm,qjm->qm", above[:, :, band], modes)])
+            moments = np.concatenate([np.einsum("qjm,qjm->qm", below[:, :, kabs], modes),
+                                      np.einsum("qjm,qjm->qm", above[:, :, kabs], modes)])
             moments[s.shape[0]:, 0] = np.einsum("qj,qj->q", log_weight, modes[:, :, 0])
-            self._moments, self._band = moments, band
-            self._split_angles = min(cfg.angular_nodes, 4 * (top + 1))
+            self._moments, self._band = moments, freq[band]
+            self._split_angles = min(size, 4 * (top + 1))
         return self._moments
 
     def _radial_modes(self, r: np.ndarray) -> np.ndarray:
@@ -385,13 +455,13 @@ class GreenPotential(PlanarMap):
 
         `r` is an array of radii in [0, 1); the result is stacked as
         (radius, output, mode), the modes |m| <= K of the source's band in the
-        FFT column order of `self._band`, and kernels and power tables stop
+        order of `self._band`, and kernels and power tables stop
         at k = K.  The second output feeds d/dz and the third d/dzbar.  With
         k = |m|, a panel [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A
         (-log r A for k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel
         outside r contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
         (r/a)^(k-1) B / a - (r b)^(k-1) b A and 0.  The panel holding r is
-        split there and sampled at M = min(angular_nodes, 4(K + 1)) angles
+        split there and sampled at M = min(N, 4(K + 1)) angles
         (see the module docstring); on it the same kernels act on g_m s ds
         directly.  Every radius gets the same arrays: at r = 0 the outer side
         is graded as s = b u^4, which resolves the s log s endpoint, and the
@@ -400,10 +470,10 @@ class GreenPotential(PlanarMap):
         (log|z|) stays finite.
         """
         cfg = self.config
-        edges, nodes = _panel_rule(cfg.radial_nodes, cfg.angular_nodes)[:2]
+        edges, nodes = _panel_nodes(cfg.radial_nodes)[:2]
         count, q = nodes.shape
         moments = self._panel_moments()
-        freq = _spectral_tables(cfg.angular_nodes)[0][self._band]
+        freq = self._band
         kabs = np.abs(freq)
         top = int(kabs.max())
         k2 = 2.0 * np.arange(1, top + 1)
@@ -517,7 +587,7 @@ class GreenPotential(PlanarMap):
         order = np.argsort(group, kind="stable")
         inside, group = inside[order], group[order]
         self._panel_moments()
-        freq = _spectral_tables(self.config.angular_nodes)[0][self._band]
+        freq = self._band
         # Blocks of consecutive radii, each with the points on them.
         size = max(1, _BLOCK_MODES // freq.size)
         starts = np.searchsorted(group, np.arange(0, radii.size + size, size))

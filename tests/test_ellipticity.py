@@ -17,7 +17,6 @@ from diskmaps import (
     JetEvaluationError,
     PlanarMap,
     SeriesMap,
-    WirtingerJet,
     beta_constant,
     builtin_map,
     check_prop14,
@@ -27,10 +26,10 @@ from diskmaps import (
     lemma22_check,
     lemma24_convert,
     min_kprime,
-    pointwise_defect,
     qc_constant,
     solve_poisson,
 )
+from diskmaps.ellipticity import _defect
 
 
 def shear(k: float) -> SeriesMap:
@@ -111,11 +110,10 @@ def test_frontier_matches_min_kprime_per_K(name, example15):
 
 
 def test_pointwise_defect_sign_convention():
-    jet = WirtingerJet(0j, 2.0 + 0j, 0.5 + 0j)
-    # ||D||^2 = 6.25, J = 3.75.
-    assert pointwise_defect(jet, 1.0) == pytest.approx(2.5)
+    # |f_z| = 2, |f_zbar| = 0.5: ||D||^2 = 6.25, J = 3.75.
+    assert _defect(np.array(2.0), np.array(0.5), 1.0) == pytest.approx(2.5)
     with pytest.raises(ValueError):
-        pointwise_defect(jet, 0.5)
+        min_kprime(shear(0.25), 0.5)
 
 
 def test_parameter_conversions_are_the_stated_maps():

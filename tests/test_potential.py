@@ -17,7 +17,9 @@ from diskmaps import (
     poisson_extension,
     solve_poisson,
 )
-from diskmaps.potential import _SOLVED_RADII, _chop_length, poisson_coefficients
+from diskmaps.expr import parse_expr, value_array
+from diskmaps.potential import (_CHECK_ANGLES, _ROUNDOFF, _SOLVED_RADII, _chop_length,
+                                _panel_nodes, _spectral_tables, poisson_coefficients)
 
 
 def test_constant_source_matches_closed_form(quad_fast, rng):
@@ -279,8 +281,10 @@ def test_ring_jets_cost_one_radial_solve():
     assert sum(sampled) == 0  # construction samples nothing
     ring = 0.6 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     pot.jets(ring)
-    # The panel grid once, then one split panel per radius.
-    assert sum(sampled) == cfg.radial_nodes * cfg.angular_nodes + split
+    # The panel grid once, at the first 64 angles, which its check angles
+    # accept, then one split panel per radius.
+    panel = cfg.radial_nodes * (64 + _CHECK_ANGLES.size)
+    assert sum(sampled) == panel + split
     before = sum(sampled)
     pot.jets(0.3 * ring)
     assert sum(sampled) == before + split
@@ -443,3 +447,98 @@ def test_a_call_past_the_kept_solves_equals_calls_of_ten(source):
     tens = np.concatenate([np.array(pot.jets(z[i:i + 10])) for i in range(0, z.size, 10)], axis=1)
     assert np.isfinite(together).all()
     assert np.array_equal(together, tens)
+
+
+# --- the panel grid's angles ----------------------------------------------------
+
+
+def _full_angles():
+    """Patch that samples the panel grid at all angular_nodes angles at once."""
+    return mock.patch("diskmaps.potential._START_ANGLES", 256)
+
+
+def _counting(source):
+    """An array callable of a DSL source, and the sizes of the arrays it got."""
+    sampled = []
+    ast = parse_expr(source)
+
+    def g(w):
+        sampled.append(np.shape(w))
+        return value_array(ast, w)
+
+    return g, sampled
+
+
+@given(source=_SOURCES, pts=st.lists(_disk_points, min_size=1, max_size=6))
+def test_doubled_angles_read_the_band_of_all_angles(source, pts):
+    z = np.array(pts)
+    pot = GreenPotential(source)
+    got = np.array(pot.jets(z))
+    with _full_angles():
+        full = GreenPotential(source)
+        want = np.array(full.jets(z))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+    # The chop's cut among modes at roundoff follows the FFT size's rounding
+    # ((1.0)*exp(z) reads K = 18 at 128 angles and 17 at 256, where
+    # |g_18| = 1/18! = 1.6e-16), so the bands may differ only there.
+    envelope = _angular_envelope(source)
+    differ = np.setxor1d(np.abs(pot._band), np.abs(full._band))
+    assert np.all(envelope[differ] <= 2 * _ROUNDOFF * envelope.max())
+    for p in (pot, full):
+        assert p._split_angles == min(4 * (np.abs(p._band).max() + 1), 256)
+
+
+def _angular_envelope(source, nphi=256):
+    """max_s max(|g_k(s)|, |g_-k(s)|) per k at the panel nodes, as the band's read."""
+    freq, scale, unit = _spectral_tables(nphi)
+    samples = value_array(parse_expr(source), _panel_nodes(128)[1].ravel()[:, None] * unit)
+    peak = np.max(np.abs(np.fft.fft(samples, axis=1) * scale), axis=0)
+    return np.maximum(peak[:nphi // 2], peak[-np.arange(nphi // 2)])
+
+
+@pytest.mark.parametrize("source", ["re((z^40)^3)", "1 + 1e-10*re((z^35)^2)", "1 + re(z^64)"])
+def test_aliased_modes_double_to_the_full_grid_bit_for_bit(source):
+    # Modes +-120 (+-70, +-64) fold onto low modes at 64 and at 128 angles;
+    # each grid below the cap is rejected, and the cap's samples are those of
+    # a potential sampled at 256 angles only.
+    z = _scattered_points(50, 16)
+    pot = GreenPotential(source)
+    got = pot.jets(z)
+    assert pot._split_angles == 256
+    with _full_angles():
+        full = GreenPotential(source)
+        want = full.jets(z)
+    assert np.array_equal(pot._band, full._band)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("source,blind_band", [("1 + 1e-10*re((z^35)^2)", 6),
+                                               ("1 + re(z^64)", 0)])
+def test_check_angles_reject_what_the_band_rule_accepts(source, blind_band):
+    # At 64 angles these read a band with 4(K + 1) <= 64; only the check
+    # angles see the folded modes.
+    with mock.patch("diskmaps.potential._CHECK_TOL", np.inf):
+        blind = GreenPotential(source)
+        blind._panel_moments()
+    assert np.abs(blind._band).max() == blind_band
+    pot = GreenPotential(source)
+    pot._panel_moments()
+    assert np.abs(pot._band).max() >= 64
+
+
+def test_a_band_with_no_plateau_samples_the_full_grid_once():
+    # K reads the full length at 64 and 128 angles, so no check angle is
+    # sampled, and each doubling samples only the new odd angles.
+    cfg = QuadratureConfig()
+    g, sampled = _counting("abs(re(z))")
+    GreenPotential(g)._panel_moments()
+    assert sampled == [(cfg.radial_nodes, 64), (cfg.radial_nodes, 64), (cfg.radial_nodes, 128)]
+    assert sum(a * b for a, b in sampled) == cfg.radial_nodes * cfg.angular_nodes
+
+
+def test_a_constant_source_never_samples_all_angles():
+    g, sampled = _counting("1")
+    pot = GreenPotential(g)
+    pot._panel_moments()
+    assert pot._band.tolist() == [0]
+    assert max(shape[-1] for shape in sampled) < pot.config.angular_nodes

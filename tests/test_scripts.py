@@ -1,5 +1,6 @@
 """The command-line scripts, run in-process on the shared catalog registry."""
 
+import hashlib
 import json
 import re
 import runpy
@@ -60,3 +61,48 @@ def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
     assert len(lines) == len(argvs)
     assert all(re.fullmatch(r"[0-9a-f]{64} \S.*", line) for line in lines)
     assert {tuple(shlex.split(line[65:])) for line in lines} == argvs
+
+
+def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path):
+    def doc(argv, code, stdout, stderr=""):
+        return json.dumps({"argv": argv, "code": code, "stdout": stdout, "stderr": stderr})
+
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("\n".join([
+        doc(["solve", "--g", "1"], 0, '{"value": 0.25, "residual": 1e-10}'),
+        doc(["coeffs", "--map", "z"], 0, '{"a": [0, 1]}'),
+        doc(["analyze", "--map", "exp(z"], 2, "", "error: bad input\n"),
+        doc(["length", "--r", "0.5"], 0, '{"length": 3.0}'),
+    ]) + "\n")
+    new.write_text("\n".join([
+        doc(["solve", "--g", "1"], 0, '{"value": 0.2500000000000001, "residual": 3e-10}'),
+        doc(["coeffs", "--map", "z"], 0, '{"a": [0, 1]}'),
+        doc(["analyze", "--map", "exp(z"], 3, "", "numerical failure\n"),
+        doc(["length", "--r", "0.5"], 0, '{"length": 3.0, "converged": true}'),
+        doc(["frontier", "--K", "2"], 0, "{}"),
+    ]) + "\n")
+    assert run_script(monkeypatch, "compare_outputs.py", str(old), str(new)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "abs 2.00e-10 rel 6.67e-01  code same  stderr same  solve --g 1",
+        "abs 0.00e+00 rel 0.00e+00  code moved  stderr moved  analyze --map 'exp(z'",
+        "text moved  code same  stderr same  length --r 0.5",
+        "only in new  frontier --K 2",
+        "4 of 5 argvs moved",
+    ]
+    # A file against itself moves nothing.
+    assert run_script(monkeypatch, "compare_outputs.py", str(old), str(old)) == 0
+    assert capsys.readouterr().out == "0 of 4 argvs moved\n"
+
+
+def test_output_digest_documents_hash_to_the_digest(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    assert run_script(monkeypatch, "output_digest.py", "--seeds", "1") == 0
+    hashes = capsys.readouterr().out.splitlines()
+    assert run_script(monkeypatch, "output_digest.py", "--seeds", "1", "--documents") == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(docs) == len(hashes)
+    for doc, line in zip(docs, hashes):
+        text = f"{doc['code']}\n{doc['stdout']}\n{doc['stderr']}"
+        assert line == f"{hashlib.sha256(text.encode()).hexdigest()} {shlex.join(doc['argv'])}"
+    assert any(doc["code"] != 0 and doc["stderr"] for doc in docs)
