@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Print a digest of the CLI's output on every benchmark argv and edge case.
 
-Each line is the sha256 of the exit code, standard output and standard
-error of one in-process `diskmaps.cli.main(argv)` call, then the argv.  The
+After two comment lines naming the seeds and the Python, numpy and scipy
+versions (whose arithmetic the hashes record), each line is the sha256 of
+the exit code, standard output and standard error of one in-process
+`diskmaps.cli.main(argv)` call, then the argv.  The
 argvs are the warm-ups and every report of the benchmark workloads
 (perfbench/workloads.py) at the given seeds, each followed by its
 closed-form twin when it has one, and then the fixed edge-case argvs of
@@ -10,6 +12,11 @@ EDGE_ARGVS.  Run it in two checkouts and diff the outputs to see whether a
 change moves any byte a report or an error message prints:
 
     python3 scripts/output_digest.py [--seeds 1 2 3] > digest.txt
+
+The digest of seeds 1-3 is committed as tests/output_digest.txt, and a
+test recomputes it.  A change that moves bytes regenerates it with
+
+    python3 scripts/output_digest.py > tests/output_digest.txt
 
 With --documents each line is instead a JSON object with the argv, the exit
 code, standard output and standard error themselves;
@@ -26,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import platform
 import shlex
 import sys
 import warnings
@@ -84,6 +92,22 @@ EDGE_ARGVS = (
      "--pairs", "0.1:0.6j,-0.5:0.4+0.3j,0.7:-0.7"),
     ("analyze", "--map", "1/(z-0.5)", "--points", "0.1, 0.5"),
     ("check-prop14", "--map", "0.5*z + 1/(z-0.9)", "--C3", "1.5", "--pairs", "0.1:0.9"),
+    # Non-finite numbers in float flags, points, pairs and catalog parameters
+    # are usage errors (exit 2).
+    ("frontier", "--map", "z", "--K", "nan"),
+    ("bounds", "--catalog", "identity", "--K", "nan"),
+    ("bounds", "--catalog", "identity", "--K", "1", "--Kprime", "nan"),
+    ("bounds", "--catalog", "identity", "--R", "nan"),
+    ("bounds", "--catalog", "identity", "--points", "nan"),
+    ("bounds", "--catalog", "scale", "--param", "c=nan"),
+    ("check-thm11", "--map", "z", *_THM11[:4], "--C1", "nan", *_THM11[6:],
+     "--pairs", "0.1:0.2"),
+    ("check-thm11", "--map", "z", *_THM11, "--pairs", "nan:0.2j"),
+    ("check-prop14", "--map", "z", "--C3", "1.5", "--pairs", "nan:0.2"),
+    ("length", "--kind", "radial", "--map", "z", "--theta", "nan"),
+    ("solve", "--psi", "z", "--residual-h", "nan"),
+    ("analyze", "--map", "z", "--K", "nan"),
+    ("analyze", "--map", "z", "--points", "inf"),
 ) + tuple(
     # Length scans on each kind of map: DSL, catalog series, a map singular
     # only at 0 (the endpoint rule) and a Poisson map; sup-perimeter is in no
@@ -136,12 +160,27 @@ def digest(argv):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def header(seeds):
+    """The digest's comment lines: its seeds and the versions whose
+    arithmetic it records."""
+    import numpy
+    import scipy
+
+    return [
+        f"# scripts/output_digest.py --seeds {' '.join(map(str, seeds))}",
+        f"# python {platform.python_version()} numpy {numpy.__version__} "
+        f"scipy {scipy.__version__}",
+    ]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--documents", action="store_true",
                     help="print each call's exit code, stdout and stderr as a JSON line")
     args = ap.parse_args()
+    if not args.documents:
+        print("\n".join(header(args.seeds)))
     for argv in argvs(args.seeds):
         if args.documents:
             code, out, err = run(argv)

@@ -103,11 +103,11 @@ class BoundContext:
     coeffs: Optional[CoeffTable] = None
 
     def __post_init__(self):
-        if self.R is not None and self.R <= 0.0:
+        if self.R is not None and not self.R > 0.0:
             raise ValueError("R must be positive")
-        if self.perimeter_sup is not None and self.perimeter_sup < 0.0:
+        if self.perimeter_sup is not None and not self.perimeter_sup >= 0.0:
             raise ValueError("perimeter_sup must be >= 0")
-        if self.radial_sup is not None and self.radial_sup < 0.0:
+        if self.radial_sup is not None and not self.radial_sup >= 0.0:
             raise ValueError("radial_sup must be >= 0")
 
 

@@ -101,8 +101,17 @@ def _identity(name: str, params) -> MapDefinition:
     )
 
 
+def _finite(kind, value, name: str):
+    """A catalog parameter converted by `kind` (float or complex); ValueError
+    naming the parameter where the number is nan or infinite."""
+    number = kind(value)
+    if not cmath.isfinite(number):
+        raise ValueError(f"catalog parameter {name} must be finite, got {value!r}")
+    return number
+
+
 def _scale(name: str, params) -> MapDefinition:
-    c = complex(params["c"])
+    c = _finite(complex, params["c"], "c")
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     return MapDefinition(
@@ -113,9 +122,9 @@ def _scale(name: str, params) -> MapDefinition:
 
 
 def _moebius(name: str, params) -> MapDefinition:
-    a = complex(params["a"])
-    t = float(params["t"])
-    if abs(a) >= 1.0:
+    a = _finite(complex, params["a"], "a")
+    t = _finite(float, params["t"], "t")
+    if not abs(a) < 1.0:
         raise ValueError("moebius parameter a must satisfy |a| < 1")
     rot = cmath.exp(1j * t)
     src = (f"{_complex_literal(rot)} * (z - {_complex_literal(a)}) "
@@ -129,7 +138,7 @@ def _moebius(name: str, params) -> MapDefinition:
 
 
 def _example13(name: str, params) -> MapDefinition:
-    alpha = float(params["alpha"])
+    alpha = _finite(float, params["alpha"], "alpha")
     return MapDefinition(name=name, parameters={"alpha": alpha},
                          _builder=lambda: Example13Map(alpha))
 
@@ -143,8 +152,8 @@ def _example15(name: str, params) -> MapDefinition:
 
 
 def _polyharmonic(name: str, params) -> MapDefinition:
-    a = [complex(v) for v in params["a"]]
-    b = [complex(v) for v in params["b"]]
+    a = [_finite(complex, v, "a") for v in params["a"]]
+    b = [_finite(complex, v, "b") for v in params["b"]]
     return MapDefinition(name=name, parameters={"a": tuple(a), "b": tuple(b)},
                          _builder=lambda: SeriesMap(a, b, label=name))
 
@@ -153,7 +162,8 @@ def _kalaj(name: str, params) -> MapDefinition:
     mu = params["mu"]
     if not isinstance(mu, (tuple, list)):
         mu = (mu,)
-    return kalaj_extremal(float(params["R"]), [complex(v) for v in mu],
+    return kalaj_extremal(_finite(float, params["R"], "R"),
+                          [_finite(complex, v, "mu") for v in mu],
                           int(params["series_degree"]))
 
 
@@ -238,7 +248,7 @@ def kalaj_extremal(R: float, mu: Sequence[complex], series_degree: int = 24) -> 
     bound of the truncation is recorded in diagnostics.  With mu = 0 the
     construction reduces to scale(R) exactly.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise ValueError("R must be positive")
     if series_degree < 8:
         raise ValueError("series_degree must be >= 8")
@@ -250,7 +260,7 @@ def kalaj_extremal(R: float, mu: Sequence[complex], series_degree: int = 24) -> 
     ring = np.exp(1j * theta)
     mu_ring = np.polynomial.polynomial.polyval(ring, mu)
     sup_mu = float(np.max(np.abs(mu_ring)))
-    if sup_mu > 1.0 + 1e-12:
+    if not sup_mu <= 1.0 + 1e-12:
         raise ValueError(f"sup |mu| on the circle is {sup_mu:.6f} > 1")
 
     q = np.concatenate([[0.0, 0.0], mu])  # q(z) = z^2 mu(z)

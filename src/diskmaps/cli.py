@@ -19,6 +19,7 @@ floats render in shortest round-trip form.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 from functools import lru_cache
@@ -48,9 +49,23 @@ _DEFAULT_POINTS = "0.25, 0.5j, -0.3+0.4j"
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise ValueError(f"cannot parse complex number from {text!r}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex number {text.strip()!r} must be finite")
+    return z
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and infinities are usage errors."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return x
 
 
 def _parse_points(text: str) -> List[complex]:
@@ -384,7 +399,7 @@ def _add_map_source(p: argparse.ArgumentParser) -> None:
 def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radial-count", type=int, default=96)
     p.add_argument("--angular-count", type=int, default=192)
-    p.add_argument("--max-radius", type=float, default=1.0 - 1e-4)
+    p.add_argument("--max-radius", type=_finite_float, default=1.0 - 1e-4)
     p.add_argument("--refine-rounds", type=int, default=3)
 
 
@@ -420,18 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("analyze", _cmd_analyze, "per-point jet metrics")
     p.add_argument("--points", default=_DEFAULT_POINTS)
-    p.add_argument("--K", type=float, help="also report the defect at this K")
+    p.add_argument("--K", type=_finite_float, help="also report the defect at this K")
 
     command("frontier", _cmd_frontier, "min-K' sweep over K values",
-            grid=True).add_argument("--K", type=float, action="append")
+            grid=True).add_argument("--K", type=_finite_float, action="append")
 
     p = command("bounds", _cmd_bounds, "coefficient and derivative bound reports",
                 grid=True)
-    p.add_argument("--K", type=float)
-    p.add_argument("--Kprime", type=float)
-    p.add_argument("--R", type=float)
-    p.add_argument("--perimeter-sup", type=float)
-    p.add_argument("--radial-sup", type=float)
+    p.add_argument("--K", type=_finite_float)
+    p.add_argument("--Kprime", type=_finite_float)
+    p.add_argument("--R", type=_finite_float)
+    p.add_argument("--perimeter-sup", type=_finite_float)
+    p.add_argument("--radial-sup", type=_finite_float)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--points", help="explicit derivative evaluation points")
     p.add_argument("--per-point", action="store_true")
@@ -447,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("perimeter", "radial", "both", "boundary",
                             "sup-perimeter", "sup-radial", "radial-limit"))
     p.add_argument("--r", help="comma-separated radii")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=_finite_float, default=0.0)
     p.add_argument("--nodes", type=int, default=512)
 
     p = command("solve", _cmd_solve, "Poisson solve with sampled residuals",
@@ -455,19 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True, help="boundary data DSL")
     p.add_argument("--g", default="0", help="Laplacian DSL")
     p.add_argument("--points", default=_DEFAULT_POINTS)
-    p.add_argument("--residual-h", type=float, default=1e-3)
+    p.add_argument("--residual-h", type=_finite_float, default=1e-3)
 
     p = command("check-thm11", _cmd_check_thm11,
                 "two-sided growth and chord-integral check")
     p.add_argument("--omega", required=True, help="majorant DSL in t")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--C1", type=float, required=True)
-    p.add_argument("--C2", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--C1", type=_finite_float, required=True)
+    p.add_argument("--C2", type=_finite_float, required=True)
     p.add_argument("--pairs", required=True, help="pairs z1:z2 separated by ; or ,")
     p.add_argument("--line-nodes", type=int, default=129)
 
     p = command("check-prop14", _cmd_check_prop14, "analytic-part domination check")
-    p.add_argument("--C3", type=float, required=True)
+    p.add_argument("--C3", type=_finite_float, required=True)
     p.add_argument("--pairs", help="pairs z1:z2 (default: seeded sample)")
 
     p = command("check-subharmonic", _cmd_check_subharmonic,

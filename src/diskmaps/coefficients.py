@@ -18,7 +18,7 @@ import numpy as np
 
 from .expr import ExprAst, contains_var, parse_expr, value_array
 from .grids import GridSpec, failed_points, polar_grid, shell_ladder
-from .maps import JetEvaluationError
+from .maps import JetEvaluationError, at_point
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
 
@@ -57,7 +57,8 @@ def extract_coeffs(
     Uses the largest radius as reference (best conditioning for high modes)
     and measures cross-radius disagreement on all others, which must stay
     within 1e-8 for a valid table.  Each circle takes max(256, 8 * count)
-    samples, keeping modeled modes far from the aliasing range.
+    samples, keeping modeled modes far from the aliasing range, and all
+    circles come from one `values` call on a (radii, samples) array.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -71,10 +72,10 @@ def extract_coeffs(
     n = max(256, 8 * count)
 
     theta = 2.0 * np.pi * np.arange(n) / n
-    ring = np.exp(1j * theta)
+    circles = np.asarray(m.values(np.asarray(radii)[:, None] * np.exp(1j * theta)),
+                         dtype=complex)
     per_radius = {}
-    for r in radii:
-        vals = np.asarray(m.values(r * ring), dtype=complex)
+    for r, vals in zip(radii, circles):
         if not np.all(np.isfinite(vals)):
             raise JetEvaluationError(f"map failed to evaluate on the circle |z| = {r}")
         c = np.fft.fft(vals) / n
@@ -174,24 +175,24 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
     sliver that coarse radial spacing misses.  Non-finite values on the
     polar grid are skipped, up to 1% of it (GridScanError beyond).
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     spec = omega if isinstance(omega, MajorantSpec) else MajorantSpec(omega)
     grid = grid or GridSpec()
 
-    def weighted(z: np.ndarray) -> np.ndarray:
-        _, dz, db = m.jets(z)
+    def weighted(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        value, dz, db = m.jets(z)
         d = 1.0 - np.abs(z)
-        return (np.abs(dz) + np.abs(db)) * spec.eval(d**alpha)
+        return value, (np.abs(dz) + np.abs(db)) * spec.eval(d**alpha)
 
-    vals = weighted(polar_grid(grid))
+    vals = weighted(polar_grid(grid))[1]
     sup = float(np.max(np.where(failed_points(vals), -np.inf, vals)))
-    origin = weighted(np.array([0j]))  # polar grids skip r = 0, the weight's max
+    f0, origin = weighted(np.array([0j]))  # polar grids skip r = 0, the weight's max
     if np.isfinite(origin[0]):
         sup = max(sup, float(origin[0]))
     angles = np.exp(2j * np.pi * np.arange(grid.angular_count) / grid.angular_count)
     for r in shell_ladder(grid.max_radius, count=17):
-        sv = weighted(r * angles)
+        sv = weighted(r * angles)[1]
         if np.isfinite(sv).any():
             sup = max(sup, float(np.nanmax(sv)))
-    return abs(complex(m.value(0j))) + sup
+    return abs(at_point(0j, f0)[0]) + sup

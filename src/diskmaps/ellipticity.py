@@ -56,9 +56,9 @@ class EllipticityParams:
     Kprime: float
 
     def __post_init__(self):
-        if self.K < 1.0:
+        if not self.K >= 1.0:
             raise ValueError("K must be >= 1")
-        if self.Kprime < 0.0:
+        if not self.Kprime >= 0.0:
             raise ValueError("Kprime must be >= 0")
 
 
@@ -72,7 +72,7 @@ class CauchyPair:
     def __post_init__(self):
         if not 0.0 <= self.k1 < 1.0:
             raise ValueError("k1 must lie in [0, 1)")
-        if self.k2 < 0.0:
+        if not self.k2 >= 0.0:
             raise ValueError("k2 must be >= 0")
 
 
@@ -141,7 +141,7 @@ def min_kprime(m: PlanarMap, K: float, grid: Optional[GridSpec] = None) -> Tuple
     The estimate is sup over the (refined) grid of max(0, ||D||^2 - K J);
     it is a lower bound for the true minimal K'.
     """
-    if K < 1.0:
+    if not K >= 1.0:
         raise ValueError("K must be >= 1")
     return _kprime_scan(m, K, grid or GridSpec())
 
@@ -215,7 +215,7 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
     if not Ks:
         raise ValueError("Ks must be nonempty")
     Ks = sorted(float(K) for K in Ks)
-    if Ks[0] < 1.0:
+    if not all(K >= 1.0 for K in Ks):
         raise ValueError("every K must be >= 1")
     grid = grid or GridSpec()
     base = _jet_arrays(m, polar_grid(grid))
@@ -262,11 +262,13 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
         z <- z - (conj(f_z) r - f_zbar conj(r)) / J.
 
     guess is an array shaped like w (or one point for every target), each
-    in the open unit disk (ValueError otherwise).  Every iteration makes one
-    `jets` call on the targets still unsolved, and each target halves its
-    own step (at most 20 times) while its residual fails to decrease or its
-    iterate leaves the disk.  Returns the preimages shaped like w, nan where
-    a target fails: a non-finite residual, a degenerate Jacobian
+    in the open unit disk (ValueError otherwise).  The map is called only
+    through `jets`: one call on the guesses, then one `jets` call per
+    line-search trial on the targets still stepping, an accepted trial
+    keeping its value and partials for the next step.  Each target halves
+    its own step (at most 20 times) while its residual fails to decrease or
+    its iterate leaves the disk.  Returns the preimages shaped like w, nan
+    where a target fails: a non-finite residual, a degenerate Jacobian
     (J <= 1e-12), a stalled step or no convergence in max_iter iterations.
     """
     w = np.asarray(w, dtype=complex)
@@ -274,7 +276,8 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
     if not np.all(np.abs(z) < 1.0):
         raise ValueError("every guess must lie in the open unit disk")
     shape, w = w.shape, w.ravel()
-    r = m.values(z) - w
+    r, dz, db = np.array(m.jets(z))  # rows of one new array, updated in place
+    r -= w
     out = np.full(z.shape, complex("nan+nanj"))
     unsolved = np.flatnonzero(np.isfinite(r))
     for _ in range(max_iter):
@@ -283,21 +286,22 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
         unsolved = unsolved[~done]
         if not unsolved.size:
             break
-        _, dz, db = m.jets(z[unsolved])
-        jac = np.abs(dz) ** 2 - np.abs(db) ** 2
+        jac = np.abs(dz[unsolved]) ** 2 - np.abs(db[unsolved]) ** 2
         steady = jac > 1e-12  # also drops a nan Jacobian
         unsolved = unsolved[steady]
         res = r[unsolved]
-        step = (np.conj(dz[steady]) * res - db[steady] * np.conj(res)) / jac[steady]
+        step = (np.conj(dz[unsolved]) * res - db[unsolved] * np.conj(res)) / jac[steady]
         pending, lam = np.arange(unsolved.size), 1.0
         for _ in range(20):
             idx = unsolved[pending]
             cand = z[idx] - lam * step[pending]
             inside = np.abs(cand) < 1.0
-            r_cand = np.full(cand.shape, complex("nan+nanj"))
-            r_cand[inside] = m.values(cand[inside]) - w[idx[inside]]
-            better = np.abs(r_cand) < np.abs(r[idx])
-            z[idx[better]], r[idx[better]] = cand[better], r_cand[better]
+            trial = np.full((3, cand.size), complex("nan+nanj"))
+            trial[:, inside] = m.jets(cand[inside])
+            trial[0, inside] -= w[idx[inside]]
+            better = np.abs(trial[0]) < np.abs(r[idx])
+            kept = idx[better]
+            z[kept], r[kept], dz[kept], db[kept] = cand[better], *trial[:, better]
             pending = pending[~better]
             if not pending.size:
                 break
@@ -316,7 +320,7 @@ def _check_alpha(alpha: float, **positive: float) -> None:
     """alpha must lie in [0, 1] and each named constant must be positive."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    if any(c <= 0.0 for c in positive.values()):
+    if not all(c > 0.0 for c in positive.values()):
         raise ValueError(f"{' and '.join(positive)} must be positive")
 
 

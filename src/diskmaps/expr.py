@@ -379,7 +379,9 @@ def _jet(node: ExprAst, env: tuple) -> _Triple:
     if not args:
         if node.op == "z":
             return env
-        return np.broadcast_to(np.asarray(p, dtype=complex), env[0].shape), env[2], env[2]
+        # A 0-d constant, as in _value: constant subtrees then take the
+        # same scalar arithmetic, so the value part equals value_array's.
+        return np.asarray(p, dtype=complex), env[2], env[2]
     _, value, jet = _OPS[node.op]
     jets = [_jet(arg, env) for arg in args]
     xs = [u[0] for u in jets]

@@ -70,8 +70,9 @@ class LengthReport:
             raise ValueError("length must be nonnegative")
 
 
-def _circle_lengths(m, radii, nodes: int) -> List[float]:
-    """Trapezoid lengths of the images of the circles |z| = r, r in radii.
+def _circle_integrands(m, radii, nodes: int) -> np.ndarray:
+    """Length integrands r |f_z - e^{-2 i theta} f_zbar| on the circles
+    |z| = r, r in radii, at `nodes` uniform angles each.
 
     One jets call on a (circles, nodes) array, one row per circle; a circle
     with a non-finite jet raises JetEvaluationError, the first in order.
@@ -80,23 +81,29 @@ def _circle_lengths(m, radii, nodes: int) -> List[float]:
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     _, dz, db = m.jets(radii[:, None] * np.exp(1j * theta))
     integrand = radii[:, None] * np.abs(dz - np.exp(-2j * theta) * db)
-    lengths = []
     for r, row in zip(radii.tolist(), integrand):
         if not np.all(np.isfinite(row)):
             raise JetEvaluationError(f"jet evaluation failed on the circle |z| = {r}")
-        # Periodic integrand: the trapezoid rule is the uniform Riemann sum.
-        lengths.append(float(row.mean() * 2.0 * np.pi))
-    return lengths
+    return integrand
+
+
+def _trapezoid(integrand: np.ndarray) -> List[float]:
+    """Trapezoid lengths (uniform Riemann sums), one per contiguous row."""
+    return [float(row.mean() * 2.0 * np.pi) for row in integrand]
 
 
 def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
-    """Length of the image of |z| = r, by trapezoid quadrature."""
+    """Length of the image of |z| = r, by trapezoid quadrature at 2 nodes
+    angles, checked against the rule on its even-indexed samples (the
+    `nodes` angles bit for bit), all from one jets call."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     if nodes < 8:
         raise ValueError("nodes must be >= 8")
-    [coarse] = _circle_lengths(m, [r], nodes)
-    [fine] = _circle_lengths(m, [r], 2 * nodes)
+    integrand = _circle_integrands(m, [r], 2 * nodes)
+    # A contiguous copy sums in the order of an n-node row.
+    [coarse] = _trapezoid(np.ascontiguousarray(integrand[:, ::2]))
+    [fine] = _trapezoid(integrand)
     converged = abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)
     return LengthReport(kind="perimeter", radius=r, theta=None, value=fine,
                         node_count=2 * nodes, converged=converged)
@@ -176,7 +183,7 @@ def length_sup(m, kind: str,
     cfg = cfg or GridSpec()
     if kind == "perimeter":
         radii = shell_ladder(cfg.max_radius)
-        values = _circle_lengths(m, radii, 2 * max(cfg.angular_count, 256))
+        values = _trapezoid(_circle_integrands(m, radii, 2 * max(cfg.angular_count, 256)))
         diffs = np.diff(values)
         monotone = bool(np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(values[:-1]))))
         note = ("ladder supremum up to max_radius; a lower estimate of the "

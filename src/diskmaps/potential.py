@@ -74,8 +74,9 @@ open disk (so `value` and `jet` refuse such a point).  Query points are
 grouped by radius (rounded to 1e-14), so the cost scales with the number
 of distinct radii: a circle or a ring of a polar grid costs one split
 panel.  The radii of a call are taken in blocks of consecutive radii, at
-most `_BLOCK_MODES` // (2K + 1) of them, and the new radii of a block are
-solved together with array operations over radii.  Each point
+most `_BLOCK_MODES` // (2K + 1) of them, and the radii of a block are
+solved together with array operations over radii; no solve is kept past
+its call, so a radius asked for again is solved again.  Each point
 sums its 2K + 1 modes by itself, and a radius's modes do not depend on the
 other radii of its block, so a value does not depend on the other points
 of the call.
@@ -113,12 +114,6 @@ __all__ = [
     "laplacian_residual",
     "green_derivative_sup",
 ]
-
-# Radial solves kept per potential, so that repeat visits to a radius (Newton
-# steps, stencils around a point, a circle scanned twice) reuse the modes.
-# Each entry holds 3 x (2K + 1) complex numbers for a source of angular band
-# K: 48 bytes for c |z|^(2k), at most 12 KB at the default 256 angular nodes.
-_SOLVED_RADII = 512
 
 # Radii times band modes (2K + 1) per block of an evaluation: 384 radii of a
 # radial source, 5 of a band K = 36, one from K = 96 up.  The block's
@@ -354,9 +349,8 @@ class GreenPotential(PlanarMap):
     Each distinct radius among the query points then costs one split panel,
     2 x 16 x M samples with M = min(N, 4(K + 1)), plus a contraction of its
     band with the moments of the other panels (see the module docstring);
-    the new radii of a call are solved together, in blocks.  The modes of
-    the last 512 radii are kept, so a radius visited again costs only the
-    angular sum of 2K + 1 terms.
+    the distinct radii of a call are solved together, in blocks, and
+    nothing is kept between calls.
     Values and both Wirtinger derivatives come from the same modes; points
     with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
     `source` is a DSL string or an array callable w -> g(w); construction
@@ -373,12 +367,6 @@ class GreenPotential(PlanarMap):
         self._moments = None  # (A; B) panel moments, built at first use
         self._band = None  # signed modes m of the source's angular band, likewise
         self._split_angles = None  # angles M of a split panel, likewise
-        # The kept radial solves: radii (nan in an empty slot), their stacked
-        # _radial_modes once the band is known, and the slot written next,
-        # which holds the oldest entry.
-        self._solved_radii = np.full(_SOLVED_RADII, np.nan)
-        self._solved = None
-        self._next_slot = 0
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -546,33 +534,6 @@ class GreenPotential(PlanarMap):
         return np.stack([value, np.where(freq > 0, plus, minus),
                          np.where(freq < 0, plus, minus)], axis=1)
 
-    def _modes_at(self, radii: np.ndarray) -> np.ndarray:
-        """Stacked `_radial_modes` of distinct radii, through the kept solves.
-
-        Kept radii are looked up at once; the others are solved in one call
-        and written over the oldest kept entries.  Their modes come from that
-        call, not from the cache, which they may already have overwritten.
-        """
-        keys = self._solved_radii
-        order = np.argsort(keys)
-        slot = order[np.minimum(np.searchsorted(keys[order], radii), keys.size - 1)]
-        kept = keys[slot] == radii
-        if kept.all():
-            return self._solved[slot]
-        new = radii[~kept]
-        solved = self._radial_modes(new)
-        if self._solved is None:
-            self._solved = np.empty((_SOLVED_RADII,) + solved.shape[1:], dtype=complex)
-        modes = np.empty((radii.size,) + solved.shape[1:], dtype=complex)
-        modes[kept] = self._solved[slot[kept]]
-        modes[~kept] = solved
-        last = min(new.size, _SOLVED_RADII)
-        slots = (self._next_slot + np.arange(last)) % _SOLVED_RADII
-        keys[slots] = new[-last:]
-        self._solved[slots] = solved[-last:]
-        self._next_slot = int(slots[-1] + 1) % _SOLVED_RADII
-        return modes
-
     def _evaluate(self, z):
         """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1."""
         z = np.asarray(z, dtype=complex)
@@ -592,7 +553,7 @@ class GreenPotential(PlanarMap):
         size = max(1, _BLOCK_MODES // freq.size)
         starts = np.searchsorted(group, np.arange(0, radii.size + size, size))
         for block, (i, j) in enumerate(zip(starts[:-1], starts[1:])):
-            modes = self._modes_at(radii[block * size:(block + 1) * size])
+            modes = self._radial_modes(radii[block * size:(block + 1) * size])
             idx = inside[i:j]
             theta = np.angle(flat[idx])
             # A product and a sum over the contiguous mode axis: each point's
@@ -732,7 +693,7 @@ def laplacian_residual(
     disk.
     """
     z = np.asarray(z, dtype=complex)
-    if h <= 0:
+    if not h > 0:
         raise ValueError("h must be positive")
     if np.any(1.0 - np.abs(z) < 2.0 * h):
         raise ValueError("stencil too close to the boundary: need 1 - |z| >= 2h")
@@ -767,7 +728,8 @@ def green_derivative_sup(
     Interior behavior is scanned on a 24 x 96 polar grid inside r = 7/8; the
     boundary limit is taken along 192-point rings on the six shells
     r_k = 1 - 2^{-k}, k = 3..8, with linear extrapolation to r = 1 from the
-    last two shells.  Every ring costs one radial solve of the potential.
+    last two shells.  Every ring costs one radial solve of the potential,
+    and the shells and the grid come from one `jets` call.
     The reported sup is the largest of the interior, shell and extrapolated
     estimates.
     """
@@ -776,19 +738,17 @@ def green_derivative_sup(
     phi = 2.0 * np.pi * np.arange(192) / 192
     ring = np.exp(1j * phi)
 
-    shell_sups = []
-    for r in shell_radii:
-        dz, db = pot.jets(r * ring)[1:]
-        shell_sups.append(float(np.maximum(np.abs(dz), np.abs(db)).max()))
+    radii = shell_radii[0] * np.arange(1, 25) / 24
+    grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
+    shells = (shell_radii[:, None] * ring).ravel()
+    dz, db = pot.jets(np.concatenate([shells, [0j], grid.ravel()]))[1:]
+    norms = np.maximum(np.abs(dz), np.abs(db))
+    shell_sups = [float(v) for v in norms[:shells.size].reshape(shell_radii.size, -1).max(axis=1)]
+    interior_sup = float(norms[shells.size:].max())
 
     # Shell spacing halves each step, so the last gap equals the distance
     # to the boundary and the linear extrapolation is simply 2 v1 - v0.
     boundary_limit = 2.0 * shell_sups[-1] - shell_sups[-2]
-
-    radii = shell_radii[0] * np.arange(1, 25) / 24
-    grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
-    dz, db = pot.jets(np.concatenate([[0j], grid.ravel()]))[1:]
-    interior_sup = float(np.maximum(np.abs(dz), np.abs(db)).max())
 
     sup = max(interior_sup, max(shell_sups), boundary_limit)
     return GreenDerivativeSup(

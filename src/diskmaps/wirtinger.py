@@ -62,7 +62,7 @@ def jet_metrics(jet: WirtingerJet) -> DerivedMetrics:
 def disk_distance(z: complex) -> float:
     """Distance 1 - |z| from an interior point to the unit circle."""
     r = abs(z)
-    if r >= 1.0:
+    if not r < 1.0:
         raise ValueError(f"point must lie in the open unit disk, got |z| = {r}")
     return 1.0 - r
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from diskmaps.catalog import builtin_map
+from diskmaps.maps import PlanarMap
 from diskmaps.potential import QuadratureConfig
 
 # Grid scans and quadrature make individual examples slow but deterministic;
@@ -22,6 +23,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("diskmaps")
+
+
+class CountingMap(PlanarMap):
+    """A map that records each of its calls as (method, number of points)."""
+
+    def __init__(self, inner: PlanarMap):
+        self.inner, self.calls = inner, []
+
+    def values(self, z):
+        self.calls.append(("values", np.size(z)))
+        return self.inner.values(z)
+
+    def jets(self, z):
+        self.calls.append(("jets", np.size(z)))
+        return self.inner.jets(z)
+
+
+@pytest.fixture
+def counting():
+    return CountingMap
 
 
 @pytest.fixture(scope="session")

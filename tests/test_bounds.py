@@ -56,6 +56,9 @@ def test_context_validation():
         BoundContext(perimeter_sup=-0.1)
     with pytest.raises(ValueError):
         BoundContext(radial_sup=-0.1)
+    for name in ("R", "perimeter_sup", "radial_sup"):
+        with pytest.raises(ValueError):
+            BoundContext(**{name: math.nan})
 
 
 def test_missing_context_yields_indeterminate_rows():

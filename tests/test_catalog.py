@@ -54,6 +54,28 @@ def test_parameter_schema_is_enforced():
         builtin_map("no-such-map")
 
 
+@pytest.mark.parametrize("name,params", [
+    ("scale", {"c": "nan"}),
+    ("scale", {"c": float("inf")}),
+    ("moebius", {"a": "nan"}),
+    ("moebius", {"a": 0.5, "t": "inf"}),
+    ("example13", {"alpha": "nan"}),
+    ("polyharmonic", {"a": ("0", "1"), "b": ("0", "nan")}),
+    ("kalaj_extremal", {"R": "nan"}),
+    ("kalaj_extremal", {"mu": ("nan",)}),
+])
+def test_non_finite_parameters_are_refused(name, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        builtin_map(name, params)
+
+
+def test_kalaj_extremal_refuses_nan_arguments():
+    with pytest.raises(ValueError, match="R must be positive"):
+        kalaj_extremal(float("nan"), [0.0])
+    with pytest.raises(ValueError, match=r"sup \|mu\|"):
+        kalaj_extremal(1.0, [float("nan")])
+
+
 def test_moebius_is_a_disk_automorphism(rng):
     m = builtin_map("moebius", {"a": 0.3 + 0.2j, "t": 0.7}).build()
     pts = 0.999 * np.exp(2j * np.pi * rng.uniform(0, 1, 64))

@@ -338,3 +338,37 @@ def test_zero_power_of_a_vanishing_base_is_one(capsys):
                                       "--C3", "1.5", "--pairs", "0:0.5"])
         assert code == 0
         assert doc["reports"][0]["holds_on_sample"] is True
+
+
+_THM11 = ["--omega", "t", "--alpha", "0.5", "--C1", "10", "--C2", "100", "--line-nodes", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["frontier", "--map", "z", "--K", "nan"],
+    ["bounds", "--catalog", "identity", "--K", "nan"],
+    ["bounds", "--catalog", "identity", "--K", "1", "--Kprime", "nan"],
+    ["bounds", "--catalog", "identity", "--R", "nan"],
+    ["bounds", "--catalog", "identity", "--points", "nan"],
+    ["bounds", "--catalog", "scale", "--param", "c=nan"],
+    ["bounds", "--catalog", "polyharmonic", "--param", "a=0,1", "--param", "b=0,inf"],
+    ["check-thm11", "--map", "z", *_THM11[:4], "--C1", "nan", *_THM11[6:], "--pairs", "0.1:0.2"],
+    ["check-thm11", "--map", "z", *_THM11, "--pairs", "nan:0.2j"],
+    ["check-prop14", "--map", "z", "--C3", "1.5", "--pairs", "nan:0.2"],
+    ["length", "--kind", "radial", "--map", "z", "--theta", "nan"],
+    ["solve", "--psi", "z", "--residual-h", "nan"],
+    ["analyze", "--map", "z", "--K", "nan"],
+    ["analyze", "--map", "z", "--K=-inf"],
+    ["analyze", "--map", "z", "--points", "0.1, inf"],
+    ["frontier", "--map", "z", "--max-radius", "1e999"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    # Each once exited 3 ("numerical failure"), exited 0 printing nan, or
+    # exited 2 with an unrelated message.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects a flag's value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert "finite" in captured.err

@@ -105,6 +105,8 @@ def test_bloch_norm_identity_is_one():
     assert val == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         bloch_norm(SeriesMap([0, 1]), "t", alpha=0.0)
+    with pytest.raises(ValueError):
+        bloch_norm(SeriesMap([0, 1]), "t", alpha=float("nan"))
 
 
 def test_bloch_norm_includes_value_at_origin():
@@ -119,3 +121,21 @@ def test_bloch_norm_refuses_a_failing_grid():
     with np.errstate(all="ignore"):
         with pytest.raises(GridScanError, match="43.8% of grid points"):
             bloch_norm(m, "t", alpha=0.5, grid=grid)
+
+
+def test_extraction_is_one_values_call(counting):
+    m = counting(SeriesMap([0.1, 1, 0.2j], [0, 0.3]))
+    table = extract_coeffs(m, count=4, radii=(0.3, 0.5, 0.7, 0.9))
+    assert m.calls == [("values", 4 * 256)]
+    # The reference circle's row gives the table a call on it alone gives.
+    assert table.a == extract_coeffs(m.inner, count=4, radii=(0.9,)).a and table.valid
+
+
+def test_bloch_norm_takes_f0_from_its_jets_call(counting):
+    m = counting(SeriesMap([2.0, 1.0]))
+    grid = GridSpec(radial_count=4, angular_count=8)
+    assert bloch_norm(m, "t", alpha=1.0, grid=grid) == bloch_norm(m.inner, "t", alpha=1.0,
+                                                                    grid=grid)
+    assert {name for name, _ in m.calls} == {"jets"}
+    with pytest.raises(ValueError, match="not finite at z = 0j"):
+        bloch_norm(DslMap("z + 0*log(z)"), "t", alpha=1.0, grid=grid)

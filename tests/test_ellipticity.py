@@ -16,6 +16,7 @@ from diskmaps import (
     GridSpec,
     JetEvaluationError,
     PlanarMap,
+    QuadratureConfig,
     SeriesMap,
     beta_constant,
     builtin_map,
@@ -141,6 +142,21 @@ def test_parameter_validation():
         CauchyPair(k1=0.2, k2=-0.1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EllipticityParams(K=math.nan, Kprime=0.0),
+    lambda: EllipticityParams(K=2.0, Kprime=math.nan),
+    lambda: CauchyPair(k1=0.2, k2=math.nan),
+    lambda: min_kprime(SeriesMap([0, 1]), math.nan),
+    lambda: frontier(SeriesMap([0, 1]), [2.0, math.nan, 1.5]),
+    lambda: check_theorem11(SeriesMap([0, 1]), "t", 0.5, math.nan, 10.0, [(0.1, 0.2)]),
+    lambda: lemma22_check(SeriesMap([0, 1]), "t", 0.5, 1.0, math.nan, [(0.1, 0.2)]),
+], ids=["K", "Kprime", "k2", "min_kprime", "frontier", "C1", "C5"])
+def test_nan_fails_every_validator(call):
+    # Written as "x < bound", a check lets nan through.
+    with pytest.raises(ValueError):
+        call()
+
+
 @given(st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False))
 def test_invert_map_recovers_moebius_preimages(w0):
     defn = builtin_map("moebius", {"a": 0.4})
@@ -158,6 +174,65 @@ def test_invert_map_gives_nan_where_a_target_fails():
     assert z[2] == 0.3  # solved by its guess: no step taken
     with pytest.raises(ValueError, match="open unit disk"):
         invert_map(square, np.array([0.25, 0.25]), np.array([0.1, 1.5]))
+
+
+def _invert_by_values(m, w, guess, tol=1e-12, max_iter=100):
+    """Reference Newton: residuals from `values` calls, partials from a
+    separate `jets` call at each accepted iterate."""
+    w = np.asarray(w, dtype=complex)
+    z = np.array(np.broadcast_to(np.asarray(guess, dtype=complex), w.shape))
+    r = m.values(z) - w
+    out = np.full(z.shape, complex("nan+nanj"))
+    unsolved = np.flatnonzero(np.isfinite(r))
+    for _ in range(max_iter):
+        done = np.abs(r[unsolved]) <= tol
+        out[unsolved[done]] = z[unsolved[done]]
+        unsolved = unsolved[~done]
+        if not unsolved.size:
+            break
+        _, dz, db = m.jets(z[unsolved])
+        jac = np.abs(dz) ** 2 - np.abs(db) ** 2
+        steady = jac > 1e-12
+        unsolved = unsolved[steady]
+        res = r[unsolved]
+        step = (np.conj(dz[steady]) * res - db[steady] * np.conj(res)) / jac[steady]
+        pending, lam = np.arange(unsolved.size), 1.0
+        for _ in range(20):
+            idx = unsolved[pending]
+            cand = z[idx] - lam * step[pending]
+            inside = np.abs(cand) < 1.0
+            r_cand = np.full(cand.shape, complex("nan+nanj"))
+            r_cand[inside] = m.values(cand[inside]) - w[idx[inside]]
+            better = np.abs(r_cand) < np.abs(r[idx])
+            z[idx[better]], r[idx[better]] = cand[better], r_cand[better]
+            pending = pending[~better]
+            if not pending.size:
+                break
+            lam *= 0.5
+        unsolved = np.delete(unsolved, pending)
+    return out
+
+
+_SMALL_QUAD = QuadratureConfig(radial_nodes=32, angular_nodes=32, boundary_nodes=64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DslMap("z + 0.3*conj(z)^2 + 0.1*z^3"),
+    lambda: DslMap("z*exp(0.5*z) + 0.2*conj(z)"),
+    # Degenerate Jacobians at 0, halved steps and trials outside the disk.
+    lambda: DslMap("z^2"),
+    lambda: solve_poisson("z + 0.2*z^2", "exp(-abs(z-0.3)^2)", _SMALL_QUAD),
+], ids=["cubic", "exp", "square", "poisson"])
+def test_invert_map_takes_only_jets_and_keeps_its_iterates(counting, build):
+    targets = build().values(np.array([0.6j, 0.4 + 0.3j, -0.7, 0.05, 0.3 - 0.5j]))
+    guess = np.array([0.0, 0.1, 0.0, 0.2j, 0.0])
+    m = counting(build())
+    z = invert_map(m, targets, guess)
+    assert m.calls[0] == ("jets", targets.size)
+    assert {name for name, _ in m.calls} == {"jets"}
+    # Bit for bit the iterates of values-then-jets steps: jets(z)[0] is values(z).
+    assert np.array_equal(z, _invert_by_values(build(), targets, guess), equal_nan=True)
+    assert np.isfinite(z).any()
 
 
 def _marched_chord_integral(m, alpha, z1, z2, nodes=129):

@@ -21,6 +21,7 @@ from diskmaps import (
     solve_poisson,
     subharmonic_radial_check,
 )
+from diskmaps.lengths import _circle_integrands, _trapezoid
 
 
 def test_perimeter_identity_circles():
@@ -211,3 +212,22 @@ def test_batched_scans_name_the_first_failing_ray_and_circle():
     with np.errstate(all="ignore"), \
             pytest.raises(JetEvaluationError, match=r"circle \|z\| = 0\.75$"):
         length_sup(poles, "perimeter", SCAN_GRID)
+
+
+@pytest.mark.parametrize("name,r,nodes", [
+    ("dsl", 0.7, 512), ("dsl", 0.95, 8), ("series", 0.5, 16), ("callable", 0.3, 64),
+    ("poisson", 0.9, 32), ("poisson", 0.6, 128),
+])
+def test_perimeter_is_one_jets_call_of_both_rules(counting, name, r, nodes):
+    # The coarse rule reads the even samples of the fine one: the same bits as
+    # its own n-node circle, so `converged` compares the same two sums.
+    m = counting(_scan_maps()[name])
+    rep = perimeter(m, r, nodes=nodes)
+    assert m.calls == [("jets", 2 * nodes)]
+    [coarse] = _trapezoid(_circle_integrands(m.inner, [r], nodes))
+    [fine] = _trapezoid(_circle_integrands(m.inner, [r], 2 * nodes))
+    even = np.ascontiguousarray(_circle_integrands(m.inner, [r], 2 * nodes)[:, ::2])
+    assert np.array_equal(even, _circle_integrands(m.inner, [r], nodes))
+    assert _trapezoid(even) == [coarse]
+    assert rep.value == fine
+    assert rep.converged == (abs(fine - coarse) <= 1e-6 * abs(fine))

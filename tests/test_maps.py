@@ -2,12 +2,13 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskmaps.catalog import Example13Map
 from diskmaps.maps import CallableMap, DslMap, SeriesMap
 from diskmaps.potential import GreenPotential, QuadratureConfig, solve_poisson
+from test_expr import GRID, SOURCES
 
 small_coeffs = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -139,3 +140,30 @@ def test_scalar_values_raise_where_arrays_give_nan():
     m = Example13Map(0.25)
     assert m.value(0) == 0 and m.values(np.array([0j]))[0] == 0
     assert np.isnan(m.jets(np.array([0j]))[1][0])
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit (signed zeros included), any nan matching any nan."""
+    x, y = np.asarray(a).view(float), np.asarray(b).view(float)
+    return bool(np.all((x.view(np.int64) == y.view(np.int64)) | (np.isnan(x) & np.isnan(y))))
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_CASES))
+def test_the_value_part_of_jets_is_values_bit_for_bit(name):
+    # invert_map reads its residuals from jets calls alone, so its iterates
+    # are those of values-then-jets steps only if this holds.
+    m = PROTOCOL_CASES[name][0]()
+    # Inside the disk, where invert_map evaluates (a callable map has no
+    # difference stencil past the circle, so there its jets are nan).
+    pts = np.array([0.3 + 0.4j, -0.55j, 0.7, -0.2 + 0.1j, 0.0, 0.999, 0.05 - 0.8j])
+    assert _same_bits(m.jets(pts)[0], m.values(pts))
+
+
+@given(source=SOURCES)
+# Broadcast constants in the jet path once gave 1-0j where values gave 1+0j.
+@example(source="(i^0)^-1")
+def test_the_value_part_of_dsl_jets_is_values_bit_for_bit(source):
+    m = DslMap(source)
+    pts = np.concatenate([GRID, [0.0, -0.9 + 0.1j]])
+    with np.errstate(all="ignore"):
+        assert _same_bits(m.jets(pts)[0], m.values(pts))

@@ -18,7 +18,7 @@ from diskmaps import (
     solve_poisson,
 )
 from diskmaps.expr import parse_expr, value_array
-from diskmaps.potential import (_CHECK_ANGLES, _ROUNDOFF, _SOLVED_RADII, _chop_length,
+from diskmaps.potential import (_CHECK_ANGLES, _ROUNDOFF, _chop_length,
                                 _panel_nodes, _spectral_tables, poisson_coefficients)
 
 
@@ -65,6 +65,8 @@ def test_residual_guards_boundary_and_step(quad_fast):
         laplacian_residual(m, "1", 0.999, h=1e-3)
     with pytest.raises(ValueError):
         laplacian_residual(m, "1", 0.0, h=0.0)
+    with pytest.raises(ValueError, match="h must be positive"):
+        laplacian_residual(m, "1", 0.0, h=float("nan"))
 
 
 def test_residuals_of_an_array_equal_per_point_calls(quad_fast, rng):
@@ -152,6 +154,18 @@ def test_derivative_sup_reports_interior_and_boundary(quad_fast):
     assert est.boundary_limit == pytest.approx(0.25, abs=1e-5)
     assert est.interior_sup <= est.sup + 1e-12
     assert len(est.shell_radii) == len(est.shell_sups) == 6
+
+
+def test_derivative_sup_is_one_jets_call(quad_fast):
+    pot = GreenPotential("abs(z)^2 + 0.3*re(z)", quad_fast)
+    with mock.patch.object(pot, "jets", wraps=pot.jets) as jets:
+        est = green_derivative_sup(pot)
+    # Six 192-point shells, the origin and the 24 x 96 interior grid.
+    assert [np.size(call.args[0]) for call in jets.call_args_list] == [6 * 192 + 1 + 24 * 96]
+    ring = np.exp(2j * np.pi * np.arange(192) / 192)
+    for r, sup in zip(est.shell_radii, est.shell_sups):
+        _, dz, db = pot.jets(r * ring)
+        assert sup == np.maximum(np.abs(dz), np.abs(db)).max()
 
 
 # --- closed-form oracles ------------------------------------------------------
@@ -288,27 +302,10 @@ def test_ring_jets_cost_one_radial_solve():
     before = sum(sampled)
     pot.jets(0.3 * ring)
     assert sum(sampled) == before + split
-    # A radius visited again reuses its modes.
+    # Nothing is kept between calls: a radius visited again is solved again.
     before = sum(sampled)
     pot.values(ring[::7])
-    assert sum(sampled) == before
-
-
-def test_kept_radial_solves_are_bounded():
-    sampled = []
-
-    def source(w):
-        sampled.append(np.size(w))
-        return np.ones(np.shape(w), dtype=complex)
-
-    pot = GreenPotential(source, QuadratureConfig(radial_nodes=8, angular_nodes=8))
-    radii = np.linspace(0.0, 0.9, _SOLVED_RADII + 88)
-    pot.values(radii)
-    before = sum(sampled)
-    pot.values(radii[-_SOLVED_RADII:])  # the most recent solves are kept ...
-    assert sum(sampled) == before
-    pot.values(radii[:1])  # ... and the oldest were dropped
-    assert sum(sampled) > before
+    assert sum(sampled) == before + split
 
 
 # One ulp per angular mode kept by the default rule (255 of them): the
@@ -438,10 +435,10 @@ def test_scattered_points_get_the_same_jets_alone_and_together():
 
 
 @pytest.mark.parametrize("source", ["0.4*re(z)", "exp(-400*abs(z-0.06)^2)", "log(abs(z))"])
-def test_a_call_past_the_kept_solves_equals_calls_of_ten(source):
-    # More new radii than are kept: the call takes its modes from its own
-    # solves, not from the cache it overwrites.
-    z = _scattered_points(_SOLVED_RADII + 100, 5)
+def test_a_call_of_many_radii_equals_calls_of_ten(source):
+    # 612 distinct radii span several blocks in one call; each point's jets
+    # equal those of calls of ten points, bit for bit.
+    z = _scattered_points(612, 5)
     together = np.array(GreenPotential(source).jets(z))
     pot = GreenPotential(source)
     tens = np.concatenate([np.array(pot.jets(z[i:i + 10])) for i in range(0, z.size, 10)], axis=1)

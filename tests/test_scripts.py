@@ -8,7 +8,10 @@ import shlex
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+DIGEST = Path(__file__).resolve().parent / "output_digest.txt"
 
 
 def run_script(monkeypatch, name, *argv):
@@ -51,6 +54,8 @@ def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
 
     assert run_script(monkeypatch, "output_digest.py", "--seeds", "1") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert [line[:2] for line in lines[:2]] == ["# ", "# "]  # seeds and versions
+    lines = lines[2:]
     argvs = {argv for workload in WORKLOADS for argv in WARMUP[workload]}
     for workload in WORKLOADS:
         for case in generate(workload, 1):
@@ -61,6 +66,22 @@ def test_output_digest_hashes_every_benchmark_argv(monkeypatch, capsys):
     assert len(lines) == len(argvs)
     assert all(re.fullmatch(r"[0-9a-f]{64} \S.*", line) for line in lines)
     assert {tuple(shlex.split(line[65:])) for line in lines} == argvs
+
+
+def test_output_digest_equals_the_committed_digest(monkeypatch, capsys):
+    # Byte identity as a checked artifact: every argv of seeds 1-3 and every
+    # edge case keeps its exit code, stdout and stderr.  A change that moves
+    # bytes regenerates the file, whose diff then names the argvs.
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    committed = DIGEST.read_text().splitlines()
+    assert run_script(monkeypatch, "output_digest.py") == 0
+    fresh = capsys.readouterr().out.splitlines()
+    recorded, running = committed[1][2:], fresh[1][2:]
+    if recorded != running:
+        pytest.fail(f"tests/output_digest.txt was made with {recorded}; this run has "
+                    f"{running}, whose arithmetic may differ: regenerate it there")
+    moved = sorted({line[65:] for line in set(fresh) ^ set(committed)})
+    assert fresh == committed, f"{len(moved)} argvs moved: {moved}"
 
 
 def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path):
@@ -98,7 +119,7 @@ def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path)
 def test_output_digest_documents_hash_to_the_digest(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
     assert run_script(monkeypatch, "output_digest.py", "--seeds", "1") == 0
-    hashes = capsys.readouterr().out.splitlines()
+    hashes = capsys.readouterr().out.splitlines()[2:]
     assert run_script(monkeypatch, "output_digest.py", "--seeds", "1", "--documents") == 0
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert len(docs) == len(hashes)

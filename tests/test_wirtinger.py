@@ -56,6 +56,8 @@ def test_disk_distance_interior_and_boundary():
         disk_distance(1.0)
     with pytest.raises(ValueError):
         disk_distance(-1.2)
+    with pytest.raises(ValueError):
+        disk_distance(complex("nan"))
 
 
 @given(st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False))
