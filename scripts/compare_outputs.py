@@ -11,7 +11,8 @@ moved, and the argv:
 
 Numbers are compared in order of appearance.  Where the text around them
 moved too (a key, a flag or a message), the line says "text moved" instead
-of the number changes.  The relative change of a pair is
+of the number changes, and where only zeros changed sign (0.0 and -0.0),
+"signed zeros only".  The relative change of a pair is
 |new - old| / max(|old|, |new|).  Exits 1 when any argv moved or appears in
 only one file, else 0.
 """
@@ -48,9 +49,25 @@ def number_change(old: str, new: str):
     return worst_abs, worst_rel
 
 
+def signed_zeros_only(old: str, new: str) -> bool:
+    """True where two different texts differ only in the sign of zeros:
+    every pair of numbers is equal, and each unequally printed pair is a
+    zero printed with another sign."""
+    if old == new or NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return False
+    pairs = zip(NUMBER.findall(old), NUMBER.findall(new))
+    return all(a == b or (float(a) == float(b) == 0.0 and a.lstrip("+-") == b.lstrip("+-"))
+               for a, b in pairs)
+
+
 def describe(old: dict, new: dict) -> str:
     change = number_change(old["stdout"], new["stdout"])
-    numbers = "text moved" if change is None else f"abs {change[0]:.2e} rel {change[1]:.2e}"
+    if change is None:
+        numbers = "text moved"
+    elif signed_zeros_only(old["stdout"], new["stdout"]):
+        numbers = "signed zeros only"
+    else:
+        numbers = f"abs {change[0]:.2e} rel {change[1]:.2e}"
     code = "moved" if old["code"] != new["code"] else "same"
     stderr = "moved" if old["stderr"] != new["stderr"] else "same"
     return f"{numbers}  code {code}  stderr {stderr}"

@@ -101,9 +101,19 @@ def _identity(name: str, params) -> MapDefinition:
     )
 
 
-def _finite(kind, value, name: str):
-    """A catalog parameter converted by `kind` (float or complex); ValueError
-    naming the parameter where the number is nan or infinite."""
+def _finite(kind, value, name: str, many: bool = False):
+    """A catalog parameter converted by `kind` (int, float or complex).
+
+    With `many` it is a list: a tuple of numbers, one value making a
+    one-element tuple.  Otherwise it is one number.  ValueError naming the
+    parameter where a number parameter gets a list, or a number is nan or
+    infinite.
+    """
+    if many:
+        items = value if np.ndim(value) else (value,)
+        return tuple(_finite(kind, item, name) for item in items)
+    if np.ndim(value):
+        raise ValueError(f"catalog parameter {name} takes one number, got {value!r}")
     number = kind(value)
     if not cmath.isfinite(number):
         raise ValueError(f"catalog parameter {name} must be finite, got {value!r}")
@@ -152,19 +162,16 @@ def _example15(name: str, params) -> MapDefinition:
 
 
 def _polyharmonic(name: str, params) -> MapDefinition:
-    a = [_finite(complex, v, "a") for v in params["a"]]
-    b = [_finite(complex, v, "b") for v in params["b"]]
-    return MapDefinition(name=name, parameters={"a": tuple(a), "b": tuple(b)},
+    a = _finite(complex, params["a"], "a", many=True)
+    b = _finite(complex, params["b"], "b", many=True)
+    return MapDefinition(name=name, parameters={"a": a, "b": b},
                          _builder=lambda: SeriesMap(a, b, label=name))
 
 
 def _kalaj(name: str, params) -> MapDefinition:
-    mu = params["mu"]
-    if not isinstance(mu, (tuple, list)):
-        mu = (mu,)
     return kalaj_extremal(_finite(float, params["R"], "R"),
-                          [_finite(complex, v, "mu") for v in mu],
-                          int(params["series_degree"]))
+                          _finite(complex, params["mu"], "mu", many=True),
+                          _finite(int, params["series_degree"], "series_degree"))
 
 
 class _Entry(NamedTuple):

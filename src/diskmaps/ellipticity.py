@@ -264,7 +264,8 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
     guess is an array shaped like w (or one point for every target), each
     in the open unit disk (ValueError otherwise).  The map is called only
     through `jets`: one call on the guesses, then one `jets` call per
-    line-search trial on the targets still stepping, an accepted trial
+    line-search trial on the targets still stepping whose trial point lies
+    in the disk (none where every trial point leaves it), an accepted trial
     keeping its value and partials for the next step.  Each target halves
     its own step (at most 20 times) while its residual fails to decrease or
     its iterate leaves the disk.  Returns the preimages shaped like w, nan
@@ -297,8 +298,9 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
             cand = z[idx] - lam * step[pending]
             inside = np.abs(cand) < 1.0
             trial = np.full((3, cand.size), complex("nan+nanj"))
-            trial[:, inside] = m.jets(cand[inside])
-            trial[0, inside] -= w[idx[inside]]
+            if inside.any():
+                trial[:, inside] = m.jets(cand[inside])
+                trial[0, inside] -= w[idx[inside]]
             better = np.abs(trial[0]) < np.abs(r[idx])
             kept = idx[better]
             z[kept], r[kept], dz[kept], db[kept] = cand[better], *trial[:, better]

@@ -27,6 +27,8 @@ table.
 
 Evaluation runs on arrays only (`value_array`, `jet_arrays`): numpy's
 arithmetic elementwise, so a point gets the same bits alone as in a batch.
+Jets carry a partial known to be identically 0 or 1 as a marker, not an
+array, and skip the arithmetic it makes known.
 Singular arguments (log, abs, pow or division at zero) give non-finite
 entries instead of raising; `maps.PlanarMap.value` and `jet` turn them into
 a ValueError at one point.
@@ -83,8 +85,54 @@ class ExprAst:
     pos: int = field(default=0, compare=False)
 
 
-# A jet triple (value, d/dz, d/dzbar) of arrays.
+# A jet triple (value, d/dz, d/dzbar).
 _Triple = tuple
+
+
+# Markers for a partial known before evaluation to be identically 0 or 1:
+# z's jet is (z, _ONE, _ZERO) and a constant's (c, _ZERO, _ZERO).  The jet
+# rules combine partials only through the helpers below, which skip the
+# arithmetic a marker makes known: an analytic subtree does no d/dzbar work.
+_ZERO, _ONE = object(), object()
+_UNIT = np.complex128(1.0)
+
+
+def _dense(d):
+    """The partial d as a number or array: the one marker becomes 1."""
+    return _UNIT if d is _ONE else d
+
+
+def _mul(a, b):
+    # Kept in the order a * b: complex products are not bit-commutative.
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    if a is _ONE:
+        return b
+    return a if b is _ONE else a * b
+
+
+def _add(a, b):
+    if a is _ZERO:
+        return b
+    return a if b is _ZERO else _dense(a) + _dense(b)
+
+
+def _sub(a, b):
+    if b is _ZERO:
+        return a
+    return _neg(b) if a is _ZERO else _dense(a) - _dense(b)
+
+
+def _neg(a):
+    return a if a is _ZERO else -_dense(a)
+
+
+def _conj(a):
+    return a if a is _ZERO or a is _ONE else np.conj(a)
+
+
+def _div(a, b):
+    return a if a is _ZERO else _dense(a) / b
 
 
 class _Op(NamedTuple):
@@ -93,9 +141,10 @@ class _Op(NamedTuple):
     source: `str.format` template; {0}, {1} are the printed arguments and
         {p} the printed parameter.
     value: (*argument values, param if not None) -> value.
-    jet: (param, value, zero, *argument jets) -> (d/dz, d/dzbar), where each
-        argument jet is a triple (value, d/dz, d/dzbar) and `zero` is the
-        evaluation's shared zero derivative.
+    jet: (param, value, *argument jets) -> (d/dz, d/dzbar), where each
+        argument jet is a triple (value, d/dz, d/dzbar).  A partial may be
+        the marker _ZERO or _ONE, so the rules combine partials only through
+        _mul, _add, _sub, _neg, _conj and _div.
     """
 
     source: str
@@ -103,49 +152,54 @@ class _Op(NamedTuple):
     jet: Callable
 
 
-def _quotient_jet(p, w, zero, a: _Triple, b: _Triple):
+def _quotient_jet(p, w, a: _Triple, b: _Triple):
     den = b[0] * b[0]
-    return (a[1] * b[0] - a[0] * b[1]) / den, (a[2] * b[0] - a[0] * b[2]) / den
+    return (_div(_sub(_mul(a[1], b[0]), _mul(a[0], b[1])), den),
+            _div(_sub(_mul(a[2], b[0]), _mul(a[0], b[2])), den))
 
 
-def _int_power_jet(n: int, w, zero, u: _Triple):
+def _int_power_jet(n: int, w, u: _Triple):
     if n == 0:
-        return zero, zero
-    dfactor = n * u[0] ** (n - 1) if n != 1 else 1.0
-    return dfactor * u[1], dfactor * u[2]
+        return _ZERO, _ZERO
+    if n == 1:
+        return u[1], u[2]
+    dfactor = n * u[0] ** (n - 1)
+    return _mul(dfactor, u[1]), _mul(dfactor, u[2])
 
 
-def _real_power_jet(c: float, w, zero, u: _Triple):
+def _real_power_jet(c: float, w, u: _Triple):
     dfactor = c * np.power(u[0], c - 1.0)
-    return dfactor * u[1], dfactor * u[2]
+    return _mul(dfactor, u[1]), _mul(dfactor, u[2])
 
 
-def _abs_jet(p, w, zero, u: _Triple):
+def _abs_jet(p, w, u: _Triple):
     cu, m2 = np.conj(u[0]), 2.0 * w.real  # w = |u| + 0j
-    return (cu * u[1] + u[0] * np.conj(u[2])) / m2, (cu * u[2] + u[0] * np.conj(u[1])) / m2
+    return (_div(_add(_mul(cu, u[1]), _mul(u[0], _conj(u[2]))), m2),
+            _div(_add(_mul(cu, u[2]), _mul(u[0], _conj(u[1]))), m2))
 
 
 _OPS = {
-    "neg": _Op("-({0})", operator.neg, lambda p, w, zero, u: (-u[1], -u[2])),
+    "neg": _Op("-({0})", operator.neg, lambda p, w, u: (_neg(u[1]), _neg(u[2]))),
     "+": _Op("({0} + {1})", operator.add,
-             lambda p, w, zero, a, b: (a[1] + b[1], a[2] + b[2])),
+             lambda p, w, a, b: (_add(a[1], b[1]), _add(a[2], b[2]))),
     "-": _Op("({0} - {1})", operator.sub,
-             lambda p, w, zero, a, b: (a[1] - b[1], a[2] - b[2])),
+             lambda p, w, a, b: (_sub(a[1], b[1]), _sub(a[2], b[2]))),
     "*": _Op("({0} * {1})", operator.mul,
-             lambda p, w, zero, a, b: (a[1] * b[0] + a[0] * b[1], a[2] * b[0] + a[0] * b[2])),
+             lambda p, w, a, b: (_add(_mul(a[1], b[0]), _mul(a[0], b[1])),
+                                 _add(_mul(a[2], b[0]), _mul(a[0], b[2])))),
     "/": _Op("({0} / {1})", operator.truediv, _quotient_jet),
     "^": _Op("({0})^{p}", operator.pow, _int_power_jet),
     "pow": _Op("pow({0}, {p})", np.power, _real_power_jet),
-    "conj": _Op("conj({0})", np.conj, lambda p, w, zero, u: (np.conj(u[2]), np.conj(u[1]))),
+    "conj": _Op("conj({0})", np.conj, lambda p, w, u: (_conj(u[2]), _conj(u[1]))),
     "re": _Op("re({0})", lambda u: (u + np.conj(u)) / 2.0,
-              lambda p, w, zero, u: ((u[1] + np.conj(u[2])) / 2.0,
-                                     (u[2] + np.conj(u[1])) / 2.0)),
+              lambda p, w, u: (_div(_add(u[1], _conj(u[2])), 2.0),
+                               _div(_add(u[2], _conj(u[1])), 2.0))),
     "im": _Op("im({0})", lambda u: (u - np.conj(u)) / 2j,
-              lambda p, w, zero, u: ((u[1] - np.conj(u[2])) / 2j,
-                                     (u[2] - np.conj(u[1])) / 2j)),
+              lambda p, w, u: (_div(_sub(u[1], _conj(u[2])), 2j),
+                               _div(_sub(u[2], _conj(u[1])), 2j))),
     "abs": _Op("abs({0})", lambda u: np.abs(u) + 0j, _abs_jet),
-    "log": _Op("log({0})", np.log, lambda p, w, zero, u: (u[1] / u[0], u[2] / u[0])),
-    "exp": _Op("exp({0})", np.exp, lambda p, w, zero, u: (w * u[1], w * u[2])),
+    "log": _Op("log({0})", np.log, lambda p, w, u: (_div(u[1], u[0]), _div(u[2], u[0]))),
+    "exp": _Op("exp({0})", np.exp, lambda p, w, u: (_mul(w, u[1]), _mul(w, u[2]))),
 }
 
 # Operations written as calls, name(args); the rest are operators.
@@ -374,7 +428,9 @@ def _value(node: ExprAst, z: np.ndarray):
 
 
 def _jet(node: ExprAst, env: tuple) -> _Triple:
-    # env = (z, one, zero): z and the jets of z and of a constant.
+    # env = (z, one, zero) is z's jet, and zero is also each partial of a
+    # constant.  jet_arrays passes the markers (z, _ONE, _ZERO); a dense env
+    # of ones and zeros arrays takes the same rules through full arithmetic.
     args, p = node.args, node.param
     if not args:
         if node.op == "z":
@@ -386,7 +442,7 @@ def _jet(node: ExprAst, env: tuple) -> _Triple:
     jets = [_jet(arg, env) for arg in args]
     xs = [u[0] for u in jets]
     w = value(*xs) if p is None else value(*xs, p)
-    return (w, *jet(p, w, env[2], *jets))
+    return (w, *jet(p, w, *jets))
 
 
 def _own(arr, shape, taken) -> np.ndarray:
@@ -410,13 +466,16 @@ def jet_arrays(ast: ExprAst, z):
     """(value, dz, dzbar) arrays shaped like z; non-finite where singular.
 
     The three are new arrays: none shares memory with z or with another.
+    A partial known to be identically 0 or 1 is built only here, so its
+    exact zeros may carry another sign than full arithmetic would give.
     """
     zz = np.asarray(z, dtype=complex)
-    env = (zz, np.ones(zz.shape, dtype=complex), np.zeros(zz.shape, dtype=complex))
     with np.errstate(all="ignore"):
-        jet = _jet(ast, env)
+        jet = _jet(ast, (zz, _ONE, _ZERO))
     out = []
     for part in jet:
+        if part is _ZERO or part is _ONE:
+            part = (np.zeros if part is _ZERO else np.ones)(zz.shape, dtype=complex)
         out.append(_own(part, zz.shape, [zz, *out]))
     return tuple(out)
 

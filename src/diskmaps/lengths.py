@@ -130,18 +130,16 @@ def _ray_lengths(m, radii, thetas, nodes: int) -> List[float]:
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    lengths = []
-    for r, theta, row in zip(radii.tolist(), thetas.tolist(), integrand):
-        bad = ~np.isfinite(row)
-        if bad.any():
-            # Isolated singular endpoints (maps not differentiable at 0) get the
-            # nearest finite node value; interior failures are real errors.
-            if bad.sum() > 1 or not bad[0]:
-                raise JetEvaluationError(f"jet evaluation failed on the ray theta = {theta}")
-            row[0] = row[1]
-        h = r / (nodes - 1)
-        lengths.append(float((w @ row) * h / 3.0))
-    return lengths
+    bad = ~np.isfinite(integrand)
+    for k in np.flatnonzero(bad.any(axis=1)):
+        # Isolated singular endpoints (maps not differentiable at 0) get the
+        # nearest finite node value; interior failures are real errors.
+        if bad[k].sum() > 1 or not bad[k, 0]:
+            raise JetEvaluationError(
+                f"jet evaluation failed on the ray theta = {float(thetas[k])}")
+        integrand[k, 0] = integrand[k, 1]
+    return [float((w @ row) * (r / (nodes - 1)) / 3.0)
+            for r, row in zip(radii.tolist(), integrand)]
 
 
 def radial_length(m, r: float, theta: float, nodes: int = 257) -> LengthReport:

@@ -100,11 +100,27 @@ def _as_coeffs(c: Sequence[complex]) -> np.ndarray:
     return arr if arr.size else np.zeros(1, dtype=complex)
 
 
+def _horner(x: np.ndarray, c: np.ndarray):
+    """sum_n c[n] x^n by Horner's rule, bit for bit `npoly.polyval(x, c)`.
+
+    Each step is a new product `acc * x`: in numpy an in-place product
+    (`np.multiply(acc, x, out=acc)`) can round a point differently alone
+    than in a batch.  The in-place sum is exact either way.
+    """
+    acc = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        acc = acc * x
+        acc += ck
+    return acc
+
+
 class SeriesMap(PlanarMap):
     """f(z) = sum_n a[n] z^n + sum_n b[n] conj(z)^n with finite coefficients.
 
     The b coefficients multiply literal powers of conj(z).  Such maps are
-    harmonic, so `laplacian_expr` is fixed to "0".
+    harmonic, so `laplacian_expr` is fixed to "0".  The four series of a
+    jet are summed by `_horner`, numpy's `polyval` recurrence without its
+    per-call reshaping.
     """
 
     laplacian_expr = "0"
@@ -118,13 +134,13 @@ class SeriesMap(PlanarMap):
 
     def values(self, z):
         z = np.asarray(z, dtype=complex)
-        return npoly.polyval(z, self.a) + npoly.polyval(np.conj(z), self.b)
+        return _horner(z, self.a) + _horner(np.conj(z), self.b)
 
     def jets(self, z):
         z = np.asarray(z, dtype=complex)
         zb = np.conj(z)
-        return (npoly.polyval(z, self.a) + npoly.polyval(zb, self.b),
-                npoly.polyval(z, self._da), npoly.polyval(zb, self._db))
+        return (_horner(z, self.a) + _horner(zb, self.b),
+                _horner(z, self._da), _horner(zb, self._db))
 
     def analytic_parts(self):
         h1 = SeriesMap(self.a, label=f"{self.label}:h1")

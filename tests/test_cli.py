@@ -319,6 +319,36 @@ def test_unknown_catalog_parameter_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name,params,message", [
+    ("scale", ["c=1,2"], "catalog parameter c takes one number"),
+    ("moebius", ["a=0.1,0.2"], "catalog parameter a takes one number"),
+    ("kalaj_extremal", ["R=1,2"], "catalog parameter R takes one number"),
+    ("kalaj_extremal", ["series_degree=12,24"], "catalog parameter series_degree takes"),
+    ("example13", ["alpha=0.1,0.2"], "catalog parameter alpha takes one number"),
+    ("polyharmonic", ["a=0.5", "b=0"], None),
+    ("polyharmonic", ["a=0,1", "b=0.25"], None),
+])
+def test_catalog_parameters_take_lists_and_numbers_as_declared(capsys, name, params,
+                                                                message):
+    # A number parameter given a list once died with a TypeError (exit 1),
+    # and a list parameter given one value iterated its characters (exit 2).
+    argv = ["analyze", "--catalog", name, "--points", "0.5"]
+    for param in params:
+        argv += ["--param", param]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    if message is not None:
+        assert (code, captured.out) == (cli.EXIT_USAGE, "")
+        assert message in captured.err
+        return
+    assert code == 0
+    # The same series with a trailing zero coefficient on each list.
+    padded = [x for param in params for x in ("--param", param + ",0")]
+    code, doc = run_json(capsys, [*argv[:5], *padded])
+    assert code == 0
+    assert json.loads(captured.out)["reports"] == doc["reports"]
+
+
 @pytest.mark.parametrize("pairs", ["0.1:1.2", "0.1:0.1,0.2:0.3"])
 def test_pair_checks_reject_exterior_and_coincident_pairs(capsys, pairs):
     thm11 = ["check-thm11", "--map", "z", "--omega", "t", "--alpha", "0.5",

@@ -235,6 +235,17 @@ def test_invert_map_takes_only_jets_and_keeps_its_iterates(counting, build):
     assert np.isfinite(z).any()
 
 
+def test_invert_map_calls_nothing_for_a_trial_with_no_point_in_the_disk(counting):
+    # z^2 from these guesses has rounds whose every trial point leaves the
+    # disk; each once made a jets call on an empty array.
+    targets = DslMap("z^2").values(np.array([0.6j, 0.4 + 0.3j, -0.7, 0.05, 0.3 - 0.5j]))
+    guess = np.array([0.0, 0.1, 0.0, 0.2j, 0.0])
+    m = counting(DslMap("z^2"))
+    z = invert_map(m, targets, guess)
+    assert all(size > 0 for _, size in m.calls)
+    assert np.array_equal(z, _invert_by_values(DslMap("z^2"), targets, guess), equal_nan=True)
+
+
 def _marched_chord_integral(m, alpha, z1, z2, nodes=129):
     """check_theorem11's chord integral for omega = t, with each node's
     preimage found by scalar Newton steps from the preimage of the node

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from diskmaps import expr
 from diskmaps.expr import (ParseError, contains_var, jet_arrays, parse_expr, to_source,
                            value_array)
 from diskmaps.maps import DslMap
@@ -221,3 +222,79 @@ def test_results_share_no_memory_with_the_input_or_each_other(source):
         part[:] = 9.0 + k
     assert [part.tolist() for part in jets] == [[9.0 + k] * 2 for k in range(3)]
     assert np.array_equal(z, saved)
+
+
+def _dense_jet(ast, z):
+    """The jet rules on the dense env (z, ones, zeros): full arithmetic on
+    every partial, as before the markers (only z^0 still gives the zero
+    marker, here made an array)."""
+    with np.errstate(all="ignore"):
+        parts = expr._jet(ast, (z, np.ones(z.shape, complex), np.zeros(z.shape, complex)))
+    return [np.broadcast_to(np.asarray(0j if part is expr._ZERO else part, dtype=complex),
+                            z.shape).copy() for part in parts]
+
+
+def _singular_constant(ast) -> bool:
+    """True where a z-free subtree's own jet rule fails, as abs(0) and
+    pow(0, 0.5) do: its dense partials are nan, its marker partials 0."""
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if not contains_var(node):
+            if not all(np.isfinite(part).all() for part in _dense_jet(node, GRID[:1])[1:]):
+                return True
+        else:
+            stack.extend(node.args)
+    return False
+
+
+def _finite_points(parts) -> np.ndarray:
+    return np.all([np.isfinite(part) for part in parts], axis=0)
+
+
+@given(source=SOURCES)
+@example(source="z + abs(0)")
+@example(source="pow(0/z, 1/3)")
+@example(source="(z - z)^-1")
+# Each helper's marker branches, and products of two full partials.
+@example(source="(3 - z) * (conj(z) - 2) - (z - conj(z))")
+@example(source="(2*z + i)^3 * exp(z) / (1 + 0.5*conj(z)^2)")
+@example(source="re(z)*im(z) - abs(z)^3 + pow(1 + z, 0.5)*log(2 - conj(z))")
+@example(source="exp(z*z)*exp(conj(z)*z) + (-z)*(-conj(z)^-2)")
+def test_marker_jets_equal_dense_jets(source):
+    ast = parse_expr(source)
+    marked, dense = jet_arrays(ast, GRID), _dense_jet(ast, GRID)
+    assert same_bits(marked[0], dense[0])
+    for part, reference in zip(marked[1:], dense[1:]):
+        # Equal where the dense partial is finite (a zero's sign may differ),
+        # so a marker never makes a partial non-finite.
+        finite = np.isfinite(reference)
+        assert np.array_equal(part[finite], reference[finite])
+    # A point's jet fails with markers exactly where it fails dense, except
+    # below a singular constant, whose derivative the markers keep exactly 0.
+    if not _singular_constant(ast):
+        assert np.array_equal(_finite_points(marked), _finite_points(dense))
+
+
+def test_a_constant_with_a_singular_rule_has_zero_partials():
+    # Dense arithmetic gives d abs(u) = (conj(u) du + u conj(du bar)) / (2|u|),
+    # 0/0 at u = 0 even where du = 0; the zero marker skips it.
+    value, dz, dzbar = jet_arrays(parse_expr("z + abs(0)"), GRID)
+    assert np.array_equal(value, GRID)
+    assert dz.tolist() == [1] * GRID.size and dzbar.tolist() == [0] * GRID.size
+    assert np.isnan(_dense_jet(parse_expr("z + abs(0)"), GRID)[1]).all()
+
+
+@pytest.mark.parametrize("source,analytic", [
+    ("(1 + 2*i)*z + 3", True), ("z*exp(z)/(1 - 0.5*z)^2", True), ("log(2 + z)", True),
+    ("conj(z)^3 - 2*i*conj(z)", False), ("exp(conj(z))", False),
+])
+def test_holomorphic_subtrees_carry_the_zero_marker(source, analytic):
+    # An analytic source does no d/dzbar arithmetic, an anti-analytic one no
+    # d/dz arithmetic: that partial stays the marker to the end.
+    _, dz, dzbar = expr._jet(parse_expr(source), (GRID, expr._ONE, expr._ZERO))
+    assert (dzbar if analytic else dz) is expr._ZERO
+    assert (dz if analytic else dzbar) is not expr._ZERO
+    assert dz is not expr._ONE and dzbar is not expr._ONE
+    _, dz, dzbar = expr._jet(parse_expr("z"), (GRID, expr._ONE, expr._ZERO))
+    assert (dz, dzbar) == (expr._ONE, expr._ZERO)

@@ -6,9 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskmaps.catalog import Example13Map
-from diskmaps.maps import CallableMap, DslMap, SeriesMap
+from numpy.polynomial import polynomial as npoly
+
+from diskmaps.maps import CallableMap, DslMap, SeriesMap, _horner
 from diskmaps.potential import GreenPotential, QuadratureConfig, solve_poisson
-from test_expr import GRID, SOURCES
+from test_expr import GRID, SOURCES, same_bits
 
 small_coeffs = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -16,6 +18,32 @@ small_coeffs = st.lists(
 )
 interior = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                               allow_infinity=False)
+
+
+horner_coeffs = st.lists(
+    st.one_of(st.just(0j), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                              allow_infinity=False)),
+    min_size=1, max_size=30,
+)
+
+
+@given(horner_coeffs)
+@example([0j])
+@example([1.5, 0, 0, 0, -2j, 0])
+def test_horner_equals_polyval_bit_for_bit(c):
+    c = np.array(c, dtype=complex)
+    z = np.array([0.1, 0.5j, -0.3 + 0.2j, 0.8, 0.61 - 0.47j, 0.0], dtype=complex)
+    batch = _horner(z, c)
+    assert same_bits(batch, npoly.polyval(z, c))
+    grid = np.stack([z, z[::-1]])
+    assert same_bits(_horner(grid, c), npoly.polyval(grid, c))
+    for k in range(z.size):
+        assert same_bits(_horner(z[k:k + 1], c), batch[k:k + 1])
+        point = np.asarray(z[k])  # 0-d, as one point
+        alone = _horner(point, c)
+        assert np.ndim(alone) == 0
+        assert same_bits(np.atleast_1d(alone), np.atleast_1d(npoly.polyval(point, c)))
+        assert same_bits(np.atleast_1d(alone), batch[k:k + 1])
 
 
 @given(small_coeffs, small_coeffs, interior)

@@ -116,6 +116,31 @@ def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path)
     assert capsys.readouterr().out == "0 of 4 argvs moved\n"
 
 
+def test_compare_outputs_names_moves_of_signed_zeros_only(monkeypatch, capsys, tmp_path):
+    def doc(argv, stdout):
+        return json.dumps({"argv": argv, "code": 0, "stdout": stdout, "stderr": ""})
+
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("\n".join([
+        doc(["analyze", "--map", "1/z"], '{"dz": {"re": -6.25, "im": 0.0}, "dzbar": -0.0}'),
+        doc(["coeffs", "--map", "z"], '{"a": [0.0, 1.0]}'),
+        doc(["length", "--r", "0.5"], '{"length": 0.0, "nodes": 512}'),
+    ]) + "\n")
+    new.write_text("\n".join([
+        doc(["analyze", "--map", "1/z"], '{"dz": {"re": -6.25, "im": -0.0}, "dzbar": 0.0}'),
+        doc(["coeffs", "--map", "z"], '{"a": [0, 1.0]}'),
+        doc(["length", "--r", "0.5"], '{"length": -0.0, "nodes": 513}'),
+    ]) + "\n")
+    assert run_script(monkeypatch, "compare_outputs.py", str(old), str(new)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "signed zeros only  code same  stderr same  analyze --map 1/z",
+        # Equal numbers printed otherwise, and a sign move beside a real one.
+        "abs 0.00e+00 rel 0.00e+00  code same  stderr same  coeffs --map z",
+        "abs 1.00e+00 rel 1.95e-03  code same  stderr same  length --r 0.5",
+        "3 of 3 argvs moved",
+    ]
+
+
 def test_output_digest_documents_hash_to_the_digest(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
     assert run_script(monkeypatch, "output_digest.py", "--seeds", "1") == 0
