@@ -4,8 +4,8 @@
 OLD and NEW are files written by `scripts/output_digest.py --documents` in
 two checkouts.  For each argv whose exit code, standard output or standard
 error moved, one line gives the largest absolute and relative change among
-the numbers of its standard output, whether its exit code or standard error
-moved, and the argv:
+the numbers of its standard output, its exit code (`same`, or `3 -> 0` where
+it moved), whether its standard error moved, and the argv:
 
     python3 scripts/compare_outputs.py old.jsonl new.jsonl
 
@@ -68,7 +68,7 @@ def describe(old: dict, new: dict) -> str:
         numbers = "signed zeros only"
     else:
         numbers = f"abs {change[0]:.2e} rel {change[1]:.2e}"
-    code = "moved" if old["code"] != new["code"] else "same"
+    code = f"{old['code']} -> {new['code']}" if old["code"] != new["code"] else "same"
     stderr = "moved" if old["stderr"] != new["stderr"] else "same"
     return f"{numbers}  code {code}  stderr {stderr}"
 

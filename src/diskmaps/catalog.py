@@ -101,20 +101,27 @@ def _identity(name: str, params) -> MapDefinition:
     )
 
 
+_KINDS = {int: "an integer", float: "a real number", complex: "a complex number"}
+
+
 def _finite(kind, value, name: str, many: bool = False):
     """A catalog parameter converted by `kind` (int, float or complex).
 
     With `many` it is a list: a tuple of numbers, one value making a
     one-element tuple.  Otherwise it is one number.  ValueError naming the
-    parameter where a number parameter gets a list, or a number is nan or
-    infinite.
+    parameter where a number parameter gets a list, a value `kind` cannot
+    read, or a number that is nan or infinite.
     """
     if many:
         items = value if np.ndim(value) else (value,)
         return tuple(_finite(kind, item, name) for item in items)
     if np.ndim(value):
         raise ValueError(f"catalog parameter {name} takes one number, got {value!r}")
-    number = kind(value)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"catalog parameter {name} must be {_KINDS[kind]}, "
+                         f"got {value!r}") from None
     if not cmath.isfinite(number):
         raise ValueError(f"catalog parameter {name} must be finite, got {value!r}")
     return number

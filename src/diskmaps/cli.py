@@ -35,7 +35,8 @@ from .grids import GridSpec
 from .lengths import (boundary_length, length_sup, perimeter, radial_length,
                       radial_length_limit, subharmonic_radial_check)
 from .maps import DslMap, JetEvaluationError, PlanarMap, at_point
-from .potential import QuadratureConfig, laplacian_residual, solve_poisson
+from .potential import (QuadratureConfig, laplacian_stencils, solve_poisson,
+                        stencil_residual)
 from .reports import render_csv, render_json
 from .wirtinger import WirtingerJet, jet_metrics
 
@@ -330,12 +331,20 @@ def _cmd_solve(args) -> int:
     g = _source_term(args)
     m = solve_poisson(args.psi, g, config=quad)
     points = _parse_points(args.points)
-    pts = np.array(points)
-    values = m.values(pts)
-    # Residuals where the stencil stays inside the disk, all in one call.
+    pts = np.array(points, dtype=complex)
+    # Residuals where the stencil stays inside the disk.  One values call
+    # takes the other points and every stencil, whose last column is the
+    # point itself.
     inner = 1.0 - np.abs(pts) >= 2 * args.residual_h
+    stencils = laplacian_stencils(pts[inner], args.residual_h)
+    outer = np.count_nonzero(~inner)
+    sampled = m.values(np.concatenate([pts[~inner], stencils.ravel()]))
+    at_stencils = sampled[outer:].reshape(stencils.shape)
+    values = np.empty(pts.size, dtype=complex)
+    values[~inner], values[inner] = sampled[:outer], at_stencils[:, -1]
     residuals = np.full(pts.size, None, dtype=object)
-    residuals[inner] = laplacian_residual(m, g or "0", pts[inner], h=args.residual_h).tolist()
+    residuals[inner] = stencil_residual(at_stencils, g or "0", pts[inner],
+                                        args.residual_h).tolist()
     rows = [{"type": "SolutionSample", "point": z, "value": at_point(z, [value])[0],
              "residual": residual}
             for z, value, residual in zip(points, values, residuals)]
@@ -404,7 +413,9 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 
 
 def _add_quad(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--radial-nodes", type=int, default=128)
+    p.add_argument("--radial-nodes", type=int, default=128,
+                   help="starting radial panel grid: N // 16 panels of 16 Gauss nodes, "
+                        "split where they do not resolve the source")
     p.add_argument("--angular-nodes", type=int, default=256)
     p.add_argument("--boundary-nodes", type=int, default=512)
 

@@ -19,67 +19,91 @@ g(s e^{i phi}) = sum_m g_m(s) e^{i m phi},
     K_0 = -log max(r, s),
     K_m = ((r_< / r_>)^|m| - (r s)^|m|) / (2 |m|),
 
-where r_< = min(r, s) and r_> = max(r, s).  The radial interval is split
-into fixed panels, `radial_nodes // 16` uniform panels of 16 Gauss nodes
-(one panel of `radial_nodes` nodes below 16); panel 0 is graded toward
-s = 0 as s = h u^3 for the s log s endpoint.  The source is sampled on
-this panel grid once per potential, at its first evaluation, at the
-angles its band needs (below), and an FFT in angle gives g_m at every
-node (Nyquist mode dropped).  Off the diagonal the kernel separates, so
-each panel keeps three scaled moments per mode, with k = |m| and panel
-[a, b] (Greengard & Lee, "A direct adaptive Poisson solver of arbitrary
-order accuracy", J. Comput. Phys. 125 (1996)):
+where r_< = min(r, s) and r_> = max(r, s).  First derivatives come from
+d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the combinations
+u_m' +- (|m|/r) u_m have closed-form kernels with no division by r, so
+z = 0 is exact.
+
+The radial equations are solved as Greengard & Rokhlin ("On the numerical
+solution of two-point boundary value problems", CPAM 44 (1991)) and
+Greengard & Lee ("A direct adaptive Poisson solver of arbitrary order
+accuracy", J. Comput. Phys. 125 (1996)) solve them: once per potential,
+at the nodes of adaptive radial panels, and by interpolation everywhere
+else.
+
+Panels.  The radial interval starts as `radial_nodes // 16` uniform panels
+of 16 Gauss nodes (one panel of `radial_nodes` nodes below 16).  The
+source is sampled on this grid at the angles its band needs (below), and
+an FFT in angle gives g_m at every node (Nyquist mode dropped).  A panel
+is then split in halves, and its halves sampled at the same angles, while
+the last two Legendre coefficients of some g_m on its nodes are above
+`_RESOLVED` times the largest |g_m| (the coefficients come from the Gauss
+quadrature transform, scaled to its roundoff) and its mass, the integral
+of max_m |g_m| s ds over it, is above eps times the whole grid's.  So a
+source that the 16-node panels resolve keeps them and takes no sample
+beyond them; a bump of width 0.05 gets panels of 1/32 around it; and an
+integrable singularity at 0 such as log|z| is refined dyadically toward 0
+until its innermost panel holds less than eps of the mass.  A panel is
+split at most `_MAX_SPLITS` times, and a split that would take the panels
+times the band's modes past `_MAX_PANEL_MODES` is not made, which bounds
+the work a source with a pole on the disk can ask for.
+
+Node solve.  Off the diagonal the kernel separates, so each panel keeps
+three scaled moments per mode, with k = |m| and panel [a, b]:
 
     A = integral (s/b)^k g_m s ds,   B = integral (a/s)^k g_m s ds,
     L = integral -log(s) g_0 s ds.
 
-A field radius r in panel p then costs the moments of the other panels,
-contracted with ratios (b/r, r/a, r b) that never exceed 1, plus one
-directly sampled split panel: Gauss nodes on [a_p, r] and nodes
-s = r + (b_p - r) u^4 graded toward the kink on [r, b_p].  On panel 0 the
-log kernel's singularity at s = 0 lies only r below the outer side, so
-there s^(1/4) is spaced linearly instead, and the inner side is graded
-toward 0 as panel 0 is.  First derivatives come from the same moments
-through d/dz = e^{-i theta}/2 (d/dr - (i/r) d/dtheta): the combinations
-u_m' +- (|m|/r) u_m have closed-form kernels with no division by r, so
-z = 0 is exact.
+At a node r of panel p the other panels contribute through these moments,
+summed over the panels inside and outside p with ratios (b_q/a_p, b_p/a_q,
+a_p/r, r/b_p) that never exceed 1; the image term (r s)^k takes every
+panel's A.  The panel itself contributes one integration matrix per k
+applied to the g_m at its 16 nodes: the kernel's kink parts, integrated
+against the panel's Lagrange basis on either side of each node
+(`_panel_block`).  Both the moment weights and the matrices are exact
+for a g_m of degree < 16 on the panel, and are cached per panel and block
+of modes k.
+
+Interpolation.  At any radius the three outputs u_m, u_m' + (|m|/r) u_m and
+u_m' - (|m|/r) u_m come from the 16 node values of its panel by
+barycentric interpolation in s, and the source is not sampled again.  The
+outputs are as smooth as the g_m that the panels resolve, so the
+interpolation errs about as little as they do: ~1e-15 for the closed-form
+test sources, up to the circle and at z = 0.  The decay (a/r)^k that a
+mode k carries outward from panels inside r is resolved only where the
+panel is narrow beside a/k: the default panels are for the tested sources,
+but the one panel that `radial_nodes` = 12 starts with, once split down to
+[0.5, 1], errs 5e-12 for the bump of width 0.05.
 
 Angular band.  The FFT of the panel samples also fixes the modes that
 carry the source.  Over the envelope max_s max(|g_k(s)|, |g_-k(s)|) at the
-panel nodes, K + 1 is the chopped length (Aurentz & Trefethen, "Chopping a
-Chebyshev series", ACM TOMS 43 (2017), at tolerance eps), raised where
-needed so that every mode past K is below 4 eps times the largest (the
-plateau test alone cuts an algebraic tail such as 1e-9 |re z| at ~1e-11).
-Only the modes |m| <= K get moments, kernels and angular sums: K = 0 for
-a radial source such as c |z|^(2k), 1 for c re(z), 26 for a bump of width
-0.05.  A source whose modes reach no noise plateau keeps all of them,
-K = angular_nodes/2 - 1.  K is read the way Chebfun builds a function:
-the panel grid is sampled at N = 64 angles (`_start_angles`) and N is
-doubled, up to the cap angular_nodes, until K read at N has
-4(K + 1) <= N and the band's sum matches g at four check angles that lie
-on no power-of-two grid, on every panel radius, to 32 eps of max |g|.
-The check sees modes that N folds onto the band or onto the dropped
-Nyquist column (1 + re(z^64) reads K = 0 at 64 angles), at their own
-size.  The angles at 2N are those at N and the odd ones, so a doubling
-samples only the odd ones, and a source that ends at the cap takes the
-same samples, moments and values as a grid sampled there at once.  A
-split panel is sampled at M = min(N, 4(K + 1)) angles, FFT'd at size M
-and read at the columns m mod M.  A mode |m| <= K then picks up aliases
-only from modes |m'| >= M - K >= 3K + 4, which the panel grid's FFT
-measured at roundoff, the content a full-size split panel would drop;
-once K >= angular_nodes/4 - 1, M is angular_nodes.
+starting panel nodes, K + 1 is the chopped length (Aurentz & Trefethen,
+"Chopping a Chebyshev series", ACM TOMS 43 (2017), at tolerance eps),
+raised where needed so that every mode past K is below 4 eps times the
+largest (the plateau test alone cuts an algebraic tail such as
+1e-9 |re z| at ~1e-11).  Only the modes |m| <= K get moments, node values
+and angular sums: K = 0 for a radial source such as c |z|^(2k), 1 for
+c re(z), 26 for a bump of width 0.05.  A source whose modes reach no noise
+plateau keeps all of them, K = angular_nodes/2 - 1.  K is read the way
+Chebfun builds a function: the starting grid is sampled at N = 64 angles
+(`_start_angles`) and N is doubled, up to the cap angular_nodes, until K
+read at N has 4(K + 1) <= N and the band's sum matches g at four check
+angles that lie on no power-of-two grid, on every panel radius, to 32 eps
+of max |g|.  The check sees modes that N folds onto the band or onto the
+dropped Nyquist column (1 + re(z^64) reads K = 0 at 64 angles), at their
+own size.  The angles at 2N are those at N and the odd ones, so a
+doubling samples only the odd ones, and a source that ends at the cap
+takes the same samples and values as a grid sampled there at once.  Split
+panels are sampled at the N angles accepted there.
 
 The potential is evaluated on arrays of query points, nan outside the
 open disk (so `value` and `jet` refuse such a point).  Query points are
-grouped by radius (rounded to 1e-14), so the cost scales with the number
-of distinct radii: a circle or a ring of a polar grid costs one split
-panel.  The radii of a call are taken in blocks of consecutive radii, at
-most `_BLOCK_MODES` // (2K + 1) of them, and the radii of a block are
-solved together with array operations over radii; no solve is kept past
-its call, so a radius asked for again is solved again.  Each point
-sums its 2K + 1 modes by itself, and a radius's modes do not depend on the
-other radii of its block, so a value does not depend on the other points
-of the call.
+grouped by radius (rounded to 1e-14), each distinct radius is interpolated
+once, and each point sums its 2K + 1 modes; the points of a call are taken
+in blocks of at most `_BLOCK_MODES` // (2K + 1), which bounds the memory a
+call takes.  A radius's interpolation and a point's sum are elementwise
+products in a fixed operand order, each summed along its own contiguous
+axis, so a value does not depend on the other points of the call.
 
 Boundary data psi is expanded in its Fourier series on the circle, each
 half (powers of z, powers of conj(z)) chopped the same way, so a
@@ -112,14 +136,15 @@ __all__ = [
     "poisson_extension",
     "solve_poisson",
     "laplacian_residual",
+    "laplacian_stencils",
+    "stencil_residual",
     "green_derivative_sup",
 ]
 
-# Radii times band modes (2K + 1) per block of an evaluation: 384 radii of a
-# radial source, 5 of a band K = 36, one from K = 96 up.  The block's
-# kernels, split-panel samples and angular sums then stay near a few MB
-# however many radii a call has; wider blocks of a wide band run slower.
-_BLOCK_MODES = 384
+# Points times band modes (2K + 1) per block of an evaluation: 1,365 points
+# of a band K = 1, 16 of K = 127.  A block's interpolation products stay
+# within 3 MiB however many points a call has.
+_BLOCK_MODES = 4096
 
 # Gauss nodes per radial panel.
 _PANEL_NODES = 16
@@ -141,6 +166,19 @@ _CHECK_ANGLES = 2.0 * np.pi * np.modf(np.arange(1, 5) * (math.sqrt(5.0) - 1.0) /
 # max |g|, that a grid accepts: bands that hold deviate by <= 4 eps.
 _CHECK_TOL = 32.0 * np.finfo(float).eps
 
+# Largest last-two Legendre coefficient of a resolved panel, each over its
+# transform row's 1-norm (`_legendre_tail`), relative to the largest |g_m| on
+# the grid.  Transform roundoff alone reaches ~6 eps.
+_RESOLVED = 16.0 * np.finfo(float).eps
+
+# Halvings of a starting panel: 1/8 becomes 1.2e-10 at most.  log|z| stops
+# by its mass after 26.
+_MAX_SPLITS = 30
+
+# Panels times the band's K + 1: 32 panels of a band K = 127, 4,096 of a
+# radial source.
+_MAX_PANEL_MODES = 8192
+
 
 class QuadratureError(RuntimeError):
     """Self-check detected quadrature disagreement beyond tolerance."""
@@ -150,15 +188,15 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     """Node counts for the disk quadrature.
 
-    radial_nodes: panel nodes over the radial interval [0, 1], in
-        `radial_nodes // 16` panels of 16 Gauss nodes (one panel below 16);
-        the source is sampled on these radii once per potential.  Each
-        field radius adds one split panel of 2 x 16 nodes.
+    radial_nodes: the starting panel grid over the radial interval [0, 1],
+        `radial_nodes // 16` uniform panels of 16 Gauss nodes (one panel
+        below 16).  Panels that do not resolve the source are split in
+        halves (see the module docstring); the radial equations are solved
+        once at the nodes and interpolated everywhere else.
     angular_nodes: the cap on the uniform angular count N of the panel
         grid, which starts at 64 (`_start_angles`) and doubles until it
-        holds the source's angular band K; a split panel takes
-        M = min(N, 4(K + 1)).  A band with no noise plateau is sampled at
-        all angular_nodes.
+        holds the source's angular band K.  A band with no noise plateau is
+        sampled at all angular_nodes.
     boundary_nodes: FFT size for boundary data.
     """
 
@@ -190,6 +228,34 @@ def _gauss01(n: int):
 
 
 @lru_cache(maxsize=None)
+def _barycentric(q: int) -> np.ndarray:
+    """Barycentric weights of the q Gauss nodes, cached and read-only; they
+    serve the nodes of any panel, whose affine scale cancels."""
+    u = _gauss01(q)[0]
+    diff = u[:, None] - u
+    np.fill_diagonal(diff, 1.0)
+    weights = 1.0 / diff.prod(axis=1)
+    weights /= np.abs(weights).max()
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _legendre_tail(q: int) -> np.ndarray:
+    """Rows that turn q samples at the Gauss nodes into the Legendre
+    coefficients of degrees q - 2 and q - 1 (the Gauss quadrature transform),
+    each divided by its 1-norm, the most it can make of samples of size 1;
+    cached and read-only.  Its roundoff then stays below ~6 eps of the
+    largest sample."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    degrees = np.arange(q - 2, q)
+    tail = (degrees[:, None] + 0.5) * w * np.polynomial.legendre.legvander(x, q - 1)[:, q - 2:].T
+    tail /= np.abs(tail).sum(axis=1, keepdims=True)
+    tail.flags.writeable = False
+    return tail
+
+
+@lru_cache(maxsize=None)
 def _spectral_tables(nphi: int):
     """Per-config tables in FFT column order, cached and read-only.
 
@@ -204,44 +270,127 @@ def _spectral_tables(nphi: int):
     return freq, scale, unit
 
 
+def _nodes(edges: np.ndarray, q: int) -> np.ndarray:
+    """The q Gauss nodes of every panel between `edges`, (panels, q)."""
+    return edges[:-1, None] + np.diff(edges)[:, None] * _gauss01(q)[0]
+
+
 @lru_cache(maxsize=None)
 def _panel_nodes(n: int):
-    """The radial panel grid, cached and read-only.
-
-    `n // 16` uniform panels of 16 Gauss nodes, or one panel of n nodes
-    when n < 16; panel 0 is graded as s = h u^3.  Returns the panel edges,
-    the nodes s as a (panels, nodes per panel) array and the weights s ds.
-    """
+    """The starting panel grid, cached and read-only: `n // 16` uniform
+    panels of 16 Gauss nodes, or one panel of n nodes when n < 16.  Returns
+    the panel edges and the nodes as a (panels, nodes per panel) array."""
     q = min(n, _PANEL_NODES)
-    count = n // q
-    edges = np.arange(count + 1) / count
-    u, w = _gauss01(q)
-    h = 1.0 / count
-    s = edges[:-1, None] + h * u
-    ds = np.tile(h * w, (count, 1))
-    s[0] = h * u**3
-    ds[0] = 3.0 * h * w * u * u
-    weight = ds * s
-    for arr in (edges, s, weight):
+    edges = np.arange(n // q + 1) / (n // q)
+    nodes = _nodes(edges, q)
+    for arr in (edges, nodes):
         arr.flags.writeable = False
-    return edges, s, weight
+    return edges, nodes
 
 
-@lru_cache(maxsize=None)
-def _moment_weights(n: int, nphi: int):
-    """Weights that turn g_m at the panel nodes into the moments, cached and
-    read-only: (s/b)^k s ds and (a/s)^k s ds per node and k = |m| <= nphi/2,
-    and -log(s) s ds per node."""
-    edges, s, weight = _panel_nodes(n)
-    count, q = s.shape
-    below = _powers((s / edges[1:, None]).ravel(), nphi // 2)
-    above = _powers((edges[:-1, None] / s).ravel(), nphi // 2)
-    below = below.reshape(count, q, -1) * weight[:, :, None]
-    above = above.reshape(count, q, -1) * weight[:, :, None]
-    log_weight = -np.log(s) * weight
-    for arr in (below, above, log_weight):
+def _gauss(lo, hi, n: int):
+    """n-point Gauss rule on [lo, hi] for arrays lo, hi: nodes and weights
+    along a new last axis."""
+    u, w = _gauss01(n)
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    return lo + (hi - lo) * u, (hi - lo) * w
+
+
+def _graded(lo, hi, n: int):
+    """n-point Gauss rules on [lo, hi] split at lo 2^j, for lo > 0: on each
+    piece the singularity at 0 of s^-k and log s lies at least the piece's
+    length away.  Nodes and weights along a new last axis; pieces past hi
+    have zero length."""
+    lo = np.asarray(lo, dtype=float)
+    count = max(1, math.ceil(math.log2(hi / lo.min())))
+    ends = np.minimum(lo[..., None] * 2.0 ** np.arange(count + 1), hi)
+    t, w = _gauss(ends[..., :-1], ends[..., 1:], n)
+    return t.reshape(lo.shape + (-1,)), w.reshape(lo.shape + (-1,))
+
+
+def _lagrange(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The Lagrange basis on `nodes` (last axis) at the points t, by the
+    barycentric formula: shape t.shape + (q,), a point on a node getting that
+    node's unit row.  Each row is its own elementwise products and sum."""
+    diff = t[..., None] - nodes
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = _barycentric(nodes.shape[-1]) / diff
+        basis /= basis.sum(axis=-1, keepdims=True)
+    on_node = hit.any(axis=-1)
+    basis[on_node] = hit[on_node]
+    return basis
+
+
+def _block_columns(block: int):
+    """The modes k of a block of `_panel_block`: 0-1, 2-7, 8-15, 16-31, then
+    32 at a time."""
+    if block < 4:
+        return (0, 2, 8, 16)[block], (2, 8, 16, 32)[block]
+    return 32 * (block - 3), 32 * (block - 2)
+
+
+@lru_cache(maxsize=256)
+def _panel_block(a: float, b: float, q: int, block: int):
+    """Moment weights and integration matrices of the panel [a, b] for the
+    modes k of `_block_columns(block)`, cached and read-only (256 blocks of
+    at most 0.2 MB).
+
+    Returns `moments` (2, q, k), the weights that turn g_m at the q nodes
+    into A and B (B's k = 0 column holds L; panel 0, never outside a radius,
+    has none), and `matrices` (3, q, q, k): row i turns g_m at the nodes into
+    the panel's own part of u_m, u_m' + (k/r) u_m and u_m' - (k/r) u_m at
+    node r = s_i.  That part is the kernel's kink: with
+    I = integral_a^r (s/r)^k g s ds and O = integral_r^b (r/s)^k g s ds, it
+    is (I + O)/2k, O/r and -I/r (k = 0: -log(r) I - integral_r^b log(s) g s ds,
+    and -I/r twice); the image term (r s)^k enters through A.  g_m is its
+    Lagrange interpolant on the nodes, integrated by Gauss rules of
+    20 + k/2 points for the block's top k: exact for the polynomial
+    (s/r)^k s l_j(s), and on [r, b], split at r 2^j (`_graded`), they
+    resolve (r/s)^k to roundoff.  A column's bits do not depend on how many
+    blocks a band takes.
+    """
+    s = a + (b - a) * _gauss01(q)[0]
+    first, stop = _block_columns(block)
+    n = 20 + (stop - 1) // 2
+
+    def basis(t, w):  # l_j(t) t dt, with the point axis before j
+        return _lagrange(t, s) * (w * t)[..., None]
+
+    def integrate(weights, x):  # sum of weights times x^k over the point axis
+        powers = np.empty(x.shape + (stop - first,))
+        powers[..., 0] = x**first
+        powers[..., 1:] = x[..., None]
+        return np.swapaxes(weights, -1, -2) @ np.cumprod(powers, axis=-1)
+
+    t, w = _gauss(a, b, n)
+    moments = np.zeros((2, q, stop - first))
+    moments[0] = integrate(basis(t, w), t / b)
+    if a > 0.0:
+        t, w = _graded(a, b, n)
+        outer = basis(t, w)
+        moments[1] = integrate(outer, a / t)
+        if block == 0:
+            moments[1, :, 0] = -np.log(t) @ outer
+
+    t, w = _gauss(a, s, n)
+    inner = integrate(basis(t, w), t / s[:, None])
+    t, w = _graded(s, b, n)
+    outside = basis(t, w)
+    outer = integrate(outside, s[:, None] / t)
+    r = s[:, None, None]
+    matrices = np.empty((3, q, q, stop - first))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        matrices[0] = (inner + outer) / (2.0 * np.arange(first, stop))
+    matrices[1] = outer / r
+    matrices[2] = -inner / r
+    if block == 0:
+        matrices[0, :, :, 0] = (-np.log(s)[:, None] * inner[..., 0]
+                                - np.einsum("itj,it->ij", outside, np.log(t)))
+        matrices[1, :, :, 0] = matrices[2, :, :, 0]
+    for arr in (moments, matrices):
         arr.flags.writeable = False
-    return below, above, log_weight
+    return moments, matrices
 
 
 def _start_angles(cap: int) -> int:
@@ -260,8 +409,7 @@ def _band_top(modes: np.ndarray) -> int:
     Over the envelope max_s max(|g_k(s)|, |g_-k(s)|), K + 1 is the chopped
     length, or more where a later mode is above roundoff: the chop's plateau
     test cuts algebraic tails such as 1e-9 |re z| at ~1e-11, so this keeps
-    every mode left out, and every mode a split panel folds onto the band,
-    at roundoff.
+    every mode left out at roundoff.
     """
     peak = np.max(np.abs(modes), axis=0)
     half = modes.shape[1] // 2
@@ -320,9 +468,9 @@ def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
 def _powers(x: np.ndarray, top: int, mask=True) -> np.ndarray:
     """x^0..x^top along a new last axis by running products, 0 where `mask`
     is false; no overflow where |x| <= 1 or the mask is false."""
-    table = np.empty(x.shape + (top + 1,))
+    table = np.empty(np.shape(x) + (top + 1,))
     table[..., 0] = mask
-    table[..., 1:] = x[..., None]
+    table[..., 1:] = np.asarray(x)[..., None]
     return np.cumprod(table, axis=-1)
 
 
@@ -337,20 +485,97 @@ def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]
                     "pass a DSL string or an array callable")
 
 
+@lru_cache(maxsize=4)
+def _grid_operators(edges: tuple, q: int, top: int):
+    """Everything of the node solve that depends only on the panels and the
+    band, cached and read-only, with k = 0..top along the second axis:
+    0.2 MB for the default panels and K <= 15, 50 MB for 64 panels of
+    K = 127.
+
+    Returns the moment weights (panel, k, 2, node) and integration matrices
+    (panel, k, 3 x node, node) of `_panel_block`; the ratios (b_q/a_p)^k of
+    panels q inside p and (b_p/a_q)^k of panels q outside p (k, panel p,
+    panel q) and b_q^k (k, panel q); at the nodes r of panel p (panel, k,
+    node, 1), (a_p/r)^k, (r/b_p)^k, r^k, (r/b_p)^(k-1)/b_p and r^(k-1);
+    log r and 1/r (panel, 1, node, 1); and 1/2k (0 for k = 0).  Every power
+    is <= 1.
+    """
+    edges = np.array(edges)
+    a, b = edges[:-1], edges[1:]
+    count = next(block for block in range(top + 2) if _block_columns(block)[0] > top)
+    blocks = [[_panel_block(lo, hi, q, block) for block in range(count)]
+              for lo, hi in zip(a.tolist(), b.tolist())]
+    moments, matrices = (np.stack([np.concatenate([op[part] for op in ops], axis=-1)[..., :top + 1]
+                                   for ops in blocks]) for part in (0, 1))
+    moments = np.moveaxis(moments, -1, 1)
+    matrices = np.moveaxis(matrices, -1, 1).reshape(a.size, top + 1, 3 * q, q)
+    panel = np.arange(a.size)
+    inside, outside = panel < panel[:, None], panel > panel[:, None]
+    a_safe = np.where(a > 0.0, a, 1.0)  # a = 0 only for panel 0, outside no panel
+    into, out_of = np.moveaxis(_powers(np.stack([b / a_safe[:, None], b[:, None] / a_safe]), top,
+                                       np.stack([inside, outside])), -1, 1)
+    s = _nodes(edges, q)
+    down, up, power = np.moveaxis(
+        _powers(np.stack(np.broadcast_arrays(a[:, None] / s, s / b[:, None], s)), top), -1, 2)
+    zero = np.zeros((a.size, 1, q))
+    up_less = np.concatenate([zero, up[:, :-1] / b[:, None, None]], axis=1)
+    power_less = np.concatenate([zero, power[:, :-1]], axis=1)
+    half = np.concatenate([[0.0], 0.5 / np.arange(1, top + 1)])[:, None, None]
+    tables = [np.ascontiguousarray(arr) for arr in (moments, matrices, into, out_of)]
+    tables += [_powers(b, top).T]
+    tables += [arr[..., None] for arr in (down, up, power, up_less, power_less)]
+    tables += [np.log(s)[:, None, :, None], 1.0 / s[:, None, :, None], half]
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _node_solve(edges: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """u_m, then the outputs for d/dz and d/dzbar, at every panel node.
+
+    `g` holds g_k and g_-k at the nodes, (panel, node, sign, k) for
+    k = 0..K.  The result is (panel, output, mode, node) for the band's
+    modes in FFT order (0..K, then -K..-1), contiguous along the nodes for
+    the interpolation.  Output 1 is u_m' + (m/r) u_m and output 2
+    u_m' - (m/r) u_m.  The arithmetic runs on the real and imaginary
+    parts of g_k and g_-k as four real columns, in real matrix products.
+    """
+    count, q, _, width = g.shape
+    (moments, matrices, into, out_of, image, down, up, power, up_less, power_less,
+     log_r, inv_r, half) = _grid_operators(tuple(edges.tolist()), q, width - 1)
+    columns = np.ascontiguousarray(np.moveaxis(g, -1, 1)).view(float)  # (panel, k, node, 4)
+    A, B = np.moveaxis(moments @ columns, 2, 0)  # (panel, k, 4) each
+    # Panel q inside p enters through (b_q/a_p)^k A_q, panel q outside p
+    # through (b_p/a_q)^k B_q, and every panel through b_q^k A_q.
+    inner = np.moveaxis(into @ np.moveaxis(A, 0, 1), 0, 1)[:, :, None]
+    outer = np.moveaxis(out_of @ np.moveaxis(B, 0, 1), 0, 1)[:, :, None]
+    whole = (image[:, :, None] * np.moveaxis(A, 0, 1)).sum(axis=1)[:, None]
+    value = (down * inner + up * outer - power * whole) * half
+    value[:, 0] = outer[:, 0] - log_r[:, 0] * inner[:, 0]
+    plus = up_less * outer - power_less * whole
+    minus = -down * inner * inv_r
+    plus[:, 0] = minus[:, 0]
+    out = np.stack([value, plus, minus], axis=2)
+    out += (matrices @ columns).reshape(out.shape)
+    out = out.view(complex)  # (panel, k, output, node, sign)
+    # m = k takes (value, plus, minus), m = -k (value, minus, plus).
+    modes = np.concatenate([out[..., 0], out[:, :0:-1][:, :, [0, 2, 1]][..., 1]], axis=1)
+    return np.ascontiguousarray(np.moveaxis(modes, 1, 2))
+
+
 class GreenPotential(PlanarMap):
     """The map z -> G[g](z) for a fixed source g, by a polar-spectral solve.
 
-    The first evaluation samples the source once on the panel grid
-    (`radial_nodes` x N points), FFTs it in angle, reads the source's
-    angular band K from those modes and keeps per-panel moments of the
-    2K + 1 modes |m| <= K.  N starts at 64 and doubles, up to
-    `angular_nodes`, until it holds the band (see `_panel_moments`), so a
+    The first evaluation samples the source once on the starting panel grid
+    (`radial_nodes` x N points), FFTs it in angle and reads the source's
+    angular band K from those modes.  N starts at 64 and doubles, up to
+    `angular_nodes`, until it holds the band (see `_node_solution`), so a
     smooth source of band K <= 15 takes 64 angles plus 4 check angles.
-    Each distinct radius among the query points then costs one split panel,
-    2 x 16 x M samples with M = min(N, 4(K + 1)), plus a contraction of its
-    band with the moments of the other panels (see the module docstring);
-    the distinct radii of a call are solved together, in blocks, and
-    nothing is kept between calls.
+    Panels that do not resolve the 2K + 1 modes |m| <= K are split and
+    their halves sampled at the same N angles; then the radial equations
+    are solved once at the panel nodes (see the module docstring).  Each
+    distinct radius among the query points then costs a barycentric
+    interpolation within its panel, and samples nothing.
     Values and both Wirtinger derivatives come from the same modes; points
     with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
     `source` is a DSL string or an array callable w -> g(w); construction
@@ -364,9 +589,11 @@ class GreenPotential(PlanarMap):
         self._g = _sampler(source)
         self.source_expr = source if isinstance(source, str) else None
         self.label = f"green[{self.source_expr or 'source'}]"
-        self._moments = None  # (A; B) panel moments, built at first use
+        self._solution = None  # node values, built at first use
         self._band = None  # signed modes m of the source's angular band, likewise
-        self._split_angles = None  # angles M of a split panel, likewise
+        self._angles = None  # angle count N of the panel grid, likewise
+        self._edges = None  # panel edges, likewise
+        self._nodes = None  # panel nodes, likewise
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -375,12 +602,12 @@ class GreenPotential(PlanarMap):
         return f"-({self.source_expr})"
 
     def source_grid_sup(self) -> float:
-        """Max |g| over the full panel grid and the boundary circle.
+        """Max |g| over the full starting panel grid and the boundary circle.
 
         A sampled lower estimate of sup |g|.  The source is sampled here, at
-        all `radial_nodes` x `angular_nodes` panel nodes whatever angles the
-        radial solves need, plus the r = 1 ring, because Gauss nodes stop
-        short of the boundary, where |g| often peaks.
+        all `radial_nodes` x `angular_nodes` starting panel nodes whatever
+        angles the radial solve needs, plus the r = 1 ring, because Gauss
+        nodes stop short of the boundary, where |g| often peaks.
         """
         cfg = self.config
         unit = _spectral_tables(cfg.angular_nodes)[2]
@@ -389,22 +616,21 @@ class GreenPotential(PlanarMap):
 
     # --- radial solve ------------------------------------------------------
 
-    def _panel_moments(self) -> np.ndarray:
-        """Rows A of every panel, then rows B; B's m = 0 column holds L.
+    def _node_solution(self) -> np.ndarray:
+        """The node values of `_node_solve` on the refined panels.
 
-        B_0 would repeat A_0, and an outer panel needs L in its place.  The
-        panel grid is sampled at N angles, from `_start_angles` up: N is
-        accepted once the band K read there (`_band_top`) has
+        The starting grid is sampled at N angles, from `_start_angles` up: N
+        is accepted once the band K read there (`_band_top`) has
         4(K + 1) <= N and the band's sum matches g at the off-grid check
         angles on every panel radius, and otherwise doubled, sampling only
         the new odd angles; at N = `angular_nodes` it is accepted as is.
-        Only the modes |m| <= K are kept, listed in `self._band`; also fixes
-        the split panel's angle count M = min(N, 4(K + 1)).
+        Only the modes |m| <= K are kept, listed in `self._band`.  Then the
+        panels are refined (`_refine`) and solved.
         """
-        if self._moments is None:
+        if self._solution is None:
             cfg = self.config
-            s = _panel_nodes(cfg.radial_nodes)[1]
-            radii = s.ravel()[:, None]
+            edges, nodes = _panel_nodes(cfg.radial_nodes)
+            radii = nodes.ravel()[:, None]
             size = _start_angles(cfg.angular_nodes)
             samples = self._g(radii * _spectral_tables(size)[2])
             check = None
@@ -428,111 +654,56 @@ class GreenPotential(PlanarMap):
                 size *= 2
                 finer[:, 1::2] = self._g(radii * _spectral_tables(size)[2][1::2])
                 samples = finer
-            below, above, log_weight = _moment_weights(cfg.radial_nodes, size)
-            kabs = np.abs(freq[band])
-            modes = modes[:, band].reshape(s.shape + band.shape)
-            moments = np.concatenate([np.einsum("qjm,qjm->qm", below[:, :, kabs], modes),
-                                      np.einsum("qjm,qjm->qm", above[:, :, kabs], modes)])
-            moments[s.shape[0]:, 0] = np.einsum("qj,qj->q", log_weight, modes[:, :, 0])
-            self._moments, self._band = moments, freq[band]
-            self._split_angles = min(size, 4 * (top + 1))
-        return self._moments
+            self._band, self._angles = freq[band], size
+            # Columns of g_k and g_-k, k = 0..K.
+            signed = np.arange(top + 1) * np.array([[1], [-1]]) % size
+            g = modes[:, signed].reshape(nodes.shape + signed.shape)
+            self._edges, g = self._refine(edges, g, signed)
+            self._nodes = _nodes(self._edges, nodes.shape[1])
+            self._solution = _node_solve(self._edges, g)
+        return self._solution
 
-    def _radial_modes(self, r: np.ndarray) -> np.ndarray:
-        """Per radius r and mode m: u_m, u_m' + (m/r) u_m and u_m' - (m/r) u_m.
+    def _refine(self, edges: np.ndarray, g: np.ndarray, columns: np.ndarray):
+        """Split unresolved panels in halves until none is left.
 
-        `r` is an array of radii in [0, 1); the result is stacked as
-        (radius, output, mode), the modes |m| <= K of the source's band in the
-        order of `self._band`, and kernels and power tables stop
-        at k = K.  The second output feeds d/dz and the third d/dzbar.  With
-        k = |m|, a panel [a, b] inside r contributes ((b/r)^k - (r b)^k)/2k A
-        (-log r A for k = 0), -(r b)^(k-1) b A and -(b/r)^k A / r; a panel
-        outside r contributes ((r/a)^k B - (r b)^k A)/2k (L for k = 0),
-        (r/a)^(k-1) B / a - (r b)^(k-1) b A and 0.  The panel holding r is
-        split there and sampled at M = min(N, 4(K + 1)) angles
-        (see the module docstring); on it the same kernels act on g_m s ds
-        directly.  Every radius gets the same arrays: at r = 0 the outer side
-        is graded as s = b u^4, which resolves the s log s endpoint, and the
-        empty inner side has zero weight at the outer side's nodes, where the
-        source is finite, so a source with an integrable singularity at 0
-        (log|z|) stays finite.
+        `g` holds the band's modes at the panel nodes, (panel, node, sign, k),
+        read from the FFT `columns` at `self._angles` angles.  A panel is
+        split while the last two Legendre coefficients of some g_m, scaled to
+        their roundoff (`_legendre_tail`), exceed `_RESOLVED` times the
+        largest |g_m| and its mass exceeds eps times
+        the whole grid's, at most `_MAX_SPLITS` times, and while the panels
+        times K + 1 stay within `_MAX_PANEL_MODES`; every such panel of a
+        round is split at once.  Returns the edges and the modes at their
+        nodes.
         """
-        cfg = self.config
-        edges, nodes = _panel_nodes(cfg.radial_nodes)[:2]
-        count, q = nodes.shape
-        moments = self._panel_moments()
-        freq = self._band
-        kabs = np.abs(freq)
-        top = int(kabs.max())
-        k2 = 2.0 * np.arange(1, top + 1)
-        r = np.asarray(r, dtype=float)[:, None]
-        p = np.minimum((r * count).astype(int), count - 1)
-        panel = np.arange(count)
-        inside, outside = panel < p, panel > p
-        # Nothing lies inside r = 0, so there r only needs to be finite where
-        # it divides or takes a log.
-        rs = np.where(r > 0.0, r, 1.0)
-        a, b = edges[:-1], edges[1:]
-        # Panel 0 is never outside r; its edge 0 would only divide by zero.
-        outer_a = np.concatenate([[1.0], a[1:]])
-
-        # Kernel rows per output (value, plus, minus), radius and k: rows
-        # [0, count) act on the A moments, [count, 2 count) on the B
-        # moments, the rest on the split panel's modes.  (r b)^k for every
-        # panel but the split one, (b/r)^k inside r and (r/a)^k outside, 0
-        # elsewhere: every power ratio used is <= 1, so nothing overflows
-        # even where r^k underflows.
-        kernel = np.zeros((3, r.shape[0], 2 * count + 2 * q, top + 1))
-        value, plus, minus = kernel[:, :, :count]
-        ratios = np.broadcast_arrays(r * b, b / rs, r / outer_a)
-        image, down, up = _powers(np.stack(ratios), top, np.stack([panel != p, inside, outside]))
-        value[:, :, 0] = -np.log(rs) * inside
-        value[:, :, 1:] = down[:, :, 1:] / k2 - image[:, :, 1:] / k2
-        plus[:, :, 1:] = -image[:, :, :-1] * b[:, None]
-        minus[:] = -down / rs[:, :, None]
-        value, plus = kernel[:2, :, count:2 * count]
-        value[:, :, 0] = outside  # the L moment
-        value[:, :, 1:] = up[:, :, 1:] / k2
-        plus[:, :, 1:] = up[:, :, :-1] / outer_a[:, None]
-
-        # The split panel's nodes.  With s = r + (hi - r) u^4 on panel 0,
-        # G[1] erred by 2e-13 near r = 1e-4; spacing s^(1/4) keeps it 1e-16.
-        # At r = 0 the empty inner side sits on the outer side's nodes.
-        u, w = _gauss01(q)
-        lo, hi = a[p], b[p]
-        first = p == 0
-        root = r**0.25 + (hi**0.25 - r**0.25) * u
-        s_out = np.where(first, root**4, r + (hi - r) * u**4)
-        w_out = np.where(first, 4.0 * (hi**0.25 - r**0.25) * w * root**3,
-                         4.0 * (hi - r) * w * u**3) * s_out
-        s_in = np.where(first, r * u**3, lo + (r - lo) * u)
-        w_in = np.where(first, 3.0 * r * w * u * u, (r - lo) * w) * s_in
-        s_in = np.where(r > 0.0, s_in, s_out)
-        s = np.concatenate([s_in, s_out], axis=1)
-
-        # Split-panel rows, inner side [lo, r] first.
-        value, plus, minus = kernel[:, :, 2 * count:]
-        ratio, product = _powers(np.stack([np.concatenate([s_in / rs, r / s_out], axis=1),
-                                           r * s]), top)
-        value[:, :q, 0] = -np.log(rs)
-        value[:, q:, 0] = -np.log(s_out)
-        value[:, :, 1:] = (ratio[:, :, 1:] - product[:, :, 1:]) / k2
-        plus[:, :, 1:] = -product[:, :, :-1] * s[:, :, None]
-        plus[:, q:, 1:] += ratio[:, q:, :-1] / s_out[:, :, None]
-        minus[:, :q] = -ratio[:, :q] / rs[:, :, None]
-        size = self._split_angles
-        kernel[:, :, 2 * count:] *= np.concatenate([w_in, w_out], axis=1)[:, :, None] / size
-
-        # The moments, then the split panel's modes, sampled at the band's M
-        # angles: a mode |m| <= K aliases only modes |m'| >= M - K > 3K,
-        # which the panel grid's FFT showed at roundoff.
-        data = np.empty((r.shape[0], 2 * count + 2 * q, freq.size), dtype=complex)
-        data[:, :2 * count] = moments
-        data[:, 2 * count:] = np.fft.fft(self._g(s[:, :, None] * _spectral_tables(size)[2]),
-                                         axis=2)[:, :, freq % size]
-        value, plus, minus = np.einsum("trjm,rjm->trm", kernel[..., kabs], data)
-        return np.stack([value, np.where(freq > 0, plus, minus),
-                         np.where(freq < 0, plus, minus)], axis=1)
+        q, width = g.shape[1], g.shape[-1]
+        weights = _gauss01(q)[1]
+        splits = np.zeros(edges.size - 1, dtype=int)
+        while True:
+            envelope = np.abs(g).max(axis=(2, 3))
+            mass = (envelope * _nodes(edges, q) * weights).sum(axis=1) * np.diff(edges)
+            tail = np.abs(np.einsum("nj,pjck->pnck", _legendre_tail(q), g)).max(axis=(1, 2, 3))
+            split = ((tail > _RESOLVED * envelope.max())
+                     & (mass > np.finfo(float).eps * mass.sum()) & (splits < _MAX_SPLITS))
+            count = edges.size - 1 + np.count_nonzero(split)
+            if not split.any() or count * width > _MAX_PANEL_MODES:
+                return edges, g
+            # Each panel's first row in the new grid; a split panel's halves
+            # take two.
+            first = np.cumsum(1 + split) - 1 - split
+            halves = np.concatenate([first[split], first[split] + 1])
+            edges = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:])[split] / 2.0]))
+            finer = np.empty((count,) + g.shape[1:], dtype=complex)
+            finer[first[~split]] = g[~split]
+            _, scale, unit = _spectral_tables(self._angles)
+            samples = self._g(_nodes(edges, q)[halves].ravel()[:, None] * unit)
+            finer[halves] = (np.fft.fft(samples, axis=1) * scale)[:, columns].reshape(
+                (halves.size,) + g.shape[1:])
+            g = finer
+            deeper = np.empty(count, dtype=int)
+            deeper[first[~split]] = splits[~split]
+            deeper[halves] = np.tile(splits[split] + 1, 2)
+            splits = deeper
 
     def _evaluate(self, z):
         """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1."""
@@ -543,25 +714,30 @@ class GreenPotential(PlanarMap):
         if inside.size == 0:  # nothing to sample the source for
             return tuple(part.reshape(z.shape) for part in out)
         # |z| of points built as r e^{i theta} scatters by a few ulps; rounding
-        # lets the whole circle share one radial solve.
+        # lets the whole circle share one interpolation.
         radii, group = np.unique(np.round(np.abs(flat[inside]), 14), return_inverse=True)
         order = np.argsort(group, kind="stable")
         inside, group = inside[order], group[order]
-        self._panel_moments()
-        freq = self._band
-        # Blocks of consecutive radii, each with the points on them.
+        solution = self._node_solution()
+        freq, edges, nodes = self._band, self._edges, self._nodes
+        panel = np.minimum(np.searchsorted(edges, radii, side="right") - 1, edges.size - 2)
         size = max(1, _BLOCK_MODES // freq.size)
-        starts = np.searchsorted(group, np.arange(0, radii.size + size, size))
-        for block, (i, j) in enumerate(zip(starts[:-1], starts[1:])):
-            modes = self._radial_modes(radii[block * size:(block + 1) * size])
-            idx = inside[i:j]
+        for i in range(0, inside.size, size):
+            idx, rows = inside[i:i + size], group[i:i + size]
+            lo, hi = rows[0], rows[-1] + 1
+            p = panel[lo:hi]
+            # Products in a fixed operand order, each summed along its own
+            # contiguous axis: a radius's modes and a point's sums do not
+            # depend on the other points of the block (a matrix product
+            # switches between gemv and gemm, which round differently, and
+            # numpy may reuse a temporary operand and swap the order of a
+            # complex product, which is not bit-commutative).
+            terms = solution[p]
+            np.multiply(terms, _lagrange(radii[lo:hi], nodes[p])[:, None, None, :], out=terms)
+            modes = terms.sum(axis=-1)[rows - lo]
             theta = np.angle(flat[idx])
-            # A product and a sum over the contiguous mode axis: each point's
-            # sum is the same however many points share its block (a matrix
-            # product switches between gemv and gemm, which round differently).
-            phase = np.exp(1j * np.outer(theta, freq))
-            rows = group[i:j] - block * size
-            value, plus, minus = ((phase * modes[rows, part]).sum(axis=1) for part in range(3))
+            np.multiply(np.exp(1j * np.outer(theta, freq))[:, None, :], modes, out=modes)
+            value, plus, minus = modes.sum(axis=-1).T
             out[0, idx] = value
             out[1, idx] = 0.5 * np.exp(-1j * theta) * plus
             out[2, idx] = 0.5 * np.exp(1j * theta) * minus
@@ -679,6 +855,31 @@ def solve_poisson(
     return PoissonMap(series, GreenPotential(g, cfg))
 
 
+def laplacian_stencils(z, h: float = 1e-3) -> np.ndarray:
+    """The five-point stencils of the points z: shape z.shape + (5,), with
+    z + h, z - h, z + ih, z - ih and last z itself.
+
+    Requires h > 0 and 1 - |z| >= 2h at every point, so the stencils stay
+    inside the disk; ValueError otherwise.
+    """
+    z = np.asarray(z, dtype=complex)
+    if not h > 0:
+        raise ValueError("h must be positive")
+    if np.any(1.0 - np.abs(z) < 2.0 * h):
+        raise ValueError("stencil too close to the boundary: need 1 - |z| >= 2h")
+    return np.stack([z + h, z - h, z + 1j * h, z - 1j * h, z], axis=-1)
+
+
+def stencil_residual(values, g: Union[str, Callable], z, h: float = 1e-3) -> np.ndarray:
+    """|five-point finite-difference Laplacian - g| at each point of z, from a
+    map's `values` at `laplacian_stencils(z, h)`; shaped like z."""
+    z = np.asarray(z, dtype=complex)
+    ref = _sampler(g)(z.ravel())
+    values = np.asarray(values).reshape(-1, 5)
+    fd = (values[:, :4].sum(axis=1) - 4.0 * values[:, 4]) / (h * h)
+    return np.abs(fd - ref).reshape(z.shape)
+
+
 def laplacian_residual(
     m: PlanarMap,
     g: Union[str, Callable],
@@ -692,17 +893,7 @@ def laplacian_residual(
     Requires 1 - |z| >= 2h at every point so the stencils stay inside the
     disk.
     """
-    z = np.asarray(z, dtype=complex)
-    if not h > 0:
-        raise ValueError("h must be positive")
-    if np.any(1.0 - np.abs(z) < 2.0 * h):
-        raise ValueError("stencil too close to the boundary: need 1 - |z| >= 2h")
-    flat = z.ravel()
-    ref = _sampler(g)(flat)
-    stencil = np.stack([flat + h, flat - h, flat + 1j * h, flat - 1j * h, flat], axis=1)
-    vals = m.values(stencil)
-    fd = (vals[:, :4].sum(axis=1) - 4.0 * vals[:, 4]) / (h * h)
-    return np.abs(fd - ref).reshape(z.shape)
+    return stencil_residual(m.values(laplacian_stencils(z, h)), g, z, h)
 
 
 # --- derivative supremum -----------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from diskmaps import GreenPotential, QuadratureConfig, cli
+from diskmaps import GreenPotential, QuadratureConfig, cli, laplacian_residual, solve_poisson
 
 
 def run_json(capsys, argv):
@@ -295,20 +295,41 @@ def test_solve_reports_values_and_residuals(capsys):
     assert doc["reports"][0]["residual"] < 1e-4
 
 
-def test_solve_takes_every_residual_in_one_call(monkeypatch, capsys):
-    calls = []
-    real = cli.laplacian_residual
+def test_solve_takes_every_residual_in_one_call(monkeypatch, capsys, counting):
+    # One values call takes the point outside the stencils' reach and the
+    # five-point stencils of the other three, whose centres are the points.
+    maps = []
 
-    def residual(m, g, z, h):
-        calls.append(np.shape(z))
-        return real(m, g, z, h)
+    def solve(*args, **kwargs):
+        maps.append(counting(solve_poisson(*args, **kwargs)))
+        return maps[-1]
 
-    monkeypatch.setattr(cli, "laplacian_residual", residual)
-    code, doc = run_json(capsys, ["solve", "--psi", "z", "--g", "1",
-                                  "--points", "0.1, 0.9995, 0.3j, -0.5"])
+    monkeypatch.setattr(cli, "solve_poisson", solve)
+    argv = ["solve", "--psi", "z", "--g", "1", "--points", "0.1, 0.9995, 0.3j, -0.5"]
+    code, doc = run_json(capsys, argv)
     assert code == 0
-    assert calls == [(3,)]
+    assert maps[0].calls == [("values", 1 + 3 * 5)]
     assert [row["residual"] is None for row in doc["reports"]] == [False, True, False, False]
+    # The values and residuals are those of separate calls.
+    m = solve_poisson("z", "1")
+    pts = np.array([0.1, 0.9995, 0.3j, -0.5])
+    assert [row["value"]["re"] for row in doc["reports"]] == m.values(pts).real.tolist()
+    inner = pts[[0, 2, 3]]
+    assert ([doc["reports"][i]["residual"] for i in (0, 2, 3)]
+            == laplacian_residual(m, "1", inner).tolist())
+
+
+@pytest.mark.parametrize("name,param,message", [
+    ("kalaj_extremal", "series_degree=12.5",
+     "catalog parameter series_degree must be an integer, got '12.5'"),
+    ("scale", "c=abc", "catalog parameter c must be a complex number, got 'abc'"),
+    ("example13", "alpha=x", "catalog parameter alpha must be a real number, got 'x'"),
+])
+def test_a_malformed_catalog_number_names_its_parameter(capsys, name, param, message):
+    code = cli.main(["analyze", "--catalog", name, "--param", param, "--points", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_USAGE, "")
+    assert message in captured.err
 
 
 def test_unknown_catalog_parameter_is_usage_error(capsys):

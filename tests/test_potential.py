@@ -18,8 +18,9 @@ from diskmaps import (
     solve_poisson,
 )
 from diskmaps.expr import parse_expr, value_array
-from diskmaps.potential import (_CHECK_ANGLES, _ROUNDOFF, _chop_length,
-                                _panel_nodes, _spectral_tables, poisson_coefficients)
+from diskmaps.potential import (_CHECK_ANGLES, _MAX_SPLITS, _ROUNDOFF, _chop_length,
+                                _lagrange, _panel_nodes, _spectral_tables,
+                                poisson_coefficients)
 
 
 def test_constant_source_matches_closed_form(quad_fast, rng):
@@ -244,19 +245,19 @@ def test_green_of_monomial_sources_matches_closed_form(terms):
 
 
 def test_green_of_a_band_past_a_quarter_of_the_angles_matches_closed_form():
-    # re(z^70) has band K >= 70 >= 256/4 - 1, so its split panels take all
-    # 256 angles.  The 16-node panels resolve s^70 near r = 0.9 only to
-    # ~1e-13 in value and ~5e-12 in the derivatives, at the parent commit too.
+    # re(z^70) has band K >= 70 >= 256/4 - 1, so its panel grid takes all
+    # 256 angles.  s^70 needs panels narrower than 1/8 near the circle.
     z = _scattered_points(200, 14)
     pot = GreenPotential("re((z^35)^2)")
-    assert pot._panel_moments().shape[1] >= 2 * 70 + 1
-    assert pot._split_angles == 256
     value, dz, dzbar = (np.array(_green_of_monomial(70, 0, z))
                         + np.array(_green_of_monomial(0, 70, z))) / 2.0
     got = pot.jets(z)
-    assert np.max(np.abs(got[0] - value)) <= 3e-13
-    assert np.max(np.abs(got[1] - dz)) <= 1e-11
-    assert np.max(np.abs(got[2] - dzbar)) <= 1e-11
+    assert pot._band.size >= 2 * 70 + 1
+    assert pot._angles == 256
+    assert pot._edges.size - 1 > 8
+    assert np.max(np.abs(got[0] - value)) <= 1e-14
+    assert np.max(np.abs(got[1] - dz)) <= 1e-14
+    assert np.max(np.abs(got[2] - dzbar)) <= 1e-14
 
 
 def test_green_of_log_source_is_finite_at_the_origin():
@@ -280,11 +281,8 @@ def test_green_is_nan_outside_the_disk():
         pot.value(1.0)
 
 
-def test_ring_jets_cost_one_radial_solve():
+def test_rings_sample_only_the_panel_grid():
     cfg = QuadratureConfig()
-    # The source's angular band is K = 1, so each split panel of 2 x 16 nodes
-    # is sampled at M = 4 (K + 1) = 8 angles.
-    split = 2 * 16 * 8
     sampled = []
 
     def source(w):
@@ -296,16 +294,101 @@ def test_ring_jets_cost_one_radial_solve():
     ring = 0.6 * np.exp(2j * np.pi * np.arange(1024) / 1024)
     pot.jets(ring)
     # The panel grid once, at the first 64 angles, which its check angles
-    # accept, then one split panel per radius.
-    panel = cfg.radial_nodes * (64 + _CHECK_ANGLES.size)
-    assert sum(sampled) == panel + split
+    # accept; the 16-node panels resolve the source, so none is split.
+    assert sum(sampled) == cfg.radial_nodes * (64 + _CHECK_ANGLES.size)
+    assert np.array_equal(pot._edges, np.arange(9) / 8)
+    # Radii are interpolated from the node solve and sample nothing.
     before = sum(sampled)
     pot.jets(0.3 * ring)
-    assert sum(sampled) == before + split
-    # Nothing is kept between calls: a radius visited again is solved again.
-    before = sum(sampled)
     pot.values(ring[::7])
-    assert sum(sampled) == before + split
+    pot.jets(_scattered_points(300, 2))
+    assert sum(sampled) == before
+
+
+# --- node solve and interpolation ------------------------------------------------
+
+
+def _grid_radii():
+    """0, every node and inner edge of the default panels, and 1 - 1e-12."""
+    edges, nodes = _panel_nodes(128)
+    return np.concatenate([[0.0], nodes.ravel(), edges[1:-1], [1.0 - 1e-12]])
+
+
+@pytest.mark.parametrize("terms", [[jk] for jk in MONOMIALS + ((0, 0), (2, 2))],
+                         ids=lambda terms: _monomial_source(*terms[0]) or "1")
+def test_interpolation_matches_closed_form_at_nodes_edges_and_ends(terms):
+    z = _grid_radii() * np.exp(0.4j)
+    pot = GreenPotential(_monomial_source(*terms[0]) or "1")
+    want = sum(np.array(_green_of_monomial(j, k, z)) for j, k in terms)
+    _assert_jets_close(pot.jets(z), *want, tol=1e-14)
+
+
+def test_a_node_radius_gets_its_node_values():
+    # The barycentric basis is the unit row at a node, so a point at a node
+    # radius and angle 0 gets the node solve's values, up to the rounding of
+    # radii to 1e-14, which moves them by a few ulps.
+    nodes = _panel_nodes(128)[1]
+    assert np.array_equal(_lagrange(nodes[3], nodes[3]), np.eye(16))
+    pot = GreenPotential("0.3*abs(z)^4 + 1")
+    values = pot.values(nodes.ravel())
+    want = pot._node_solution()[:, 0, 0, :].ravel()
+    assert np.max(np.abs(values - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("source", ["1", "0.3*abs(z)^8", "-0.6*re(z)", "exp(z*conj(z)+0.3*z)",
+                                    "exp(re(z))*im(z) + z", "z + 0.1*conj(z)^2"])
+def test_smooth_sources_keep_the_starting_panels(source):
+    g, sampled = _counting(source)
+    pot = GreenPotential(g)
+    pot.jets(_scattered_points(50, 4))
+    assert np.array_equal(pot._edges, np.arange(9) / 8)
+    assert sum(np.prod(shape) for shape in sampled) == 128 * (pot._angles + _CHECK_ANGLES.size)
+
+
+def test_a_narrow_source_splits_the_panels_around_it():
+    pot = GreenPotential("exp(-400*abs(z-0.06)^2)")
+    pot._node_solution()
+    widths = np.diff(pot._edges)
+    assert pot._edges.size - 1 > 8
+    assert widths.min() <= 1.0 / 32
+    # The bump is 1e-40 of its peak past r = 0.6: those panels stay whole.
+    assert np.all(widths[pot._edges[:-1] >= 0.625] == 0.125)
+
+
+def test_a_log_source_refines_toward_zero_and_stops():
+    pot = GreenPotential("log(abs(z))")
+    pot._node_solution()
+    edges = pot._edges
+    # Dyadic panels toward 0 until the innermost holds less than eps of the
+    # mass, integral |log s| s ds = r^2 (1 - 2 log r) / 4, of the total 1/4,
+    # and well before the split limit.
+    inner = edges[1]
+    assert inner**2 * (1.0 - 2.0 * np.log(inner)) <= np.finfo(float).eps
+    assert inner > 0.125 * 2.0 ** -_MAX_SPLITS
+    assert np.all(np.diff(edges[1:]) <= edges[1:-1])  # each panel within a factor 2
+    # G = (r^2 - 1)/4 - (r^2/4) log r, so d/dz = conj(z) (1/2 - log r)/4.
+    # The derivatives err by ~1e-13 only inside the innermost panel.
+    r = np.array([0.0, 1e-9, 1e-6, 1e-3, 0.3, 0.9, 1.0 - 1e-12])
+    z = r * np.exp(0.3j)
+    log_r = np.log(r, where=r > 0, out=np.zeros_like(r))
+    value, dz, dzbar = pot.jets(z)
+    assert np.max(np.abs(value - ((r * r - 1.0) / 4.0 - r * r * log_r / 4.0))) <= 1e-15
+    for got, want in ((dz, np.conj(z) * (0.5 - log_r) / 4.0), (dzbar, z * (0.5 - log_r) / 4.0)):
+        assert np.max(np.abs(got - want)[r < inner]) <= 1e-12
+        assert np.max(np.abs(got - want)[r >= inner]) <= 1e-15
+
+
+def test_a_points_jets_do_not_depend_on_the_size_of_its_call():
+    # K = 15: a 1,024-point circle multiplies more than 256 KiB of modes and
+    # phases, where numpy may reuse a temporary operand and swap the order of
+    # a complex product; the even points still get the 512-point circle's bits.
+    m = solve_poisson("z + 0.2*z^2", "exp(-abs(z-0.3)^2)",
+                      config=QuadratureConfig(angular_nodes=32))
+    big = m.jets(0.6 * np.exp(2j * np.pi * np.arange(1024) / 1024))
+    small = m.jets(0.6 * np.exp(2j * np.pi * np.arange(512) / 512))
+    assert np.abs(m.potential._band).max() == 15
+    for b, s in zip(big, small):
+        assert np.array_equal(b[::2], s)
 
 
 # One ulp per angular mode kept by the default rule (255 of them): the
@@ -373,8 +456,8 @@ def test_poisson_coefficients_are_cut_to_their_degree():
 @pytest.mark.parametrize("source,band", [("0.3*abs(z)^4", 0), ("0.4*re(z)", 1),
                                          ("abs(re(z))", 127)])
 def test_green_moments_keep_the_sources_angular_band(source, band):
-    # One moment column per mode m with |m| <= band.
-    assert GreenPotential(source)._panel_moments().shape[1] == 2 * band + 1
+    # One column of node values per mode m with |m| <= band.
+    assert GreenPotential(source)._node_solution().shape[2] == 2 * band + 1
 
 
 def _full_band():
@@ -400,15 +483,15 @@ def test_chopped_green_equals_a_full_band_solve(source, pts):
 
 
 def test_narrow_source_keeps_its_doubled_rule_gap():
-    # A bump of width ~0.05 in panel 0: the fixed panels resolve it to a few
-    # 1e-12, and the chop to its 26 modes loses nothing measurable.
+    # A bump of width ~0.05 in panel 0: the split panels resolve it, and the
+    # chop to its 26 modes loses nothing measurable.
     source = "exp(-400*abs(z-0.06)^2)"
     radii = np.concatenate([np.linspace(0.001, 0.124, 9), np.linspace(0.13, 0.95, 8)])
     z = radii * np.exp(0.7j)
     pot = GreenPotential(source)
     fine = GreenPotential(source, QuadratureConfig().doubled())
-    assert pot._panel_moments().shape[1] == 2 * 26 + 1
-    assert np.max(np.abs(np.array(pot.jets(z)) - np.array(fine.jets(z)))) <= 3.0e-12
+    assert pot._node_solution().shape[2] == 2 * 26 + 1
+    assert np.max(np.abs(np.array(pot.jets(z)) - np.array(fine.jets(z)))) <= 1e-14
 
 
 def test_ring_points_get_the_same_jets_alone_and_together():
@@ -481,8 +564,9 @@ def test_doubled_angles_read_the_band_of_all_angles(source, pts):
     envelope = _angular_envelope(source)
     differ = np.setxor1d(np.abs(pot._band), np.abs(full._band))
     assert np.all(envelope[differ] <= 2 * _ROUNDOFF * envelope.max())
+    # Each grid holds its band: 4(K + 1) <= N, or N is the cap.
     for p in (pot, full):
-        assert p._split_angles == min(4 * (np.abs(p._band).max() + 1), 256)
+        assert 4 * (np.abs(p._band).max() + 1) <= p._angles or p._angles == 256
 
 
 def _angular_envelope(source, nphi=256):
@@ -501,7 +585,7 @@ def test_aliased_modes_double_to_the_full_grid_bit_for_bit(source):
     z = _scattered_points(50, 16)
     pot = GreenPotential(source)
     got = pot.jets(z)
-    assert pot._split_angles == 256
+    assert pot._angles == 256
     with _full_angles():
         full = GreenPotential(source)
         want = full.jets(z)
@@ -516,10 +600,10 @@ def test_check_angles_reject_what_the_band_rule_accepts(source, blind_band):
     # angles see the folded modes.
     with mock.patch("diskmaps.potential._CHECK_TOL", np.inf):
         blind = GreenPotential(source)
-        blind._panel_moments()
+        blind._node_solution()
     assert np.abs(blind._band).max() == blind_band
     pot = GreenPotential(source)
-    pot._panel_moments()
+    pot._node_solution()
     assert np.abs(pot._band).max() >= 64
 
 
@@ -528,7 +612,7 @@ def test_a_band_with_no_plateau_samples_the_full_grid_once():
     # sampled, and each doubling samples only the new odd angles.
     cfg = QuadratureConfig()
     g, sampled = _counting("abs(re(z))")
-    GreenPotential(g)._panel_moments()
+    GreenPotential(g)._node_solution()
     assert sampled == [(cfg.radial_nodes, 64), (cfg.radial_nodes, 64), (cfg.radial_nodes, 128)]
     assert sum(a * b for a, b in sampled) == cfg.radial_nodes * cfg.angular_nodes
 
@@ -536,6 +620,6 @@ def test_a_band_with_no_plateau_samples_the_full_grid_once():
 def test_a_constant_source_never_samples_all_angles():
     g, sampled = _counting("1")
     pot = GreenPotential(g)
-    pot._panel_moments()
+    pot._node_solution()
     assert pot._band.tolist() == [0]
     assert max(shape[-1] for shape in sampled) < pot.config.angular_nodes

@@ -94,26 +94,29 @@ def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path)
         doc(["coeffs", "--map", "z"], 0, '{"a": [0, 1]}'),
         doc(["analyze", "--map", "exp(z"], 2, "", "error: bad input\n"),
         doc(["length", "--r", "0.5"], 0, '{"length": 3.0}'),
+        doc(["check-prop14", "--g", "1/(z-0.5)"], 3, "", "numerical failure: nan\n"),
     ]) + "\n")
     new.write_text("\n".join([
         doc(["solve", "--g", "1"], 0, '{"value": 0.2500000000000001, "residual": 3e-10}'),
         doc(["coeffs", "--map", "z"], 0, '{"a": [0, 1]}'),
         doc(["analyze", "--map", "exp(z"], 3, "", "numerical failure\n"),
         doc(["length", "--r", "0.5"], 0, '{"length": 3.0, "converged": true}'),
+        doc(["check-prop14", "--g", "1/(z-0.5)"], 0, '{"source_sup": 1509.57}'),
         doc(["frontier", "--K", "2"], 0, "{}"),
     ]) + "\n")
     assert run_script(monkeypatch, "compare_outputs.py", str(old), str(new)) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "abs 2.00e-10 rel 6.67e-01  code same  stderr same  solve --g 1",
-        "abs 0.00e+00 rel 0.00e+00  code moved  stderr moved  analyze --map 'exp(z'",
+        "abs 0.00e+00 rel 0.00e+00  code 2 -> 3  stderr moved  analyze --map 'exp(z'",
         "text moved  code same  stderr same  length --r 0.5",
+        "text moved  code 3 -> 0  stderr moved  check-prop14 --g '1/(z-0.5)'",
         "only in new  frontier --K 2",
-        "4 of 5 argvs moved",
+        "5 of 6 argvs moved",
     ]
     # A file against itself moves nothing.
     assert run_script(monkeypatch, "compare_outputs.py", str(old), str(old)) == 0
-    assert capsys.readouterr().out == "0 of 4 argvs moved\n"
+    assert capsys.readouterr().out == "0 of 5 argvs moved\n"
 
 
 def test_compare_outputs_names_moves_of_signed_zeros_only(monkeypatch, capsys, tmp_path):
