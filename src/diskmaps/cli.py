@@ -77,6 +77,18 @@ def _parse_points(text: str) -> List[complex]:
     return pts
 
 
+def _parse_radii(text: str, flag: str) -> List[float]:
+    """A comma list of radii; an item that is no number is named with its flag."""
+    radii = []
+    for item in text.split(","):
+        try:
+            radii.append(float(item))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated numbers, got {item.strip()!r} "
+                             f"in {text!r}") from None
+    return radii
+
+
 def _parse_pairs(text: str) -> List[Tuple[complex, complex]]:
     pairs = []
     for chunk in text.replace(";", ",").split(","):
@@ -248,8 +260,10 @@ def _cmd_bounds(args) -> int:
         R = diag["exact_R"]
         provenance["R"] = "catalog-exact"
     elif not args.no_measure:
-        R = boundary_length(m).value / (2.0 * math.pi)
-        provenance["R"] = "boundary-polyline"
+        boundary = boundary_length(m)
+        R = boundary.value / (2.0 * math.pi)
+        provenance["R"] = ("boundary-polyline" if boundary.converged
+                           else "boundary-polyline, not converged")
     perimeter_sup = args.perimeter_sup
     if perimeter_sup is not None:
         provenance["perimeter_sup"] = "given"
@@ -291,7 +305,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_coeffs(args) -> int:
     quad = _quad_from(args)
     m, source_desc, _ = _build_map(args, quad)
-    radii = tuple(float(r) for r in args.radii.split(","))
+    radii = tuple(_parse_radii(args.radii, "--radii"))
     table = extract_coeffs(m, count=args.count, radii=radii)
     config = _config_base(args, "coeffs", source_desc, quad=quad)
     config["count"] = args.count
@@ -304,7 +318,7 @@ def _cmd_length(args) -> int:
     grid = _grid_from(args)
     m, source_desc, _ = _build_map(args, quad)
     reports: List[object] = []
-    radii = [float(r) for r in args.r.split(",")] if args.r else [0.5, 0.9, 0.99]
+    radii = _parse_radii(args.r, "--r") if args.r else [0.5, 0.9, 0.99]
     if args.kind in ("perimeter", "both"):
         for r in radii:
             reports.append(perimeter(m, r, nodes=args.nodes))

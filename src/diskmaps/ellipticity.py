@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .coefficients import MajorantSpec, extract_coeffs
 from .grids import GridSpec, failed_points, grid_supremum, polar_grid
@@ -662,4 +661,4 @@ def lemma22_check(
 def beta_constant(alpha: float) -> float:
     """Gamma((1+alpha)/2)^2 / Gamma(1+alpha); equals 1 at alpha=1, pi at 0."""
     _check_alpha(alpha)
-    return float(_gamma((1.0 + alpha) / 2.0) ** 2 / _gamma(1.0 + alpha))
+    return math.gamma((1.0 + alpha) / 2.0) ** 2 / math.gamma(1.0 + alpha)

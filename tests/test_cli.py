@@ -1,6 +1,10 @@
 """Subcommand dispatch: documented invocations, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +427,53 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert code == cli.EXIT_USAGE
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_no_cli_path_imports_scipy():
+    # Every CLI call is a fresh process that pays for each module it imports;
+    # the package and these three reports need numpy and nothing heavier.
+    argvs = [
+        ["bounds", "--catalog", "polyharmonic", "--param", "a=0,1", "--param", "b=0,0,0.3",
+         "--K", "4", "--radial-count", "8", "--angular-count", "16"],
+        ["solve", "--psi", "z + 0.2*z^2", "--g", "abs(z)^2", "--points", "0.3, 0.5j"],
+        ["check-thm11", "--map", "z + 0.1*conj(z)", "--omega", "t", "--alpha", "0.5",
+         "--C1", "10", "--C2", "100", "--pairs", "0.1:0.5j", "--line-nodes", "5"],
+    ]
+    script = f"""
+import contextlib, io, sys
+import diskmaps
+import diskmaps.cli
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert diskmaps.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_bounds_says_when_the_measured_boundary_length_did_not_converge(capsys):
+    # log(1-z) has an infinite boundary image length; the polyline's
+    # extrapolations still print a finite R, so the provenance must say so.
+    code, doc = run_json(capsys, ["bounds", "--map", "log(1-z)", "--K", "2"])
+    assert code == 0
+    assert doc["config"]["context"]["provenance"]["R"] == "boundary-polyline, not converged"
+    code, doc = run_json(capsys, ["bounds", "--map", "z + 0.3*conj(z)^2", "--K", "4",
+                                  "--radial-count", "8", "--angular-count", "16"])
+    assert code == 0
+    assert doc["config"]["context"]["provenance"]["R"] == "boundary-polyline"
+
+
+@pytest.mark.parametrize("argv, flag, item", [
+    (["coeffs", "--map", "z", "--radii", "0.5,,"], "--radii", "''"),
+    (["length", "--map", "z", "--r", "0.5,abc"], "--r", "'abc'"),
+])
+def test_a_malformed_radius_list_names_its_flag(capsys, argv, flag, item):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert item in captured.err

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -378,6 +379,16 @@ def test_beta_constant_endpoint_and_interior_values():
         beta_constant(-0.1)
     with pytest.raises(ValueError):
         beta_constant(1.1)
+
+
+def test_beta_constant_matches_mpmath_across_the_alpha_range():
+    # 200 interior points and both endpoints, against 40-digit Gamma values.
+    with mpmath.workdps(40):
+        for alpha in np.linspace(0.0, 1.0, 202):
+            a = mpmath.mpf(float(alpha))
+            oracle = mpmath.gamma((1 + a) / 2) ** 2 / mpmath.gamma(1 + a)
+            rel = abs((mpmath.mpf(beta_constant(float(alpha))) - oracle) / oracle)
+            assert rel <= 1e-14, (alpha, float(rel))
 
 
 def test_frontier_reports_sense_preservation(example15):
