@@ -81,8 +81,11 @@ EDGE_ARGVS = (
      "--points", "0.9, 0.95, 0.99, 0.1"),
     ("bounds", "--map", _FAILING, "--K", "1", "--R", "1", "--radial-sup", "1",
      "--points", "0.9, 0.95, 0.99, 0.1", "--per-point"),
-    # An infinite boundary image length: R is measured but not converged.
+    # An infinite boundary image length and radial length: R and radial_sup
+    # are measured but not converged.
     ("bounds", "--map", "log(1-z)", "--K", "2"),
+    ("length", "--map", "log(1-z)", "--kind", "sup-radial"),
+    ("length", "--map", "log(1-z)", "--kind", "radial", "--r", "1", "--theta", "0"),
     # Poisson maps at the two ends of the chop: boundary data with no noise
     # plateau (all 256 modes kept) and a source with a wide angular band.
     ("solve", "--psi", "abs(re(z))", "--g", "1", "--points", _SOLVE_POINTS),

@@ -260,8 +260,11 @@ def _cmd_bounds(args) -> int:
         R = diag["exact_R"]
         provenance["R"] = "catalog-exact"
     elif not args.no_measure:
+        # An unconverged measurement is left unset, so the rows that read it
+        # are indeterminate, as with --no-measure.
         boundary = boundary_length(m)
-        R = boundary.value / (2.0 * math.pi)
+        if boundary.converged:
+            R = boundary.value / (2.0 * math.pi)
         provenance["R"] = ("boundary-polyline" if boundary.converged
                            else "boundary-polyline, not converged")
     perimeter_sup = args.perimeter_sup
@@ -279,8 +282,11 @@ def _cmd_bounds(args) -> int:
         radial_sup = diag["exact_radial_sup"]
         provenance["radial_sup"] = "catalog-exact"
     elif not args.no_measure:
-        radial_sup, _ = length_sup(m, "radial", grid)
-        provenance["radial_sup"] = "angle-grid"
+        sup, detail = length_sup(m, "radial", grid)
+        if detail["converged"]:
+            radial_sup = sup
+        provenance["radial_sup"] = ("angle-grid" if detail["converged"]
+                                    else "angle-grid, not converged")
 
     coeffs = extract_coeffs(m, count=args.n_max if args.n_max > 32 else 32)
     ctx = BoundContext(params=params, R=R,

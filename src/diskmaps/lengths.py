@@ -5,19 +5,26 @@ for subharmonic densities.
 For a map with jet (f_z, f_zbar), the image of the circle |z| = r has
 length integrand r |f_z - e^{-2 i theta} f_zbar| d theta, and the image of
 the ray segment [0, r e^{i theta}] has integrand
-|f_z + e^{-2 i theta} f_zbar| d rho.  Both integrands are smooth and
-periodic (resp. smooth) for the maps handled here, so trapezoid and
-composite Simpson rules converge fast; every quadrature doubles its node
-count once and reports whether the value moved by more than 1e-6 relative.
+|f_z + e^{-2 i theta} f_zbar| d rho.
 
-A quadrature over several rays or circles evaluates its map once, on a 2-D
-array with one row per ray or circle, and then sums each row on its own.
-So a radial supremum scan is one jets call of (2 radial_count + 1) x
-angular_count points (37k at the default grid, about twice the polar grid
-the derivative rows of a bounds report sample) plus one call for its
-refinement rays.  A point's jet does not depend on the other points of
-the call, for every map here, so this gives the same bytes as one call per
-ray.
+A perimeter is a trapezoid rule, checked against itself at half the nodes
+to 1e-6 relative.  Every radial length (`radial_length`, the scan of
+`length_sup`, `radial_length_limit`) is one Gauss-Legendre panel rule
+(`quadrature`) on [0, r], r capped at 1 - 1e-6: a ray starts as panels of
+32 nodes, and a panel that `quadrature.unresolved` finds, scaled to its
+ray's largest integrand value and length, is split in halves down to
+`_RAY_FLOOR` of the ray and up to `_RAY_PANELS` panels.  A ray is
+converged when no panel is left unresolved; log(1 - z) at theta = 0, whose
+radial length diverges, is not.  Gauss nodes never land on r = 0, where a
+map may have no jet.
+
+Several rays or circles are evaluated in one jets call (a round), one row
+per ray panel or circle, and each row is summed on its own: a radial
+supremum scan is one call of 33 x angular_count points (6,336 at the
+default grid, each panel's far end included) and one for its 8 refinement
+rays, plus one per round of splits.  A point's jet does not depend on the
+other points of a call, for every map here, so this gives the same bytes
+as one call per ray.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .bounds import BoundReport
 from .expr import ExprAst, parse_expr, value_array
 from .grids import GridSpec, shell_ladder
 from .maps import JetEvaluationError
+from .quadrature import gauss, gauss01, unresolved
 
 __all__ = [
     "LengthReport",
@@ -46,14 +54,28 @@ __all__ = [
 _RADIAL_CAP = 1.0 - 1e-6
 _POLYLINE_SEGMENTS = 4096
 
+# Gauss nodes per ray panel.
+_RAY_NODES = 32
+
+# Narrowest ray panel, as a share of its ray: log(1 - z) at theta = 0 would
+# need ~2e-6 beside the cap.
+_RAY_FLOOR = 2.0**-16
+
+# Most panels of one ray: 2,112 jets.
+_RAY_PANELS = 64
+
 
 @dataclass(frozen=True)
 class LengthReport:
     """A length quadrature result.
 
     kind is "perimeter", "radial", or "boundary"; theta is set only for
-    radial reports.  converged means doubling the node count moved the
-    value by at most 1e-6 relative (the reported value is the finer one).
+    radial reports.  node_count is the number of jets the value took (for a
+    boundary, the segments of each polyline).  converged means, for a
+    perimeter or a boundary, that doubling the node count (the last
+    extrapolation step) moved the value by at most 1e-6 relative (the
+    reported value is the finer one); for a radial report, that every Gauss
+    panel of the ray resolves its integrand to roundoff.
     """
 
     kind: str
@@ -109,55 +131,75 @@ def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
                         node_count=2 * nodes, converged=converged)
 
 
-def _ray_lengths(m, radii, thetas, nodes: int) -> List[float]:
-    """Simpson lengths of the images of the segments [0, r e^{i theta}], one
-    per pair of the broadcast 1-D radii and thetas.
-
-    One jets call on a (rays, nodes) array, one row per ray.  Each ray keeps
-    its own Simpson sum (a dot product over its contiguous row) and its own
-    endpoint rule; a ray failing elsewhere raises JetEvaluationError, the
-    first in order.
-    """
-    if nodes % 2 == 0:
-        nodes += 1  # composite Simpson needs an odd node count
-    radii, thetas = np.broadcast_arrays(np.asarray(radii, dtype=float),
-                                        np.asarray(thetas, dtype=float))
-    # linspace along the last axis strides its rows; the dot products below
-    # need contiguous rows to sum in the order of a single ray.
-    rho = np.ascontiguousarray(np.linspace(0.0, radii, nodes, axis=-1))
+def _ray_integrands(m, thetas, lo, hi, q: int) -> np.ndarray:
+    """Length integrands |f_z + e^{-2 i theta} f_zbar| at the q Gauss nodes of
+    the ray panels [lo, hi] at the angles thetas, (panels, q), from one jets
+    call that also takes each far end hi: a non-finite value at a node or
+    there (a pole on a panel edge) raises JetEvaluationError naming its ray,
+    the first in order."""
+    rho = np.concatenate([gauss(lo, hi, q)[0], hi[:, None]], axis=1)
     _, dz, db = m.jets(rho * np.exp(1j * thetas)[:, None])
     integrand = np.abs(dz + np.exp(-2j * thetas)[:, None] * db)
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    bad = ~np.isfinite(integrand)
-    for k in np.flatnonzero(bad.any(axis=1)):
-        # Isolated singular endpoints (maps not differentiable at 0) get the
-        # nearest finite node value; interior failures are real errors.
-        if bad[k].sum() > 1 or not bad[k, 0]:
-            raise JetEvaluationError(
-                f"jet evaluation failed on the ray theta = {float(thetas[k])}")
-        integrand[k, 0] = integrand[k, 1]
-    return [float((w @ row) * (r / (nodes - 1)) / 3.0)
-            for r, row in zip(radii.tolist(), integrand)]
+    bad = ~np.isfinite(integrand).all(axis=1)
+    if bad.any():
+        raise JetEvaluationError(
+            f"jet evaluation failed on the ray theta = {float(thetas[np.argmax(bad)])}")
+    return integrand[:, :q]
 
 
-def radial_length(m, r: float, theta: float, nodes: int = 257) -> LengthReport:
+def _ray_lengths(m, radii, thetas, nodes: int = _RAY_NODES):
+    """(lengths, converged flags, jets used) of the images of the segments
+    [0, min(r, 1 - 1e-6) e^{i theta}], one per pair of the broadcast 1-D
+    radii and thetas (see the module docstring).  Each ray starts as
+    nodes // 32 uniform panels of 32 nodes (one panel of `nodes` below 32);
+    each round of splits is one jets call, rays in order.
+    """
+    upper, thetas = np.broadcast_arrays(np.minimum(np.asarray(radii, dtype=float), _RADIAL_CAP),
+                                        np.asarray(thetas, dtype=float))
+    q = min(nodes, _RAY_NODES)
+    start = nodes // q
+    ray = np.repeat(np.arange(upper.size), start)
+    share = np.tile(np.arange(start), upper.size)
+    lo, hi = upper[ray] * share / start, upper[ray] * (share + 1) / start
+    f = _ray_integrands(m, thetas[ray], lo, hi, q)
+    jets = ray.size * (q + 1)
+    weights = gauss01(q)[1]
+    while True:
+        first = np.flatnonzero(np.diff(ray, prepend=-1))  # each ray's first panel
+        mass = (f * weights).sum(axis=1) * (hi - lo)
+        lengths = np.add.reduceat(mass, first)
+        scale = np.maximum.reduceat(f.max(axis=1), first)
+        want = unresolved(f, scale[ray], mass, lengths[ray])
+        split = want & (hi - lo > _RAY_FLOOR * upper[ray])
+        split &= (np.bincount(ray, 1 + split) <= _RAY_PANELS)[ray]
+        if not split.any():
+            converged = ~np.logical_or.reduceat(want, first)
+            return lengths.tolist(), converged.tolist(), jets
+        # Each panel's rows in the new list: a split panel's halves take two.
+        rows = np.repeat(np.arange(ray.size), 1 + split)
+        left = (np.cumsum(1 + split) - 2)[split]
+        mid = (lo + hi)[split] / 2.0
+        ray, lo, hi, f = ray[rows], lo[rows], hi[rows], f[rows]
+        hi[left], lo[left + 1] = mid, mid
+        fresh = np.repeat(split, 1 + split)
+        f[fresh] = _ray_integrands(m, thetas[ray[fresh]], lo[fresh], hi[fresh], q)
+        jets += int(np.count_nonzero(fresh)) * (q + 1)
+
+
+def radial_length(m, r: float, theta: float, nodes: int = _RAY_NODES) -> LengthReport:
     """Length of the image of the ray segment [0, r e^{i theta}].
 
     r = 1 is accepted; the upper limit is then capped at 1 - 1e-6 to keep
-    all jets strictly interior.
+    all jets strictly interior.  `nodes` is the Gauss node count of the
+    starting panels (`_ray_lengths`); node_count is the jets used.
     """
     if not 0.0 < r <= 1.0:
         raise ValueError("r must lie in (0, 1]")
     if nodes < 9:
         raise ValueError("nodes must be >= 9")
-    upper = min(r, _RADIAL_CAP)
-    [coarse] = _ray_lengths(m, upper, [theta], nodes)
-    [fine] = _ray_lengths(m, upper, [theta], 2 * nodes)
-    converged = abs(fine - coarse) <= 1e-6 * max(abs(fine), 1e-300)
-    return LengthReport(kind="radial", radius=r, theta=float(theta), value=fine,
-                        node_count=2 * nodes + 1, converged=converged)
+    [value], [converged], jets = _ray_lengths(m, r, [theta], nodes)
+    return LengthReport(kind="radial", radius=r, theta=float(theta), value=value,
+                        node_count=jets, converged=converged)
 
 
 def length_sup(m, kind: str,
@@ -170,13 +212,11 @@ def length_sup(m, kind: str,
     rung is the fine rule of perimeter(), without its convergence check.
     The detail lists the rungs and their values.
     radial: max over an angle grid of the radial length at r -> 1, with one
-    local refinement round around the argmax; the detail gives its angle.
+    local refinement round around the argmax; the detail gives its angle
+    and whether every ray was converged.
 
     The ladder is one jets call of (rungs) x 2 max(angular_count, 256)
-    points; the radial scan is one call of (2 radial_count + 1) x
-    angular_count points (37k at the default grid, about twice the polar
-    grid a derivative scan samples), then one call for the 8 refinement
-    rays.
+    points; the radial scan's calls are in the module docstring.
     """
     cfg = cfg or GridSpec()
     if kind == "perimeter":
@@ -191,19 +231,19 @@ def length_sup(m, kind: str,
         return max(values), {"radii": [float(r) for r in radii],
                              "values": values, "monotone": monotone, "note": note}
     if kind == "radial":
-        nodes = 2 * cfg.radial_count + 1
         thetas = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
-        values = _ray_lengths(m, _RADIAL_CAP, thetas, nodes)
+        values, converged, _ = _ray_lengths(m, _RADIAL_CAP, thetas)
         best = int(np.argmax(values))
         sup, sup_theta = values[best], float(thetas[best])
         # One local refinement round around the argmax, whose own ray (offset
         # 0) is already evaluated.
         dt = 2.0 * np.pi / cfg.angular_count / 4.0
         local = [float(thetas[best] + j * dt) for j in (-4, -3, -2, -1, 1, 2, 3, 4)]
-        for t, v in zip(local, _ray_lengths(m, _RADIAL_CAP, local, nodes)):
+        local_values, local_converged, _ = _ray_lengths(m, _RADIAL_CAP, local)
+        for t, v in zip(local, local_values):
             if v > sup:
                 sup, sup_theta = v, t
-        return sup, {"theta": sup_theta,
+        return sup, {"theta": sup_theta, "converged": all(converged + local_converged),
                      "note": "angle-grid supremum of the radial length at r -> 1"}
     raise ValueError("kind must be 'perimeter' or 'radial'")
 
@@ -236,12 +276,12 @@ def boundary_length(m) -> LengthReport:
 def radial_length_limit(m, theta: float) -> float:
     """Extrapolated limit of the radial length as r -> 1.
 
-    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (513 Simpson nodes each, one
-    jets call) and extrapolates linearly (again the gap equals the distance
+    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (`_ray_lengths`, one jets call
+    per round) and extrapolates linearly (again the gap equals the distance
     to the boundary).  Exact for maps whose radial length is linear in r
     near the boundary, e.g. f = c z.
     """
-    v0, v1 = _ray_lengths(m, [1.0 - 4e-6, 1.0 - 2e-6], [theta], 513)
+    (v0, v1), _, _ = _ray_lengths(m, [1.0 - 4e-6, 1.0 - 2e-6], [theta])
     return 2.0 * v1 - v0
 
 

@@ -37,7 +37,7 @@ source is sampled on this grid at the angles its band needs (below), and
 an FFT in angle gives g_m at every node (Nyquist mode dropped).  A panel
 is then split in halves, and its halves sampled at the same angles, while
 the last two Legendre coefficients of some g_m on its nodes are above
-`_RESOLVED` times the largest |g_m| (the coefficients come from the Gauss
+16 eps times the largest |g_m| (the coefficients come from the Gauss
 quadrature transform, scaled to its roundoff) and its mass, the integral
 of max_m |g_m| s ds over it, is above eps times the whole grid's.  So a
 source that the 16-node panels resolve keeps them and takes no sample
@@ -125,6 +125,7 @@ import numpy as np
 
 from . import expr as _expr
 from .maps import PlanarMap, SeriesMap
+from .quadrature import gauss, gauss01, unresolved
 
 __all__ = [
     "QuadratureConfig",
@@ -165,11 +166,6 @@ _CHECK_ANGLES = 2.0 * np.pi * np.modf(np.arange(1, 5) * (math.sqrt(5.0) - 1.0) /
 # Largest deviation of the band's sum from g at the check angles, relative to
 # max |g|, that a grid accepts: bands that hold deviate by <= 4 eps.
 _CHECK_TOL = 32.0 * np.finfo(float).eps
-
-# Largest last-two Legendre coefficient of a resolved panel, each over its
-# transform row's 1-norm (`_legendre_tail`), relative to the largest |g_m| on
-# the grid.  Transform roundoff alone reaches ~6 eps.
-_RESOLVED = 16.0 * np.finfo(float).eps
 
 # Halvings of a starting panel: 1/8 becomes 1.2e-10 at most.  log|z| stops
 # by its mass after 26.
@@ -221,38 +217,16 @@ class QuadratureConfig:
 
 
 @lru_cache(maxsize=None)
-def _gauss01(n: int):
-    # Cached, shared arrays; callers must treat them as read-only.
-    x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-@lru_cache(maxsize=None)
 def _barycentric(q: int) -> np.ndarray:
     """Barycentric weights of the q Gauss nodes, cached and read-only; they
     serve the nodes of any panel, whose affine scale cancels."""
-    u = _gauss01(q)[0]
+    u = gauss01(q)[0]
     diff = u[:, None] - u
     np.fill_diagonal(diff, 1.0)
     weights = 1.0 / diff.prod(axis=1)
     weights /= np.abs(weights).max()
     weights.flags.writeable = False
     return weights
-
-
-@lru_cache(maxsize=None)
-def _legendre_tail(q: int) -> np.ndarray:
-    """Rows that turn q samples at the Gauss nodes into the Legendre
-    coefficients of degrees q - 2 and q - 1 (the Gauss quadrature transform),
-    each divided by its 1-norm, the most it can make of samples of size 1;
-    cached and read-only.  Its roundoff then stays below ~6 eps of the
-    largest sample."""
-    x, w = np.polynomial.legendre.leggauss(q)
-    degrees = np.arange(q - 2, q)
-    tail = (degrees[:, None] + 0.5) * w * np.polynomial.legendre.legvander(x, q - 1)[:, q - 2:].T
-    tail /= np.abs(tail).sum(axis=1, keepdims=True)
-    tail.flags.writeable = False
-    return tail
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +246,7 @@ def _spectral_tables(nphi: int):
 
 def _nodes(edges: np.ndarray, q: int) -> np.ndarray:
     """The q Gauss nodes of every panel between `edges`, (panels, q)."""
-    return edges[:-1, None] + np.diff(edges)[:, None] * _gauss01(q)[0]
+    return edges[:-1, None] + np.diff(edges)[:, None] * gauss01(q)[0]
 
 
 @lru_cache(maxsize=None)
@@ -288,14 +262,6 @@ def _panel_nodes(n: int):
     return edges, nodes
 
 
-def _gauss(lo, hi, n: int):
-    """n-point Gauss rule on [lo, hi] for arrays lo, hi: nodes and weights
-    along a new last axis."""
-    u, w = _gauss01(n)
-    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
-    return lo + (hi - lo) * u, (hi - lo) * w
-
-
 def _graded(lo, hi, n: int):
     """n-point Gauss rules on [lo, hi] split at lo 2^j, for lo > 0: on each
     piece the singularity at 0 of s^-k and log s lies at least the piece's
@@ -304,7 +270,7 @@ def _graded(lo, hi, n: int):
     lo = np.asarray(lo, dtype=float)
     count = max(1, math.ceil(math.log2(hi / lo.min())))
     ends = np.minimum(lo[..., None] * 2.0 ** np.arange(count + 1), hi)
-    t, w = _gauss(ends[..., :-1], ends[..., 1:], n)
+    t, w = gauss(ends[..., :-1], ends[..., 1:], n)
     return t.reshape(lo.shape + (-1,)), w.reshape(lo.shape + (-1,))
 
 
@@ -350,7 +316,7 @@ def _panel_block(a: float, b: float, q: int, block: int):
     resolve (r/s)^k to roundoff.  A column's bits do not depend on how many
     blocks a band takes.
     """
-    s = a + (b - a) * _gauss01(q)[0]
+    s = a + (b - a) * gauss01(q)[0]
     first, stop = _block_columns(block)
     n = 20 + (stop - 1) // 2
 
@@ -363,7 +329,7 @@ def _panel_block(a: float, b: float, q: int, block: int):
         powers[..., 1:] = x[..., None]
         return np.swapaxes(weights, -1, -2) @ np.cumprod(powers, axis=-1)
 
-    t, w = _gauss(a, b, n)
+    t, w = gauss(a, b, n)
     moments = np.zeros((2, q, stop - first))
     moments[0] = integrate(basis(t, w), t / b)
     if a > 0.0:
@@ -373,7 +339,7 @@ def _panel_block(a: float, b: float, q: int, block: int):
         if block == 0:
             moments[1, :, 0] = -np.log(t) @ outer
 
-    t, w = _gauss(a, s, n)
+    t, w = gauss(a, s, n)
     inner = integrate(basis(t, w), t / s[:, None])
     t, w = _graded(s, b, n)
     outside = basis(t, w)
@@ -668,23 +634,20 @@ class GreenPotential(PlanarMap):
 
         `g` holds the band's modes at the panel nodes, (panel, node, sign, k),
         read from the FFT `columns` at `self._angles` angles.  A panel is
-        split while the last two Legendre coefficients of some g_m, scaled to
-        their roundoff (`_legendre_tail`), exceed `_RESOLVED` times the
-        largest |g_m| and its mass exceeds eps times
-        the whole grid's, at most `_MAX_SPLITS` times, and while the panels
-        times K + 1 stay within `_MAX_PANEL_MODES`; every such panel of a
+        split while the panel-split test (`quadrature.unresolved`) holds for
+        its g_m, scaled to the largest |g_m| and the whole grid's mass, at
+        most `_MAX_SPLITS` times, and while the panels times K + 1 stay
+        within `_MAX_PANEL_MODES`; every such panel of a
         round is split at once.  Returns the edges and the modes at their
         nodes.
         """
         q, width = g.shape[1], g.shape[-1]
-        weights = _gauss01(q)[1]
+        weights = gauss01(q)[1]
         splits = np.zeros(edges.size - 1, dtype=int)
         while True:
             envelope = np.abs(g).max(axis=(2, 3))
             mass = (envelope * _nodes(edges, q) * weights).sum(axis=1) * np.diff(edges)
-            tail = np.abs(np.einsum("nj,pjck->pnck", _legendre_tail(q), g)).max(axis=(1, 2, 3))
-            split = ((tail > _RESOLVED * envelope.max())
-                     & (mass > np.finfo(float).eps * mass.sum()) & (splits < _MAX_SPLITS))
+            split = unresolved(g, envelope.max(), mass, mass.sum()) & (splits < _MAX_SPLITS)
             count = edges.size - 1 + np.count_nonzero(split)
             if not split.any() or count * width > _MAX_PANEL_MODES:
                 return edges, g

@@ -458,9 +458,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 def test_bounds_says_when_the_measured_boundary_length_did_not_converge(capsys):
     # log(1-z) has an infinite boundary image length; the polyline's
     # extrapolations still print a finite R, so the provenance must say so.
+    # Nor does the ray rule resolve its radial length.  Both stay unset, so
+    # every row is indeterminate, as with --no-measure.
     code, doc = run_json(capsys, ["bounds", "--map", "log(1-z)", "--K", "2"])
     assert code == 0
-    assert doc["config"]["context"]["provenance"]["R"] == "boundary-polyline, not converged"
+    context = doc["config"]["context"]
+    assert context["provenance"] == {"R": "boundary-polyline, not converged",
+                                     "radial_sup": "angle-grid, not converged"}
+    assert context["R"] is None and context["radial_sup"] is None
+    assert {rep["status"] for rep in doc["reports"]} == {"indeterminate"}
+    code, unmeasured = run_json(capsys, ["bounds", "--map", "log(1-z)", "--K", "2",
+                                         "--no-measure"])
+    assert unmeasured["reports"] == doc["reports"]
     code, doc = run_json(capsys, ["bounds", "--map", "z + 0.3*conj(z)^2", "--K", "4",
                                   "--radial-count", "8", "--angular-count", "16"])
     assert code == 0

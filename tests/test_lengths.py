@@ -1,5 +1,6 @@
 """Image lengths of circles and rays, and radial-integral conclusions."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,10 @@ from diskmaps import (
     solve_poisson,
     subharmonic_radial_check,
 )
+from diskmaps.catalog import builtin_map, kalaj_extremal
 from diskmaps.lengths import _circle_integrands, _trapezoid
+
+CAP = 1.0 - 1e-6
 
 
 def test_perimeter_identity_circles():
@@ -78,8 +82,8 @@ def test_length_sup_kinds(quad_fast):
     assert detail["radii"][-1] == cfg.max_radius and detail["monotone"]
     assert max(detail["values"]) == value
     value, detail = length_sup(m, "radial", cfg)
-    assert value == pytest.approx(2.0, rel=1e-4)
-    assert isinstance(detail["theta"], float)
+    assert value == pytest.approx(2.0 * CAP, rel=1e-14)
+    assert isinstance(detail["theta"], float) and detail["converged"]
 
 
 def test_radial_profile_is_exact_for_power_integrands():
@@ -134,25 +138,14 @@ def test_perimeter_polyline_agrees_with_quadrature():
     assert perimeter(m, r).value == pytest.approx(poly, rel=1e-6)
 
 
-# The scans evaluate every ray (circle) of a scan in one jets call; these
-# loops are the same quadratures with one jets call per ray (circle).
+# The scans evaluate every ray (circle) of a scan in one jets call a round;
+# these loops are the same quadratures with one ray (circle) per call.
 SCAN_GRID = GridSpec(radial_count=12, angular_count=16)
 
 
 def _loop_radial_sup(m, cfg):
-    nodes = 2 * cfg.radial_count + 1
-    w = np.ones(nodes)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    upper = 1.0 - 1e-6
-
     def ray(theta):
-        rho = np.linspace(0.0, upper, nodes)
-        _, dz, db = m.jets(rho * complex(np.exp(1j * theta)))
-        f = np.abs(dz + np.exp(-2j * theta) * db)
-        if not np.isfinite(f[0]):
-            f[0] = f[1]  # the endpoint rule for maps singular at 0
-        return float((w @ f) * (upper / (nodes - 1)) / 3.0)
+        return radial_length(m, 1.0, theta).value
 
     thetas = 2.0 * np.pi * np.arange(cfg.angular_count) / cfg.angular_count
     values = [ray(float(t)) for t in thetas]
@@ -231,3 +224,121 @@ def test_perimeter_is_one_jets_call_of_both_rules(counting, name, r, nodes):
     assert _trapezoid(even) == [coarse]
     assert rep.value == fine
     assert rep.converged == (abs(fine - coarse) <= 1e-6 * abs(fine))
+
+
+# Oracles for the ray rule: closed forms and mpmath.quad.
+
+
+@pytest.mark.parametrize("A,B", [(3 - 4j, 0), (1.2 + 0.3j, 0.4 - 0.5j), (0.5j, -0.45)])
+def test_radial_length_of_affine_maps_is_exact(A, B):
+    # f = A z + B conj(z) maps the ray to a segment of length r |A + B e^{-2 i theta}|.
+    m = SeriesMap([0, A], [0, B])
+    for r, theta in ((0.3, 0.0), (0.8, 1.1), (1.0, 4.0)):
+        rep = radial_length(m, r, theta)
+        assert rep.value == pytest.approx(min(r, CAP) * abs(A + B * np.exp(-2j * theta)),
+                                          rel=1e-14)
+        assert rep.converged
+
+
+def _moebius_ray_length(a, r, theta):
+    # |phi'| = (1 - |a|^2) / |1 - conj(a) z|^2.  With conj(a) e^{i theta} =
+    # k e^{i psi}, the ray integrand is (1 - k^2) / (1 - 2 k cos(psi) rho +
+    # k^2 rho^2), whose antiderivative is an arctangent (r / (1 - k r) at
+    # psi = 0).
+    b = np.conj(a) * np.exp(1j * theta)
+    k, c, s = abs(b), np.cos(np.angle(b)), np.sin(np.angle(b))
+    if abs(s) < 1e-12:
+        return (1 - k * k) * r / (1 - k * r)
+    return (1 - k * k) * (np.arctan((k * r - c) / s) + np.arctan(c / s)) / (k * s)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.3 + 0.2j, -0.6 + 0.7j, 0.95j])
+def test_radial_length_of_moebius_maps_matches_closed_form(a):
+    m = builtin_map("moebius", {"a": a, "t": 0.7}).build()
+    # The last ray points at the pole 1/conj(a), where panels split.
+    for r, theta in ((0.5, 0.4), (0.9, 2.0), (1.0, 3.5), (1.0, 5.9), (1.0, np.angle(a))):
+        rep = radial_length(m, r, theta)
+        assert rep.converged
+        assert rep.value == pytest.approx(_moebius_ray_length(a, min(r, CAP), theta), rel=1e-13)
+
+
+def _mpmath_ray_length(fz, fzbar, r, theta):
+    """mpmath.quad of |f_z + e^{-2 i theta} f_zbar| along [0, r e^{i theta}]."""
+    with mpmath.workdps(30):
+        u, turn = mpmath.expj(theta), mpmath.expj(-2 * theta)
+        return float(mpmath.quad(lambda rho: abs(fz(rho * u) + turn * fzbar(rho * u)),
+                                 [0, r]))
+
+
+def _series_jet(m):
+    """mpmath f_z and f_zbar of a SeriesMap sum a_n z^n + b_n conj(z)^n."""
+    def derivative(coeffs, w):
+        return mpmath.fsum(n * mpmath.mpc(complex(c)) * w ** (n - 1)
+                           for n, c in enumerate(coeffs) if n)
+
+    return (lambda z: derivative(m.a, z)), (lambda z: derivative(m.b, mpmath.conj(z)))
+
+
+def test_radial_lengths_match_mpmath_on_random_rays(rng):
+    poly = DslMap("z + 0.3*conj(z)^2 + 0.1*z*abs(z)^2")
+    kalaj = kalaj_extremal(1.0, [0.5], series_degree=24).build()
+    maps = {
+        # f_z = 1 + 0.2 |z|^2, f_zbar = 0.6 conj(z) + 0.1 z^2.
+        "poly": (poly, lambda z: 1 + 0.2 * abs(z) ** 2,
+                 lambda z: 0.6 * mpmath.conj(z) + 0.1 * z ** 2),
+        "kalaj": (kalaj, *_series_jet(kalaj)),
+    }
+    for m, fz, fzbar in maps.values():
+        for r, theta in zip(rng.uniform(0.2, 1.0, 4), rng.uniform(0.0, 2.0 * np.pi, 4)):
+            rep = radial_length(m, float(r), float(theta))
+            assert rep.converged
+            expected = _mpmath_ray_length(fz, fzbar, min(float(r), CAP), float(theta))
+            assert rep.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_divergent_radial_length_is_not_converged():
+    # log(1-z) has radial length -log(1 - r) at theta = 0, infinite as r -> 1.
+    # At the cap its integrand 1/(1 - rho) needs panels narrower than the
+    # floor, so the ray is not converged, though the capped value is close.
+    m = DslMap("log(1-z)")
+    rep = radial_length(m, 1.0, 0.0)
+    assert not rep.converged
+    assert rep.value == pytest.approx(-np.log(1e-6), rel=1e-9)
+    inner = radial_length(m, 0.5, 0.0)
+    assert inner.converged and inner.value == pytest.approx(np.log(2.0), rel=1e-14)
+    value, detail = length_sup(m, "radial")
+    assert (value, detail["theta"], detail["converged"]) == (rep.value, 0.0, False)
+
+
+@pytest.mark.parametrize("m,r,nodes,calls", [
+    # nodes // 32 panels of 32 Gauss nodes, each with its far end.
+    (SeriesMap([0, 1]), 0.5, 257, [("jets", 8 * 33)]),
+    (SeriesMap([0, 1]), 0.5, 9, [("jets", 10)]),
+    # Split rounds toward the pole past the cap take a call each.
+    (DslMap("log(1-z)"), 1.0, 32, None),
+    (DslMap("log(1-z)"), 0.99, 512, None),
+])
+def test_node_count_is_the_jets_a_radial_report_used(counting, m, r, nodes, calls):
+    m = counting(m)
+    rep = radial_length(m, r, 0.0, nodes=nodes)
+    assert rep.node_count == sum(n for _, n in m.calls)
+    if calls is not None:
+        assert m.calls == calls
+    else:
+        assert len(m.calls) > 1
+
+
+@pytest.mark.parametrize("source, params", [
+    ("moebius", {"a": 0.5, "t": 0.0}),
+    ("moebius", {"a": 0.3 + 0.2j, "t": 0.7}),
+    ("polyharmonic", {"a": (0, 1, 0, 0.1), "b": (0, 0, 0.25)}),
+    ("kalaj_extremal", {"R": 1.0, "mu": (0.5,), "series_degree": 24}),
+])
+def test_radial_sup_scan_takes_at_most_8000_jets(counting, source, params):
+    # 192 rays of one 33-point panel, then the 8 refinement rays: no ray of
+    # these maps needs a split.
+    m = counting(builtin_map(source, params).build())
+    _, detail = length_sup(m, "radial")
+    assert detail["converged"]
+    assert sum(n for _, n in m.calls) <= 8000
+    assert m.calls == [("jets", 192 * 33), ("jets", 8 * 33)]
