@@ -86,6 +86,10 @@ EDGE_ARGVS = (
     ("bounds", "--map", "log(1-z)", "--K", "2"),
     ("length", "--map", "log(1-z)", "--kind", "sup-radial"),
     ("length", "--map", "log(1-z)", "--kind", "radial", "--r", "1", "--theta", "0"),
+    ("length", "--map", "log(1-z)", "--kind", "radial-limit", "--theta", "0"),
+    # The derivative rows on the default grid, where every ring of the
+    # identity ties.
+    ("bounds", "--catalog", "identity", "--K", "1"),
     # Poisson maps at the two ends of the chop: boundary data with no noise
     # plateau (all 256 modes kept) and a source with a wide angular band.
     ("solve", "--psi", "abs(re(z))", "--g", "1", "--points", _SOLVE_POINTS),

@@ -5,8 +5,10 @@ Each display is declared once, in _COEFFICIENT_DISPLAYS or
 _DERIVATIVE_DISPLAYS, by its id, the BoundContext fields its rhs reads and
 the rhs; it yields BoundReport rows (lhs, rhs, margin = rhs - lhs), which
 are indeterminate while any of those fields is unset.  The rhs reads the
-context only; the lhs is |a_n|+|b_n| from the context's coefficient table
-or a jet norm of the map.  Context fields:
+context only, and for a derivative display |z| (so on a polar grid it is
+taken once per ring, at the ring's radius); the lhs is |a_n|+|b_n| from the
+context's coefficient table or a norm of the map's partials.  Context
+fields:
 
     R               boundary length of the image over 2 pi,
     perimeter_sup   sup of circle-image perimeters (the CLI takes 2 pi R),
@@ -39,7 +41,7 @@ import numpy as np
 
 from .coefficients import CoeffTable
 from .ellipticity import EllipticityParams
-from .grids import GridSpec, failed_points, polar_grid
+from .grids import GridSpec, failed_points, polar_grid, ring_radii
 from .maps import JetEvaluationError
 
 __all__ = [
@@ -185,15 +187,23 @@ def derivative_bounds_report(
 ) -> List[BoundReport]:
     """Pointwise derivative displays over a grid or explicit points.
 
-    By default each applicable display contributes a single worst-margin
-    row whose index is the witness point; per_point=True emits one row per
-    evaluation point instead.  Pass explicit points to probe equality cases
-    that a polar grid misses (attainment points rarely land on grid nodes).
-    A grid skips points whose jet is not finite, up to 1% of them (beyond,
-    GridScanError).  Explicit points are each checked: in worst-row mode the
-    first one with a non-finite jet raises JetEvaluationError, as a pair
-    check does; per_point rows keep it as an indeterminate row.
+    The lhs comes from one `derivatives` call on all the points.  By
+    default each applicable display contributes a single worst-margin row
+    whose index is the witness point; per_point=True emits one row per
+    evaluation point instead, with the rhs at its |z|.  Pass explicit points
+    to probe equality cases that a polar grid misses (attainment points
+    rarely land on grid nodes).
+
+    On a grid the worst row is found ring by ring: each ring's largest lhs
+    (the first in angle among equals) against the rhs at the ring's radius
+    (`ring_radii`), and the witness is that point of the first ring of
+    least margin.  A grid skips points whose jet is not finite, up to 1% of
+    them (beyond, GridScanError).  Explicit points are each checked: in
+    worst-row mode the first one with a non-finite jet raises
+    JetEvaluationError, as a pair check does; per_point rows keep it as an
+    indeterminate row.
     """
+    spec = grid or GridSpec()
     if points is not None:
         pts = np.asarray([complex(z) for z in points], dtype=complex)
         if pts.size == 0:
@@ -201,9 +211,11 @@ def derivative_bounds_report(
         if np.any(np.abs(pts) >= 1.0):
             raise ValueError("points must lie in the open unit disk")
     else:
-        pts = polar_grid(grid or GridSpec()).ravel()
+        pts = polar_grid(spec)
+        if per_point:
+            pts = pts.ravel()
 
-    _, dz, db = m.jets(pts)
+    dz, db = m.derivatives(pts)
     adz = np.abs(dz)
     op = adz + np.abs(db)
     ok = np.isfinite(op) if points is not None else ~failed_points(op)
@@ -212,7 +224,8 @@ def derivative_bounds_report(
     if not ok.any():
         raise ValueError("no evaluation point produced a finite jet")
     lhs_of = {"dz": adz, "op": op}
-    az = np.abs(pts)
+    by_ring = points is None and not per_point
+    az = ring_radii(spec) if by_ring else np.abs(pts)
     rows: List[BoundReport] = []
     for d in _DERIVATIVE_DISPLAYS:
         ineq = d.inequality_id
@@ -220,6 +233,16 @@ def derivative_bounds_report(
             rows.append(BoundReport.indeterminate(ineq))
             continue
         lhs, rhs = lhs_of[d.lhs], d.rhs(ctx, az)
+        if by_ring:
+            # Each ring's largest lhs, the first in angle; a failed point
+            # never is one.
+            lhs = np.where(ok, lhs, -np.inf)
+            col = np.argmax(lhs, axis=1)
+            ring_lhs = lhs[np.arange(col.size), col]
+            ring = int(np.argmin(rhs - ring_lhs))
+            rows.append(BoundReport.evaluated(ineq, complex(pts[ring, col[ring]]),
+                                              float(ring_lhs[ring]), float(rhs[ring])))
+            continue
         margins = np.where(ok, rhs - lhs, np.nan)
         if not per_point:
             idx = int(np.nanargmin(margins))

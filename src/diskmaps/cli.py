@@ -325,12 +325,14 @@ def _cmd_length(args) -> int:
     m, source_desc, _ = _build_map(args, quad)
     reports: List[object] = []
     radii = _parse_radii(args.r, "--r") if args.r else [0.5, 0.9, 0.99]
+    # Each rule keeps its own default node count unless --nodes is given.
+    nodes = {} if args.nodes is None else {"nodes": args.nodes}
     if args.kind in ("perimeter", "both"):
         for r in radii:
-            reports.append(perimeter(m, r, nodes=args.nodes))
+            reports.append(perimeter(m, r, **nodes))
     if args.kind in ("radial", "both"):
         for r in radii:
-            reports.append(radial_length(m, r, args.theta, nodes=args.nodes))
+            reports.append(radial_length(m, r, args.theta, **nodes))
     if args.kind == "boundary":
         reports.append(boundary_length(m))
     if args.kind in ("sup-perimeter", "sup-radial"):
@@ -339,8 +341,9 @@ def _cmd_length(args) -> int:
         reports.append({"type": "LengthSup", "kind": kind, "value": value,
                         **detail})
     if args.kind == "radial-limit":
-        reports.append({"type": "RadialLimit", "theta": args.theta,
-                        "value": radial_length_limit(m, args.theta)})
+        value, converged = radial_length_limit(m, args.theta)
+        reports.append({"type": "RadialLimit", "theta": args.theta, "value": value,
+                        "converged": converged})
     config = _config_base(args, "length", source_desc, grid=grid, quad=quad)
     config.update({"kind": args.kind, "radii": radii, "theta": args.theta})
     return _emit(args, config, reports)
@@ -494,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "sup-perimeter", "sup-radial", "radial-limit"))
     p.add_argument("--r", help="comma-separated radii")
     p.add_argument("--theta", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=512)
+    p.add_argument("--nodes", type=int,
+                   help="trapezoid angles of a perimeter (default 512), or Gauss nodes "
+                        "of a ray's starting panels (default 32)")
 
     p = command("solve", _cmd_solve, "Poisson solve with sampled residuals",
                 map_source=False)

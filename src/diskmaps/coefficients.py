@@ -180,19 +180,21 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
     spec = omega if isinstance(omega, MajorantSpec) else MajorantSpec(omega)
     grid = grid or GridSpec()
 
-    def weighted(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        value, dz, db = m.jets(z)
-        d = 1.0 - np.abs(z)
-        return value, (np.abs(dz) + np.abs(db)) * spec.eval(d**alpha)
+    def weighted(z: np.ndarray, dz: np.ndarray, db: np.ndarray) -> np.ndarray:
+        return (np.abs(dz) + np.abs(db)) * spec.eval((1.0 - np.abs(z)) ** alpha)
 
-    vals = weighted(polar_grid(grid))[1]
+    pts = polar_grid(grid)
+    vals = weighted(pts, *m.derivatives(pts))
     sup = float(np.max(np.where(failed_points(vals), -np.inf, vals)))
-    f0, origin = weighted(np.array([0j]))  # polar grids skip r = 0, the weight's max
-    if np.isfinite(origin[0]):
-        sup = max(sup, float(origin[0]))
+    # Polar grids skip r = 0, the weight's max; f(0) is the one value read.
+    f0, *d0 = m.jets(np.array([0j]))
+    [at0] = weighted(np.array([0j]), *d0)
+    if np.isfinite(at0):
+        sup = max(sup, float(at0))
     angles = np.exp(2j * np.pi * np.arange(grid.angular_count) / grid.angular_count)
     for r in shell_ladder(grid.max_radius, count=17):
-        sv = weighted(r * angles)[1]
+        ring = r * angles
+        sv = weighted(ring, *m.derivatives(ring))
         if np.isfinite(sv).any():
             sup = max(sup, float(np.nanmax(sv)))
     return abs(at_point(0j, f0)[0]) + sup

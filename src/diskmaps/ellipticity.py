@@ -113,7 +113,7 @@ class QcResult:
 
 
 def _jet_arrays(m: PlanarMap, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    _, dz, dzbar = m.jets(pts)
+    dz, dzbar = m.derivatives(pts)
     return np.abs(dz), np.abs(dzbar)
 
 
@@ -473,8 +473,8 @@ def _default_prop14_pairs(m: PlanarMap, h1: PlanarMap,
                     refine_rounds=2)
 
     def stretch_ratio(z: np.ndarray) -> np.ndarray:
-        _, dz, db = m.jets(z)
-        _, h1dz, _ = h1.jets(z)
+        dz, db = m.derivatives(z)
+        h1dz = h1.derivatives(z)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (np.abs(dz) + np.abs(db)) / np.abs(h1dz)
         return np.where(np.isfinite(out), out, np.nan)
@@ -626,7 +626,7 @@ def lemma22_check(
         pairs, _chord_margins(spec, expo, C4, *_pair_values(m, pairs)))
 
     pts = polar_grid(grid)
-    _, dz, db = m.jets(pts)
+    dz, db = m.derivatives(pts)
     adz, adb = np.abs(dz), np.abs(db)
     op = adz + adb
     low = np.abs(adz - adb)

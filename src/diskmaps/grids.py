@@ -10,12 +10,13 @@ evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["GridSpec", "GridScanError", "polar_grid", "grid_supremum", "failed_points",
-           "shell_ladder"]
+__all__ = ["GridSpec", "GridScanError", "polar_grid", "ring_radii", "grid_supremum",
+           "failed_points", "shell_ladder"]
 
 
 class GridScanError(RuntimeError):
@@ -48,11 +49,20 @@ class GridSpec:
             raise ValueError("refine_rounds must be nonnegative")
 
 
+def ring_radii(spec: GridSpec) -> np.ndarray:
+    """The radii max_radius * i / radial_count, i = 1..radial_count, of the
+    rings of polar_grid(spec)."""
+    return spec.max_radius * np.arange(1, spec.radial_count + 1) / spec.radial_count
+
+
+@lru_cache(maxsize=8)
 def polar_grid(spec: GridSpec) -> np.ndarray:
-    """Complex sample points, shape (radial_count, angular_count)."""
-    radii = spec.max_radius * np.arange(1, spec.radial_count + 1) / spec.radial_count
+    """Complex sample points, shape (radial_count, angular_count): ring i at
+    ring_radii(spec)[i].  Cached per spec and shared, so read-only."""
     angles = 2.0 * np.pi * np.arange(spec.angular_count) / spec.angular_count
-    return radii[:, None] * np.exp(1j * angles)[None, :]
+    pts = ring_radii(spec)[:, None] * np.exp(1j * angles)[None, :]
+    pts.flags.writeable = False
+    return pts
 
 
 def failed_points(vals: np.ndarray) -> np.ndarray:

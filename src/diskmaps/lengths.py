@@ -18,13 +18,14 @@ converged when no panel is left unresolved; log(1 - z) at theta = 0, whose
 radial length diverges, is not.  Gauss nodes never land on r = 0, where a
 map may have no jet.
 
-Several rays or circles are evaluated in one jets call (a round), one row
-per ray panel or circle, and each row is summed on its own: a radial
-supremum scan is one call of 33 x angular_count points (6,336 at the
-default grid, each panel's far end included) and one for its 8 refinement
-rays, plus one per round of splits.  A point's jet does not depend on the
-other points of a call, for every map here, so this gives the same bytes
-as one call per ray.
+Both integrands read only the partials, so a perimeter or a ray takes
+`derivatives` calls, and several rays or circles are evaluated in one
+call (a round), one row per ray panel or circle, each row summed on its
+own: a radial supremum scan is one call of 33 x angular_count points
+(6,336 at the default grid, each panel's far end included) and one for
+its 8 refinement rays, plus one per round of splits.  A point's partials
+do not depend on the other points of a call, for every map here, so this
+gives the same bytes as one call per ray.
 """
 
 from __future__ import annotations
@@ -96,12 +97,13 @@ def _circle_integrands(m, radii, nodes: int) -> np.ndarray:
     """Length integrands r |f_z - e^{-2 i theta} f_zbar| on the circles
     |z| = r, r in radii, at `nodes` uniform angles each.
 
-    One jets call on a (circles, nodes) array, one row per circle; a circle
-    with a non-finite jet raises JetEvaluationError, the first in order.
+    One derivatives call on a (circles, nodes) array, one row per circle; a
+    circle with a non-finite jet raises JetEvaluationError, the first in
+    order.
     """
     radii = np.asarray(radii, dtype=float)
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    _, dz, db = m.jets(radii[:, None] * np.exp(1j * theta))
+    dz, db = m.derivatives(radii[:, None] * np.exp(1j * theta))
     integrand = radii[:, None] * np.abs(dz - np.exp(-2j * theta) * db)
     for r, row in zip(radii.tolist(), integrand):
         if not np.all(np.isfinite(row)):
@@ -117,7 +119,7 @@ def _trapezoid(integrand: np.ndarray) -> List[float]:
 def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
     """Length of the image of |z| = r, by trapezoid quadrature at 2 nodes
     angles, checked against the rule on its even-indexed samples (the
-    `nodes` angles bit for bit), all from one jets call."""
+    `nodes` angles bit for bit), all from one derivatives call."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     if nodes < 8:
@@ -133,12 +135,12 @@ def perimeter(m, r: float, nodes: int = 512) -> LengthReport:
 
 def _ray_integrands(m, thetas, lo, hi, q: int) -> np.ndarray:
     """Length integrands |f_z + e^{-2 i theta} f_zbar| at the q Gauss nodes of
-    the ray panels [lo, hi] at the angles thetas, (panels, q), from one jets
-    call that also takes each far end hi: a non-finite value at a node or
-    there (a pole on a panel edge) raises JetEvaluationError naming its ray,
-    the first in order."""
+    the ray panels [lo, hi] at the angles thetas, (panels, q), from one
+    derivatives call that also takes each far end hi: a non-finite value at
+    a node or there (a pole on a panel edge) raises JetEvaluationError naming
+    its ray, the first in order."""
     rho = np.concatenate([gauss(lo, hi, q)[0], hi[:, None]], axis=1)
-    _, dz, db = m.jets(rho * np.exp(1j * thetas)[:, None])
+    dz, db = m.derivatives(rho * np.exp(1j * thetas)[:, None])
     integrand = np.abs(dz + np.exp(-2j * thetas)[:, None] * db)
     bad = ~np.isfinite(integrand).all(axis=1)
     if bad.any():
@@ -152,7 +154,7 @@ def _ray_lengths(m, radii, thetas, nodes: int = _RAY_NODES):
     [0, min(r, 1 - 1e-6) e^{i theta}], one per pair of the broadcast 1-D
     radii and thetas (see the module docstring).  Each ray starts as
     nodes // 32 uniform panels of 32 nodes (one panel of `nodes` below 32);
-    each round of splits is one jets call, rays in order.
+    each round of splits is one derivatives call, rays in order.
     """
     upper, thetas = np.broadcast_arrays(np.minimum(np.asarray(radii, dtype=float), _RADIAL_CAP),
                                         np.asarray(thetas, dtype=float))
@@ -215,8 +217,8 @@ def length_sup(m, kind: str,
     local refinement round around the argmax; the detail gives its angle
     and whether every ray was converged.
 
-    The ladder is one jets call of (rungs) x 2 max(angular_count, 256)
-    points; the radial scan's calls are in the module docstring.
+    The ladder is one derivatives call of (rungs) x 2 max(angular_count,
+    256) points; the radial scan's calls are in the module docstring.
     """
     cfg = cfg or GridSpec()
     if kind == "perimeter":
@@ -273,16 +275,18 @@ def boundary_length(m) -> LengthReport:
                         value=value, node_count=_POLYLINE_SEGMENTS, converged=converged)
 
 
-def radial_length_limit(m, theta: float) -> float:
-    """Extrapolated limit of the radial length as r -> 1.
+def radial_length_limit(m, theta: float) -> Tuple[float, bool]:
+    """(extrapolated limit of the radial length as r -> 1, converged).
 
-    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (`_ray_lengths`, one jets call
-    per round) and extrapolates linearly (again the gap equals the distance
-    to the boundary).  Exact for maps whose radial length is linear in r
-    near the boundary, e.g. f = c z.
+    Evaluates at r = 1 - 4e-6 and 1 - 2e-6 (`_ray_lengths`, one derivatives
+    call per round) and extrapolates linearly (again the gap equals the
+    distance to the boundary).  Exact for maps whose radial length is
+    linear in r near the boundary, e.g. f = c z.  converged holds when both
+    rays are converged; log(1 - z) at theta = 0, whose radial length
+    diverges, gives a finite value that is not.
     """
-    (v0, v1), _, _ = _ray_lengths(m, [1.0 - 4e-6, 1.0 - 2e-6], [theta])
-    return 2.0 * v1 - v0
+    (v0, v1), converged, _ = _ray_lengths(m, [1.0 - 4e-6, 1.0 - 2e-6], [theta])
+    return 2.0 * v1 - v0, all(converged)
 
 
 def radial_integral_profile(

@@ -2,8 +2,10 @@
 
 A map is its `values` and `jets` over an array of points, with non-finite
 entries where it fails, so grid scans can mask isolated failures.
-`PlanarMap.value` and `jet` are the one view of them at a single point:
-they raise ValueError naming the point where any part is not finite.
+`derivatives` is the jet without its value, for the scans and quadratures
+that read only (f_z, f_zbar).  `PlanarMap.value` and `jet` are the one view
+of them at a single point: they raise ValueError naming the point where any
+part is not finite.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ class PlanarMap:
 
     Subclasses implement `values` and `jets` over an array of points z:
     the values, and the triple (value, d/dz, d/dzbar), as arrays shaped like
-    z with non-finite entries where the map fails.  `laplacian_expr`
+    z with non-finite entries where the map fails.  `derivatives` is the
+    pair (d/dz, d/dzbar), bit for bit `jets(z)[1:]`; a subclass overrides
+    it where the partials cost less without the value.  `laplacian_expr`
     optionally names the Laplacian of the map as expression source, for
     maps where it is known in closed form.
     """
@@ -48,6 +52,9 @@ class PlanarMap:
 
     def jets(self, z):
         raise NotImplementedError
+
+    def derivatives(self, z):
+        return self.jets(z)[1:]
 
     def value(self, z: complex) -> complex:
         """The value at one point; ValueError where it is not finite."""
@@ -120,7 +127,7 @@ class SeriesMap(PlanarMap):
     The b coefficients multiply literal powers of conj(z).  Such maps are
     harmonic, so `laplacian_expr` is fixed to "0".  The four series of a
     jet are summed by `_horner`, numpy's `polyval` recurrence without its
-    per-call reshaping.
+    per-call reshaping; `derivatives` sums only the two derivative series.
     """
 
     laplacian_expr = "0"
@@ -138,9 +145,11 @@ class SeriesMap(PlanarMap):
 
     def jets(self, z):
         z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        return (_horner(z, self.a) + _horner(zb, self.b),
-                _horner(z, self._da), _horner(zb, self._db))
+        return (_horner(z, self.a) + _horner(np.conj(z), self.b), *self.derivatives(z))
+
+    def derivatives(self, z):
+        z = np.asarray(z, dtype=complex)
+        return _horner(z, self._da), _horner(np.conj(z), self._db)
 
     def analytic_parts(self):
         h1 = SeriesMap(self.a, label=f"{self.label}:h1")

@@ -668,11 +668,13 @@ class GreenPotential(PlanarMap):
             deeper[halves] = np.tile(splits[split] + 1, 2)
             splits = deeper
 
-    def _evaluate(self, z):
-        """(value, dz, dzbar) arrays shaped like z, nan where |z| >= 1."""
+    def _evaluate(self, z, first: int = 0):
+        """(value, dz, dzbar)[first:] as arrays shaped like z, nan where
+        |z| >= 1; the rows before `first` are neither interpolated nor
+        summed."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        out = np.full((3, flat.size), complex("nan+nanj"))
+        out = np.full((3 - first, flat.size), complex("nan+nanj"))
         inside = np.flatnonzero(np.abs(flat) < 1.0)
         if inside.size == 0:  # nothing to sample the source for
             return tuple(part.reshape(z.shape) for part in out)
@@ -695,15 +697,17 @@ class GreenPotential(PlanarMap):
             # switches between gemv and gemm, which round differently, and
             # numpy may reuse a temporary operand and swap the order of a
             # complex product, which is not bit-commutative).
-            terms = solution[p]
+            terms = solution[p, first:]
             np.multiply(terms, _lagrange(radii[lo:hi], nodes[p])[:, None, None, :], out=terms)
             modes = terms.sum(axis=-1)[rows - lo]
             theta = np.angle(flat[idx])
             np.multiply(np.exp(1j * np.outer(theta, freq))[:, None, :], modes, out=modes)
-            value, plus, minus = modes.sum(axis=-1).T
-            out[0, idx] = value
-            out[1, idx] = 0.5 * np.exp(-1j * theta) * plus
-            out[2, idx] = 0.5 * np.exp(1j * theta) * minus
+            sums = modes.sum(axis=-1).T
+            if first == 0:
+                out[0, idx] = sums[0]
+            plus, minus = sums[-2:]
+            out[-2, idx] = 0.5 * np.exp(-1j * theta) * plus
+            out[-1, idx] = 0.5 * np.exp(1j * theta) * minus
         return tuple(part.reshape(z.shape) for part in out)
 
     # --- PlanarMap interface ----------------------------------------------
@@ -713,6 +717,9 @@ class GreenPotential(PlanarMap):
 
     def jets(self, z):
         return self._evaluate(z)
+
+    def derivatives(self, z):
+        return self._evaluate(z, first=1)
 
     # --- verification ------------------------------------------------------
 
@@ -795,6 +802,11 @@ class PoissonMap(PlanarMap):
         v, dz, db = self.series.jets(z)
         pv, pdz, pdb = self.potential.jets(z)
         return v - pv, dz - pdz, db - pdb
+
+    def derivatives(self, z):
+        dz, db = self.series.derivatives(z)
+        pdz, pdb = self.potential.derivatives(z)
+        return dz - pdz, db - pdb
 
     def analytic_parts(self):
         return self.series.analytic_parts()
@@ -883,7 +895,7 @@ def green_derivative_sup(
     boundary limit is taken along 192-point rings on the six shells
     r_k = 1 - 2^{-k}, k = 3..8, with linear extrapolation to r = 1 from the
     last two shells.  Every ring costs one radial solve of the potential,
-    and the shells and the grid come from one `jets` call.
+    and the shells and the grid come from one `derivatives` call.
     The reported sup is the largest of the interior, shell and extrapolated
     estimates.
     """
@@ -895,7 +907,7 @@ def green_derivative_sup(
     radii = shell_radii[0] * np.arange(1, 25) / 24
     grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
     shells = (shell_radii[:, None] * ring).ravel()
-    dz, db = pot.jets(np.concatenate([shells, [0j], grid.ravel()]))[1:]
+    dz, db = pot.derivatives(np.concatenate([shells, [0j], grid.ravel()]))
     norms = np.maximum(np.abs(dz), np.abs(db))
     shell_sups = [float(v) for v in norms[:shells.size].reshape(shell_radii.size, -1).max(axis=1)]
     interior_sup = float(norms[shells.size:].max())

@@ -183,7 +183,8 @@ def test_c06_sharpness_rows(line):
     #     chen-1.2 reads |a_1| + |b_1| <= sqrt(K') + K * radial_sup.
     c = 1.7 * np.exp(0.3j)
     linear = SeriesMap([0, c])
-    measured_radial = radial_length_limit(linear, theta=0.7)
+    measured_radial, converged = radial_length_limit(linear, theta=0.7)
+    assert converged
     ctx = BoundContext(params=EllipticityParams(1.0, 0.0),
                        radial_sup=measured_radial,
                        coeffs=extract_coeffs(linear, count=8))
@@ -292,8 +293,8 @@ def test_c10_radial_length_limit(example15, line):
     # Antiderivative of |d/drho (3 rho^3 - rho^9)| along theta = 0 is
     # 3r^3 - r^9 (the integrand 9 rho^2 - 9 rho^8 is nonnegative), so the
     # boundary limit is 2.
-    got = radial_length_limit(example15, theta=0.0)
-    ok = abs(got - 2.0) <= 1e-6
+    got, converged = radial_length_limit(example15, theta=0.0)
+    ok = converged and abs(got - 2.0) <= 1e-6
     line(10, ok, f"radial length limit along theta = 0 is {got!r} vs 2")
 
 

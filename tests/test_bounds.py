@@ -1,10 +1,14 @@
 """Coefficient and derivative bound displays with provenance-aware context."""
 
 import math
+import os
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskmaps import (
     HOLD_TOLERANCE,
@@ -18,6 +22,8 @@ from diskmaps import (
     derivative_bounds_report,
     extract_coeffs,
 )
+from diskmaps import cli
+from diskmaps.grids import GridSpec, polar_grid, ring_radii
 
 
 def identity_context() -> BoundContext:
@@ -121,11 +127,11 @@ def test_nmax_validation_and_row_count():
 def test_derivative_rows_skip_nan_jets():
     # A map with a jet failure at some points still reports on the rest.
     class Spotty(SeriesMap):
-        def jets(self, z):
-            v, dz, db = super().jets(z)
+        def derivatives(self, z):
+            dz, db = super().derivatives(z)
             mask = np.abs(z) < 0.05
             dz = np.where(mask, complex("nan"), dz)
-            return v, dz, db
+            return dz, db
 
     rows = derivative_bounds_report(identity_context(), Spotty([0, 1]),
                                     points=[0.01, 0.5], per_point=True)
@@ -138,9 +144,9 @@ def test_worst_row_refuses_explicit_points_with_nan_jets():
     # The worst row cannot skip a point it was asked about: it names the
     # first failing one, as a pair check does.
     class Spotty(SeriesMap):
-        def jets(self, z):
-            v, dz, db = super().jets(z)
-            return v, np.where(np.abs(z) < 0.05, complex("nan"), dz), db
+        def derivatives(self, z):
+            dz, db = super().derivatives(z)
+            return np.where(np.abs(z) < 0.05, complex("nan"), dz), db
 
     with pytest.raises(JetEvaluationError, match=r"at the point \(0\.02\+0j\)"):
         derivative_bounds_report(identity_context(), Spotty([0, 1]),
@@ -184,3 +190,101 @@ def test_clearing_a_field_blanks_exactly_its_readers(field):
     blank = {r.inequality_id for r in rows if r.status == "indeterminate"}
     assert blank == READERS[field]
     assert all(r.status == "indeterminate" for r in rows if r.inequality_id in blank)
+
+
+# --- grid rows: one row per display, found ring by ring ----------------------
+
+# The derivative displays as the module docstring writes them: rhs(ctx, r)
+# and which lhs they read.
+DISPLAYS = {
+    "kalaj-1": ("dz", lambda c, r: c.R / (1.0 - r**2)),
+    "CP-K": ("op", lambda c, r: (c.R + (-c.R + math.sqrt(
+        c.params.Kprime + c.params.K * c.params.Kprime + (c.params.K * c.R) ** 2))
+        / (1.0 + c.params.K)) / (1.0 - r**2)),
+    "CRP-2c": ("op", lambda c, r: c.perimeter_sup * math.sqrt(c.params.K)
+               / (2.0 * math.pi * (1.0 - r))),
+}
+
+
+class Holed(SeriesMap):
+    """A series map whose f_z is nan at the given points (its jets too)."""
+
+    def __init__(self, a, b, holes):
+        super().__init__(a, b)
+        self.holes = np.asarray(holes, dtype=complex)
+
+    def derivatives(self, z):
+        dz, db = super().derivatives(z)
+        return np.where(np.isin(z, self.holes), complex("nan"), dz), db
+
+
+def brute_force_rows(ctx, m, spec):
+    """The worst row of each display, point by point in Python: the least
+    margin against the rhs at the point's ring radius; among equal margins
+    the first ring, then the largest lhs, then the first angle."""
+    pts = polar_grid(spec)
+    _, dz, db = m.jets(pts)
+    # numpy's abs of an array and of one complex scalar can differ in the
+    # last bit; the lhs is the array's.
+    lhs_of = {"dz": np.abs(dz), "op": np.abs(dz) + np.abs(db)}
+    rows = {}
+    for ineq, (kind, rhs_of) in DISPLAYS.items():
+        best = None
+        for i, r in enumerate(ring_radii(spec).tolist()):
+            rhs = rhs_of(ctx, r)
+            for j in range(spec.angular_count):
+                lhs = float(lhs_of[kind][i, j])
+                if math.isfinite(lhs):
+                    key = (rhs - lhs, i, -lhs, j)
+                    best = min(best, key) if best else key
+        margin, i, lhs, j = best
+        rows[ineq] = (complex(pts[i, j]), -lhs, rhs_of(ctx, ring_radii(spec)[i]))
+    return rows
+
+
+coeff = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@given(a=st.lists(coeff, min_size=2, max_size=6), b=st.lists(coeff, min_size=1, max_size=5),
+       holes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 23)), max_size=2),
+       K=st.floats(1.0, 4.0), R=st.floats(0.1, 4.0))
+def test_grid_rows_match_a_brute_force_reference(a, b, holes, K, R):
+    spec = GridSpec(radial_count=10, angular_count=24, max_radius=0.99)
+    m = Holed(a, b, [polar_grid(spec)[h] for h in holes])
+    ctx = BoundContext(params=EllipticityParams(K=K, Kprime=0.5), R=R,
+                       perimeter_sup=2.0 * math.pi * R)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(m.jets(polar_grid(spec))[1]).any():
+            return
+        rows = derivative_bounds_report(ctx, m, spec)
+    want = brute_force_rows(ctx, m, spec)
+    assert [r.inequality_id for r in rows] == list(DISPLAYS)
+    for r in rows:
+        assert (r.index, r.lhs, r.rhs) == want[r.inequality_id]
+        assert r.margin == r.rhs - r.lhs
+
+
+def test_grid_witness_of_a_rotationally_symmetric_map_is_the_first_ring_and_angle():
+    # |f_z| = 1 and f_zbar = 0 everywhere: every point of a ring ties, and the
+    # rhs grows with r, so each display's witness is the innermost ring's
+    # first point, with the rhs at that ring's radius.
+    spec = GridSpec()
+    r = spec.max_radius / spec.radial_count
+    rows = {row.inequality_id: row for row in
+            derivative_bounds_report(identity_context(), SeriesMap([0, 1]), spec)}
+    assert {k: (row.index, row.lhs, row.rhs) for k, row in rows.items()} == {
+        "kalaj-1": (complex(r), 1.0, 1.0 / (1.0 - r**2)),
+        "CP-K": (complex(r), 1.0, 1.0 / (1.0 - r**2)),
+        "CRP-2c": (complex(r), 1.0, 2.0 * math.pi / (2.0 * math.pi * (1.0 - r))),
+    }
+
+
+def test_grid_rows_of_a_series_map_take_no_jets_call():
+    m = SeriesMap([0, 1, 0, 0.1], [0, 0, 0.25])
+    with mock.patch.object(SeriesMap, "jets", autospec=True,
+                           side_effect=SeriesMap.jets) as jets:
+        rows = derivative_bounds_report(identity_context(), m)
+        assert cli.main(["bounds", "--catalog", "polyharmonic", "--param", "a=0,1,0,0.1",
+                         "--param", "b=0,0,0.25", "--K", "2", "--out", os.devnull]) == 0
+    assert not jets.called
+    assert [r.inequality_id for r in rows] == list(DISPLAYS)

@@ -486,3 +486,27 @@ def test_a_malformed_radius_list_names_its_flag(capsys, argv, flag, item):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag} ")
     assert item in captured.err
+
+
+def test_radial_limit_says_whether_its_rays_converged(capsys):
+    # log(1 - z) has infinite radial length at theta = 0: the extrapolated
+    # capped value is finite but its rays are not converged.
+    code, doc = run_json(capsys, ["length", "--map", "log(1-z)", "--kind", "radial-limit",
+                                  "--theta", "0"])
+    [rep] = doc["reports"]
+    assert code == 0 and rep["type"] == "RadialLimit"
+    assert rep["converged"] is False and np.isfinite(rep["value"])
+    code, doc = run_json(capsys, ["length", "--catalog", "example15", "--kind",
+                                  "radial-limit", "--theta", "0"])
+    [rep] = doc["reports"]
+    assert rep["converged"] is True and rep["value"] == pytest.approx(2.0, abs=1e-6)
+
+
+def test_each_length_kind_keeps_its_own_default_node_count(capsys):
+    affine = ["--map", "(1+0.2*i)*z + 0.3*conj(z)", "--r", "0.5"]
+    _, doc = run_json(capsys, ["length", *affine, "--kind", "both"])
+    assert [(r["kind"], r["node_count"]) for r in doc["reports"]] == [
+        ("perimeter", 1024), ("radial", 33)]
+    _, doc = run_json(capsys, ["length", *affine, "--kind", "both", "--nodes", "64"])
+    assert [(r["kind"], r["node_count"]) for r in doc["reports"]] == [
+        ("perimeter", 128), ("radial", 2 * 33)]

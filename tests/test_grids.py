@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from diskmaps.ellipticity import frontier
 from diskmaps.grids import (GridScanError, GridSpec, grid_supremum, polar_grid,
-                            shell_ladder)
+                            ring_radii, shell_ladder)
+from diskmaps.maps import DslMap
 
 
 def test_polar_grid_shape_and_range():
@@ -12,6 +14,20 @@ def test_polar_grid_shape_and_range():
     r = np.abs(pts)
     assert r.max() == pytest.approx(0.5)
     assert r.min() == pytest.approx(0.05)  # no sample at the origin
+    # Ring i lies at ring_radii(spec)[i]: the first ray is the real axis.
+    assert np.array_equal(pts[:, 0], ring_radii(spec))
+
+
+def test_polar_grid_is_built_once_per_spec_and_read_only():
+    spec = GridSpec(radial_count=7, angular_count=9, max_radius=0.8)
+    before = polar_grid.cache_info().misses
+    pts = polar_grid(spec)
+    assert polar_grid(GridSpec(radial_count=7, angular_count=9, max_radius=0.8)) is pts
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0, 0] = 0.0
+    # A sweep over K scans the one grid: every K refines from the same base.
+    frontier(DslMap("z + 0.2*conj(z)^2"), [1.0, 2.0, 3.0], spec)
+    assert polar_grid(spec) is pts and polar_grid.cache_info().misses == before + 1
 
 
 @pytest.mark.parametrize("kwargs", [

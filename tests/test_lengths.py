@@ -48,8 +48,8 @@ def test_radial_length_of_linear_map():
     rep = radial_length(m, 0.8, theta=0.3)
     assert rep.value == pytest.approx(5 * 0.8, rel=1e-9)
     assert rep.theta == pytest.approx(0.3)
-    limit = radial_length_limit(m, theta=1.1)
-    assert limit == pytest.approx(5.0, rel=1e-9)
+    limit, converged = radial_length_limit(m, theta=1.1)
+    assert limit == pytest.approx(5.0, rel=1e-9) and converged
 
 
 def test_length_argument_validation():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from diskmaps.catalog import Example13Map
+from diskmaps.catalog import Example13Map, builtin_map, catalog_names
 from numpy.polynomial import polynomial as npoly
 
 from diskmaps.maps import CallableMap, DslMap, SeriesMap, _horner
@@ -195,3 +195,78 @@ def test_the_value_part_of_dsl_jets_is_values_bit_for_bit(source):
     pts = np.concatenate([GRID, [0.0, -0.9 + 0.1j]])
     with np.errstate(all="ignore"):
         assert _same_bits(m.jets(pts)[0], m.values(pts))
+
+
+# --- derivatives: the partials of jets, bit for bit -------------------------
+
+# Points inside the disk, the origin (where the dsl and example13 maps have
+# no jet), the circle and beyond (no Green jet there), and rings of shared
+# radii in a 2-D array, as a grid scan asks for them.
+_RING = 0.83 * np.exp(2j * np.pi * np.arange(48) / 48)
+_DERIVATIVE_POINTS = np.concatenate([
+    [0.3 + 0.4j, -0.55j, 0.7, -0.2 + 0.1j, 0.0, 0.999, 0.05 - 0.8j, 1.0, -1.2j],
+    _RING, 0.4 * _RING])
+
+
+def _assert_derivatives_are_jet_partials(m, pts):
+    with np.errstate(all="ignore"):
+        jets, partials = m.jets(pts), m.derivatives(pts)
+    assert len(partials) == 2
+    for want, got in zip(jets[1:], partials):
+        assert np.shape(got) == np.shape(pts) and _same_bits(got, want)
+
+
+@pytest.mark.parametrize("name", list(PROTOCOL_CASES))
+def test_derivatives_are_the_partials_of_jets_bit_for_bit(name):
+    m = PROTOCOL_CASES[name][0]()
+    _assert_derivatives_are_jet_partials(m, _DERIVATIVE_POINTS)
+    _assert_derivatives_are_jet_partials(m, _DERIVATIVE_POINTS[9:].reshape(3, 32))
+
+
+# Every catalog entry, with parameters where it has no defaults.
+CATALOG_PARAMS = {
+    "identity": {},
+    "scale": {"c": 1.5 - 0.5j},
+    "moebius": {"a": 0.3 + 0.2j, "t": 0.7},
+    "example13": {"alpha": 0.25},
+    "example15": {},
+    "polyharmonic": {"a": [0, 1, 0, 0.1], "b": [0, 0, 0.25]},
+    "kalaj_extremal": {"R": 1.0, "mu": [0.5]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARAMS))
+def test_every_catalog_map_derivatives_are_its_jet_partials(name):
+    assert set(CATALOG_PARAMS) == set(catalog_names())
+    m = builtin_map(name, CATALOG_PARAMS[name]).build()
+    _assert_derivatives_are_jet_partials(m, _DERIVATIVE_POINTS)
+
+
+_points = st.lists(st.complex_numbers(max_magnitude=1.5, allow_nan=False,
+                                      allow_infinity=False), min_size=1, max_size=12)
+
+
+@given(small_coeffs, small_coeffs, _points)
+@example([0j], [0j], [0j])
+@example([1, -2j, 0.5], [0, 0.3, 0, 1e3], [-0.0 - 0.0j, 1.4, -0.7j])
+def test_series_derivatives_are_jet_partials(a, b, pts):
+    _assert_derivatives_are_jet_partials(SeriesMap(a, b), np.array(pts, dtype=complex))
+
+
+@given(source=SOURCES)
+def test_dsl_derivatives_are_jet_partials(source):
+    pts = np.concatenate([GRID, [0.0, -0.9 + 0.1j]])
+    _assert_derivatives_are_jet_partials(DslMap(source), pts)
+
+
+# Built once: each solve is cached on its potential.
+_GREEN_MAPS = (GreenPotential("exp(-400*abs(z-0.06)^2)", _QUAD),
+               solve_poisson("z + 0.2*z^2", "exp(-abs(z-0.3)^2)", _QUAD))
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1.1, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=40))
+def test_green_and_poisson_derivatives_are_jet_partials(pts):
+    pts = np.array(pts, dtype=complex)
+    for m in _GREEN_MAPS:
+        _assert_derivatives_are_jet_partials(m, pts)

@@ -157,12 +157,15 @@ def test_derivative_sup_reports_interior_and_boundary(quad_fast):
     assert len(est.shell_radii) == len(est.shell_sups) == 6
 
 
-def test_derivative_sup_is_one_jets_call(quad_fast):
+def test_derivative_sup_is_one_derivatives_call(quad_fast):
     pot = GreenPotential("abs(z)^2 + 0.3*re(z)", quad_fast)
-    with mock.patch.object(pot, "jets", wraps=pot.jets) as jets:
+    with mock.patch.object(pot, "derivatives", wraps=pot.derivatives) as derivatives, \
+            mock.patch.object(pot, "jets", wraps=pot.jets) as jets:
         est = green_derivative_sup(pot)
     # Six 192-point shells, the origin and the 24 x 96 interior grid.
-    assert [np.size(call.args[0]) for call in jets.call_args_list] == [6 * 192 + 1 + 24 * 96]
+    assert [np.size(call.args[0]) for call in derivatives.call_args_list] == [
+        6 * 192 + 1 + 24 * 96]
+    assert not jets.called
     ring = np.exp(2j * np.pi * np.arange(192) / 192)
     for r, sup in zip(est.shell_radii, est.shell_sups):
         _, dz, db = pot.jets(r * ring)
