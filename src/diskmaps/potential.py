@@ -46,7 +46,10 @@ integrable singularity at 0 such as log|z| is refined dyadically toward 0
 until its innermost panel holds less than eps of the mass.  A panel is
 split at most `_MAX_SPLITS` times, and a split that would take the panels
 times the band's modes past `_MAX_PANEL_MODES` is not made, which bounds
-the work a source with a pole on the disk can ask for.
+the work a source with a pole on the disk can ask for.  A potential
+whose panels a limit left unresolved records `resolved` false, and the
+operators of its grid, which no other source meets, are built outside the
+caches.
 
 Node solve.  Off the diagonal the kernel separates, so each panel keeps
 three scaled moments per mode, with k = |m| and panel [a, b]:
@@ -452,11 +455,13 @@ def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]
 
 
 @lru_cache(maxsize=4)
-def _grid_operators(edges: tuple, q: int, top: int):
+def _grid_operators(edges: tuple, q: int, top: int, panel_block=_panel_block):
     """Everything of the node solve that depends only on the panels and the
     band, cached and read-only, with k = 0..top along the second axis:
     0.2 MB for the default panels and K <= 15, 50 MB for 64 panels of
-    K = 127.
+    K = 127.  `panel_block` builds the blocks of `_panel_block`; the
+    uncached builder `_grid_operators.__wrapped__` with
+    `_panel_block.__wrapped__` enters neither cache.
 
     Returns the moment weights (panel, k, 2, node) and integration matrices
     (panel, k, 3 x node, node) of `_panel_block`; the ratios (b_q/a_p)^k of
@@ -469,7 +474,7 @@ def _grid_operators(edges: tuple, q: int, top: int):
     edges = np.array(edges)
     a, b = edges[:-1], edges[1:]
     count = next(block for block in range(top + 2) if _block_columns(block)[0] > top)
-    blocks = [[_panel_block(lo, hi, q, block) for block in range(count)]
+    blocks = [[panel_block(lo, hi, q, block) for block in range(count)]
               for lo, hi in zip(a.tolist(), b.tolist())]
     moments, matrices = (np.stack([np.concatenate([op[part] for op in ops], axis=-1)[..., :top + 1]
                                    for ops in blocks]) for part in (0, 1))
@@ -496,7 +501,7 @@ def _grid_operators(edges: tuple, q: int, top: int):
     return tables
 
 
-def _node_solve(edges: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _node_solve(edges: np.ndarray, g: np.ndarray, cached: bool) -> np.ndarray:
     """u_m, then the outputs for d/dz and d/dzbar, at every panel node.
 
     `g` holds g_k and g_-k at the nodes, (panel, node, sign, k) for
@@ -505,10 +510,14 @@ def _node_solve(edges: np.ndarray, g: np.ndarray) -> np.ndarray:
     the interpolation.  Output 1 is u_m' + (m/r) u_m and output 2
     u_m' - (m/r) u_m.  The arithmetic runs on the real and imaginary
     parts of g_k and g_-k as four real columns, in real matrix products.
+    With `cached` false the operators are built without entering the
+    `_grid_operators` or `_panel_block` cache.
     """
     count, q, _, width = g.shape
+    key = (tuple(edges.tolist()), q, width - 1)
     (moments, matrices, into, out_of, image, down, up, power, up_less, power_less,
-     log_r, inv_r, half) = _grid_operators(tuple(edges.tolist()), q, width - 1)
+     log_r, inv_r, half) = (_grid_operators(*key) if cached else
+                            _grid_operators.__wrapped__(*key, _panel_block.__wrapped__))
     columns = np.ascontiguousarray(np.moveaxis(g, -1, 1)).view(float)  # (panel, k, node, 4)
     A, B = np.moveaxis(moments @ columns, 2, 0)  # (panel, k, 4) each
     # Panel q inside p enters through (b_q/a_p)^k A_q, panel q outside p
@@ -546,7 +555,9 @@ class GreenPotential(PlanarMap):
     with |z| >= 1 evaluate to nan in an array and raise ValueError alone.
     `source` is a DSL string or an array callable w -> g(w); construction
     only parses it and samples nothing.  The doubled-node comparison runs
-    only when `self_check` is called.
+    only when `self_check` is called.  `resolved` is None until the first
+    evaluation, then whether the refined panels resolve the source (false
+    when `_MAX_SPLITS` or `_MAX_PANEL_MODES` stopped a split).
     """
 
     def __init__(self, source: Union[str, Callable],
@@ -560,6 +571,7 @@ class GreenPotential(PlanarMap):
         self._angles = None  # angle count N of the panel grid, likewise
         self._edges = None  # panel edges, likewise
         self._nodes = None  # panel nodes, likewise
+        self.resolved = None  # whether the panels resolve the source, likewise
 
     @property
     def laplacian_expr(self) -> Optional[str]:
@@ -624,9 +636,9 @@ class GreenPotential(PlanarMap):
             # Columns of g_k and g_-k, k = 0..K.
             signed = np.arange(top + 1) * np.array([[1], [-1]]) % size
             g = modes[:, signed].reshape(nodes.shape + signed.shape)
-            self._edges, g = self._refine(edges, g, signed)
+            self._edges, g, self.resolved = self._refine(edges, g, signed)
             self._nodes = _nodes(self._edges, nodes.shape[1])
-            self._solution = _node_solve(self._edges, g)
+            self._solution = _node_solve(self._edges, g, cached=self.resolved)
         return self._solution
 
     def _refine(self, edges: np.ndarray, g: np.ndarray, columns: np.ndarray):
@@ -638,8 +650,9 @@ class GreenPotential(PlanarMap):
         its g_m, scaled to the largest |g_m| and the whole grid's mass, at
         most `_MAX_SPLITS` times, and while the panels times K + 1 stay
         within `_MAX_PANEL_MODES`; every such panel of a
-        round is split at once.  Returns the edges and the modes at their
-        nodes.
+        round is split at once.  Returns the edges, the modes at their
+        nodes and whether every panel is resolved (false when a limit
+        stopped a split).
         """
         q, width = g.shape[1], g.shape[-1]
         weights = gauss01(q)[1]
@@ -647,10 +660,11 @@ class GreenPotential(PlanarMap):
         while True:
             envelope = np.abs(g).max(axis=(2, 3))
             mass = (envelope * _nodes(edges, q) * weights).sum(axis=1) * np.diff(edges)
-            split = unresolved(g, envelope.max(), mass, mass.sum()) & (splits < _MAX_SPLITS)
+            pending = unresolved(g, envelope.max(), mass, mass.sum())
+            split = pending & (splits < _MAX_SPLITS)
             count = edges.size - 1 + np.count_nonzero(split)
             if not split.any() or count * width > _MAX_PANEL_MODES:
-                return edges, g
+                return edges, g, not pending.any()
             # Each panel's first row in the new grid; a split panel's halves
             # take two.
             first = np.cumsum(1 + split) - 1 - split
@@ -668,13 +682,13 @@ class GreenPotential(PlanarMap):
             deeper[halves] = np.tile(splits[split] + 1, 2)
             splits = deeper
 
-    def _evaluate(self, z, first: int = 0):
-        """(value, dz, dzbar)[first:] as arrays shaped like z, nan where
-        |z| >= 1; the rows before `first` are neither interpolated nor
-        summed."""
+    def _evaluate(self, z, rows: slice):
+        """The `rows` of (value, dz, dzbar) as arrays shaped like z, nan where
+        |z| >= 1; the other rows are neither interpolated nor summed."""
         z = np.asarray(z, dtype=complex)
         flat = z.ravel()
-        out = np.full((3 - first, flat.size), complex("nan+nanj"))
+        first, stop, _ = rows.indices(3)
+        out = np.full((stop - first, flat.size), complex("nan+nanj"))
         inside = np.flatnonzero(np.abs(flat) < 1.0)
         if inside.size == 0:  # nothing to sample the source for
             return tuple(part.reshape(z.shape) for part in out)
@@ -688,8 +702,8 @@ class GreenPotential(PlanarMap):
         panel = np.minimum(np.searchsorted(edges, radii, side="right") - 1, edges.size - 2)
         size = max(1, _BLOCK_MODES // freq.size)
         for i in range(0, inside.size, size):
-            idx, rows = inside[i:i + size], group[i:i + size]
-            lo, hi = rows[0], rows[-1] + 1
+            idx, members = inside[i:i + size], group[i:i + size]
+            lo, hi = members[0], members[-1] + 1
             p = panel[lo:hi]
             # Products in a fixed operand order, each summed along its own
             # contiguous axis: a radius's modes and a point's sums do not
@@ -697,29 +711,28 @@ class GreenPotential(PlanarMap):
             # switches between gemv and gemm, which round differently, and
             # numpy may reuse a temporary operand and swap the order of a
             # complex product, which is not bit-commutative).
-            terms = solution[p, first:]
+            terms = solution[p, rows]
             np.multiply(terms, _lagrange(radii[lo:hi], nodes[p])[:, None, None, :], out=terms)
-            modes = terms.sum(axis=-1)[rows - lo]
+            modes = terms.sum(axis=-1)[members - lo]
             theta = np.angle(flat[idx])
             np.multiply(np.exp(1j * np.outer(theta, freq))[:, None, :], modes, out=modes)
             sums = modes.sum(axis=-1).T
-            if first == 0:
-                out[0, idx] = sums[0]
-            plus, minus = sums[-2:]
-            out[-2, idx] = 0.5 * np.exp(-1j * theta) * plus
-            out[-1, idx] = 0.5 * np.exp(1j * theta) * minus
+            for row, part in enumerate(sums, first):
+                if row:  # u_m' +- (|m|/r) u_m to d/dz and d/dzbar
+                    part = 0.5 * np.exp((-1j if row == 1 else 1j) * theta) * part
+                out[row - first, idx] = part
         return tuple(part.reshape(z.shape) for part in out)
 
     # --- PlanarMap interface ----------------------------------------------
 
     def values(self, z):
-        return self._evaluate(z)[0]
+        return self._evaluate(z, slice(0, 1))[0]
 
     def jets(self, z):
-        return self._evaluate(z)
+        return self._evaluate(z, slice(0, 3))
 
     def derivatives(self, z):
-        return self._evaluate(z, first=1)
+        return self._evaluate(z, slice(1, 3))
 
     # --- verification ------------------------------------------------------
 

@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import math
+from functools import lru_cache
 from typing import Any, Dict, List
 
 import numpy as np
@@ -30,9 +31,59 @@ def _float_value(x: float):
     return x
 
 
+def _complex_value(c: complex):
+    return {"re": _float_value(c.real), "im": _float_value(c.imag)}
+
+
+def _same(x):
+    return x
+
+
+def _dict_value(d: dict):
+    return {str(k): to_jsonable(v) for k, v in d.items()}
+
+
+def _list_value(xs):
+    return [to_jsonable(v) for v in xs]
+
+
+# The converter of each exact type a report holds, found by one lookup.  A
+# dataclass takes its cached field names; any other value (a subclass, a
+# numpy scalar or array) the isinstance tests.
+_EXACT = {
+    float: _float_value,
+    str: _same,
+    type(None): _same,
+    bool: _same,
+    int: _same,
+    dict: _dict_value,
+    list: _list_value,
+    tuple: _list_value,
+    complex: _complex_value,
+}
+
+
+@lru_cache(maxsize=None)
+def _public_fields(cls: type):
+    """The names of a dataclass type's fields not starting with '_', in
+    declaration order; None for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+
+
 def to_jsonable(obj: Any):
     """Recursively convert reports, dataclasses, and numpy values to
     JSON-serializable structures with deterministic ordering."""
+    convert = _EXACT.get(type(obj))
+    if convert is not None:
+        return convert(obj)
+    names = _public_fields(type(obj))
+    if names is not None:
+        out: Dict[str, Any] = {"type": type(obj).__name__}
+        for name in names:
+            out[name] = to_jsonable(getattr(obj, name))
+        return out
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if obj is None or isinstance(obj, str):
@@ -42,21 +93,13 @@ def to_jsonable(obj: Any):
     if isinstance(obj, (float, np.floating)):
         return _float_value(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return {"re": _float_value(c.real), "im": _float_value(c.imag)}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out: Dict[str, Any] = {"type": type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            if f.name.startswith("_"):
-                continue
-            out[f.name] = to_jsonable(getattr(obj, f.name))
-        return out
+        return _complex_value(complex(obj))
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return _dict_value(obj)
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+        return _list_value(obj.tolist())
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return _list_value(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -298,3 +298,59 @@ def test_holomorphic_subtrees_carry_the_zero_marker(source, analytic):
     assert dz is not expr._ONE and dzbar is not expr._ONE
     _, dz, dzbar = expr._jet(parse_expr("z"), (GRID, expr._ONE, expr._ZERO))
     assert (dz, dzbar) == (expr._ONE, expr._ZERO)
+
+
+# --- blocked evaluation -----------------------------------------------------
+
+
+def _whole_array(ast, z):
+    """value_array and jet_arrays as one pass over the whole array, as before
+    blocking: the value, then the jet with its markers made arrays."""
+    with np.errstate(all="ignore"):
+        value = expr._value(ast, z)
+        jet = expr._jet(ast, (z, expr._ONE, expr._ZERO))
+    parts = [0j if part is expr._ZERO else 1 + 0j if part is expr._ONE else part
+             for part in jet]
+    return [np.broadcast_to(np.asarray(part, dtype=complex), z.shape).copy()
+            for part in (value, *parts)]
+
+
+def _assert_blocked_equals_whole_array(ast, z):
+    want = _whole_array(ast, z)
+    got = [value_array(ast, z), *jet_arrays(ast, z)]
+    for a, b in zip(got, want):
+        assert a.shape == z.shape and same_bits(a.reshape(-1), b.reshape(-1))
+
+
+_BLOCK_SIZES = [0, 1, expr._BLOCK - 1, expr._BLOCK, expr._BLOCK + 1, 3 * expr._BLOCK + 5]
+
+
+def _block_points(n: int) -> np.ndarray:
+    """n points of the disk, every 97th at 0, where 1/z and log are infinite
+    and the abs and pow jets nan."""
+    rng = np.random.default_rng(n)
+    z = rng.uniform(0.0, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    z[::97] = 0.0
+    return z
+
+
+# Marker partials (z, conj(z), z^0), constants only (broadcast) and points
+# that give nan or inf.
+@pytest.mark.parametrize("source", ["z", "conj(z)", "z^0", "7 - 2*i", "abs(-3)*pi", "1/z",
+                                    "exp(z)*conj(z)^2 + log(abs(z)) - pow(z, 0.5)"])
+def test_blocked_evaluation_equals_one_whole_array_pass(source):
+    ast = parse_expr(source)
+    for n in _BLOCK_SIZES:
+        _assert_blocked_equals_whole_array(ast, _block_points(n))
+    # A 2-D input with rows across block boundaries, and a 0-d one.
+    _assert_blocked_equals_whole_array(ast, _block_points(3 * 2000).reshape(3, 2000))
+    _assert_blocked_equals_whole_array(ast, np.asarray(0.3 - 0.4j))
+    _assert_blocked_equals_whole_array(ast, np.asarray(0j))
+
+
+_ACROSS_BLOCKS = np.resize(np.concatenate([GRID, [0j]]), expr._BLOCK + 3)
+
+
+@given(source=SOURCES)
+def test_blocked_evaluation_equals_one_whole_array_pass_for_any_source(source):
+    _assert_blocked_equals_whole_array(parse_expr(source), _ACROSS_BLOCKS)

@@ -267,6 +267,9 @@ _GREEN_MAPS = (GreenPotential("exp(-400*abs(z-0.06)^2)", _QUAD),
 @given(st.lists(st.complex_numbers(max_magnitude=1.1, allow_nan=False,
                                    allow_infinity=False), min_size=1, max_size=40))
 def test_green_and_poisson_derivatives_are_jet_partials(pts):
+    # values builds only the value row of the Green evaluation, derivatives
+    # only the two partial rows: each must be its rows of jets.
     pts = np.array(pts, dtype=complex)
     for m in _GREEN_MAPS:
         _assert_derivatives_are_jet_partials(m, pts)
+        assert _same_bits(m.values(pts), m.jets(pts)[0])

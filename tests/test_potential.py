@@ -19,8 +19,8 @@ from diskmaps import (
 )
 from diskmaps.expr import parse_expr, value_array
 from diskmaps.potential import (_CHECK_ANGLES, _MAX_SPLITS, _ROUNDOFF, _chop_length,
-                                _lagrange, _panel_nodes, _spectral_tables,
-                                poisson_coefficients)
+                                _grid_operators, _lagrange, _panel_block, _panel_nodes,
+                                _spectral_tables, poisson_coefficients)
 
 
 def test_constant_source_matches_closed_form(quad_fast, rng):
@@ -299,7 +299,7 @@ def test_rings_sample_only_the_panel_grid():
     # The panel grid once, at the first 64 angles, which its check angles
     # accept; the 16-node panels resolve the source, so none is split.
     assert sum(sampled) == cfg.radial_nodes * (64 + _CHECK_ANGLES.size)
-    assert np.array_equal(pot._edges, np.arange(9) / 8)
+    assert np.array_equal(pot._edges, np.arange(9) / 8) and pot.resolved is True
     # Radii are interpolated from the node solve and sample nothing.
     before = sum(sampled)
     pot.jets(0.3 * ring)
@@ -344,7 +344,7 @@ def test_smooth_sources_keep_the_starting_panels(source):
     g, sampled = _counting(source)
     pot = GreenPotential(g)
     pot.jets(_scattered_points(50, 4))
-    assert np.array_equal(pot._edges, np.arange(9) / 8)
+    assert np.array_equal(pot._edges, np.arange(9) / 8) and pot.resolved is True
     assert sum(np.prod(shape) for shape in sampled) == 128 * (pot._angles + _CHECK_ANGLES.size)
 
 
@@ -352,7 +352,7 @@ def test_a_narrow_source_splits_the_panels_around_it():
     pot = GreenPotential("exp(-400*abs(z-0.06)^2)")
     pot._node_solution()
     widths = np.diff(pot._edges)
-    assert pot._edges.size - 1 > 8
+    assert pot._edges.size - 1 > 8 and pot.resolved is True
     assert widths.min() <= 1.0 / 32
     # The bump is 1e-40 of its peak past r = 0.6: those panels stay whole.
     assert np.all(widths[pot._edges[:-1] >= 0.625] == 0.125)
@@ -366,6 +366,7 @@ def test_a_log_source_refines_toward_zero_and_stops():
     # mass, integral |log s| s ds = r^2 (1 - 2 log r) / 4, of the total 1/4,
     # and well before the split limit.
     inner = edges[1]
+    assert pot.resolved is True
     assert inner**2 * (1.0 - 2.0 * np.log(inner)) <= np.finfo(float).eps
     assert inner > 0.125 * 2.0 ** -_MAX_SPLITS
     assert np.all(np.diff(edges[1:]) <= edges[1:-1])  # each panel within a factor 2
@@ -379,6 +380,18 @@ def test_a_log_source_refines_toward_zero_and_stops():
     for got, want in ((dz, np.conj(z) * (0.5 - log_r) / 4.0), (dzbar, z * (0.5 - log_r) / 4.0)):
         assert np.max(np.abs(got - want)[r < inner]) <= 1e-12
         assert np.max(np.abs(got - want)[r >= inner]) <= 1e-15
+
+
+def test_a_pole_stays_unresolved_and_out_of_the_operator_caches():
+    # The pole's angular aliasing splits panels toward 0.5 until
+    # _MAX_PANEL_MODES stops it: 64 panels of K = 127, a grid no other
+    # source meets, whose operators would fill both caches.
+    before = (_grid_operators.cache_info(), _panel_block.cache_info())
+    pot = GreenPotential("1/(z-0.5)")
+    assert pot.resolved is None
+    assert np.isfinite(pot.values(np.array([0.1 + 0.2j, -0.7j]))).all()
+    assert pot.resolved is False
+    assert (_grid_operators.cache_info(), _panel_block.cache_info()) == before
 
 
 def test_a_points_jets_do_not_depend_on_the_size_of_its_call():

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -77,3 +78,23 @@ def test_csv_flattens_reports_with_union_columns():
 def test_flatten_record_wraps_scalars():
     assert flatten_record(3.5) == {"value": 3.5}
     assert math.isclose(flatten_record({"a": 1.0})["a"], 1.0)
+
+
+class _Ratio(float):
+    pass
+
+
+class _Pair(NamedTuple):
+    a: float
+    b: complex
+
+
+def test_subclasses_serialize_as_their_base_types():
+    # Exact types take one lookup and everything else the isinstance tests:
+    # both give the same document.
+    assert to_jsonable(True) is True and to_jsonable(np.bool_(False)) is False
+    assert to_jsonable(_Ratio(float("inf"))) == to_jsonable(float("inf")) == "inf"
+    assert to_jsonable(_Pair(0.5, 1j)) == to_jsonable((0.5, 1j)) == [0.5, {"re": 0.0, "im": 1.0}]
+    doc = {"sample": _Sample("a", np.float64(1.5), np.complex128(2j)), "n": np.int64(4)}
+    assert json.dumps(to_jsonable(doc)) == json.dumps(
+        {"sample": to_jsonable(_Sample("a", 1.5, 2j)), "n": 4})
