@@ -94,6 +94,10 @@ EDGE_ARGVS = (
     # plateau (all 256 modes kept) and a source with a wide angular band.
     ("solve", "--psi", "abs(re(z))", "--g", "1", "--points", _SOLVE_POINTS),
     ("solve", "--psi", "z", "--g", "exp(-50*abs(z-0.3)^2)", "--points", _SOLVE_POINTS),
+    # A kink that the Green panels split toward, from 3 starting panels: its
+    # panel edges depend on the split limit (a count of halvings per panel).
+    ("solve", "--psi", "z", "--g", "pow(abs(z-0.2), 0.5)", "--radial-nodes", "48",
+     "--points", "0.3, 0.01j, 0.9"),
     # Chord preimages that take Newton steps at the default line nodes (every
     # workload check-thm11 map is affine or near the identity), and a pole at
     # one of the points of a per-point report and of a pair check.

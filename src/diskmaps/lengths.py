@@ -9,14 +9,14 @@ the ray segment [0, r e^{i theta}] has integrand
 
 A perimeter is a trapezoid rule, checked against itself at half the nodes
 to 1e-6 relative.  Every radial length (`radial_length`, the scan of
-`length_sup`, `radial_length_limit`) is one Gauss-Legendre panel rule
-(`quadrature`) on [0, r], r capped at 1 - 1e-6: a ray starts as panels of
-32 nodes, and a panel that `quadrature.unresolved` finds, scaled to its
-ray's largest integrand value and length, is split in halves down to
-`_RAY_FLOOR` of the ray and up to `_RAY_PANELS` panels.  A ray is
-converged when no panel is left unresolved; log(1 - z) at theta = 0, whose
-radial length diverges, is not.  Gauss nodes never land on r = 0, where a
-map may have no jet.
+`length_sup`, `radial_length_limit`) is one Gauss-Legendre panel rule on
+[0, r], r capped at 1 - 1e-6, refined by `quadrature.refine_panels` with
+each ray an owner: a ray starts as panels of 32 nodes, its integrand is
+both its samples and its mass density, and a panel is split only while
+wider than `_RAY_FLOOR` of its ray, into at most `_RAY_PANELS` per ray.  A
+ray is converged when no panel of it is left unresolved; log(1 - z) at
+theta = 0, whose radial length diverges, is not.  Gauss nodes never land
+on r = 0, where a map may have no jet.
 
 Both integrands read only the partials, so a perimeter or a ray takes
 `derivatives` calls, and several rays or circles are evaluated in one
@@ -39,7 +39,7 @@ from .bounds import BoundReport
 from .expr import ExprAst, parse_expr, value_array
 from .grids import GridSpec, shell_ladder
 from .maps import JetEvaluationError
-from .quadrature import gauss, gauss01, unresolved
+from .quadrature import gauss, refine_panels
 
 __all__ = [
     "LengthReport",
@@ -162,30 +162,15 @@ def _ray_lengths(m, radii, thetas, nodes: int = _RAY_NODES):
     start = nodes // q
     ray = np.repeat(np.arange(upper.size), start)
     share = np.tile(np.arange(start), upper.size)
-    lo, hi = upper[ray] * share / start, upper[ray] * (share + 1) / start
-    f = _ray_integrands(m, thetas[ray], lo, hi, q)
-    jets = ray.size * (q + 1)
-    weights = gauss01(q)[1]
-    while True:
-        first = np.flatnonzero(np.diff(ray, prepend=-1))  # each ray's first panel
-        mass = (f * weights).sum(axis=1) * (hi - lo)
-        lengths = np.add.reduceat(mass, first)
-        scale = np.maximum.reduceat(f.max(axis=1), first)
-        want = unresolved(f, scale[ray], mass, lengths[ray])
-        split = want & (hi - lo > _RAY_FLOOR * upper[ray])
-        split &= (np.bincount(ray, 1 + split) <= _RAY_PANELS)[ray]
-        if not split.any():
-            converged = ~np.logical_or.reduceat(want, first)
-            return lengths.tolist(), converged.tolist(), jets
-        # Each panel's rows in the new list: a split panel's halves take two.
-        rows = np.repeat(np.arange(ray.size), 1 + split)
-        left = (np.cumsum(1 + split) - 2)[split]
-        mid = (lo + hi)[split] / 2.0
-        ray, lo, hi, f = ray[rows], lo[rows], hi[rows], f[rows]
-        hi[left], lo[left + 1] = mid, mid
-        fresh = np.repeat(split, 1 + split)
-        f[fresh] = _ray_integrands(m, thetas[ray[fresh]], lo[fresh], hi[fresh], q)
-        jets += int(np.count_nonzero(fresh)) * (q + 1)
+    ray, _, _, _, mass, unresolved = refine_panels(
+        lambda ray, lo, hi: _ray_integrands(m, thetas[ray], lo, hi, q),
+        ray, upper[ray] * share / start, upper[ray] * (share + 1) / start,
+        lambda lo, hi, ray, depth: hi - lo > _RAY_FLOOR * upper[ray], _RAY_PANELS)
+    first = np.searchsorted(ray, np.arange(upper.size))  # each ray's first panel
+    # A split panel and both its halves were sampled.
+    jets = (2 * ray.size - upper.size * start) * (q + 1)
+    return (np.add.reduceat(mass, first).tolist(),
+            (~np.logical_or.reduceat(unresolved, first)).tolist(), jets)
 
 
 def radial_length(m, r: float, theta: float, nodes: int = _RAY_NODES) -> LengthReport:

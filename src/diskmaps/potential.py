@@ -34,22 +34,19 @@ else.
 Panels.  The radial interval starts as `radial_nodes // 16` uniform panels
 of 16 Gauss nodes (one panel of `radial_nodes` nodes below 16).  The
 source is sampled on this grid at the angles its band needs (below), and
-an FFT in angle gives g_m at every node (Nyquist mode dropped).  A panel
-is then split in halves, and its halves sampled at the same angles, while
-the last two Legendre coefficients of some g_m on its nodes are above
-16 eps times the largest |g_m| (the coefficients come from the Gauss
-quadrature transform, scaled to its roundoff) and its mass, the integral
-of max_m |g_m| s ds over it, is above eps times the whole grid's.  So a
-source that the 16-node panels resolve keeps them and takes no sample
-beyond them; a bump of width 0.05 gets panels of 1/32 around it; and an
+an FFT in angle gives g_m at every node (Nyquist mode dropped).  The
+panels are then refined by `quadrature.refine_panels`, the whole grid one
+owner: the samples are the band's g_m at the nodes, taken for new halves
+at the same angles, and the mass density is max_m |g_m| s.  So a source
+that the 16-node panels resolve keeps them and takes no sample beyond
+them; a bump of width 0.05 gets panels of 1/32 around it; and an
 integrable singularity at 0 such as log|z| is refined dyadically toward 0
 until its innermost panel holds less than eps of the mass.  A panel is
-split at most `_MAX_SPLITS` times, and a split that would take the panels
-times the band's modes past `_MAX_PANEL_MODES` is not made, which bounds
-the work a source with a pole on the disk can ask for.  A potential
-whose panels a limit left unresolved records `resolved` false, and the
-operators of its grid, which no other source meets, are built outside the
-caches.
+split at most `_MAX_SPLITS` times, and the panels stay within
+`_MAX_PANEL_MODES` // (K + 1), which bounds the work a source with a pole
+on the disk can ask for.  A potential whose panels a limit left unresolved
+records `resolved` false, and the operators of its grid, which no other
+source meets, are built outside the caches.
 
 Node solve.  Off the diagonal the kernel separates, so each panel keeps
 three scaled moments per mode, with k = |m| and panel [a, b]:
@@ -128,7 +125,7 @@ import numpy as np
 
 from . import expr as _expr
 from .maps import PlanarMap, SeriesMap
-from .quadrature import gauss, gauss01, unresolved
+from .quadrature import gauss, gauss01, refine_panels
 
 __all__ = [
     "QuadratureConfig",
@@ -247,11 +244,6 @@ def _spectral_tables(nphi: int):
     return freq, scale, unit
 
 
-def _nodes(edges: np.ndarray, q: int) -> np.ndarray:
-    """The q Gauss nodes of every panel between `edges`, (panels, q)."""
-    return edges[:-1, None] + np.diff(edges)[:, None] * gauss01(q)[0]
-
-
 @lru_cache(maxsize=None)
 def _panel_nodes(n: int):
     """The starting panel grid, cached and read-only: `n // 16` uniform
@@ -259,7 +251,7 @@ def _panel_nodes(n: int):
     the panel edges and the nodes as a (panels, nodes per panel) array."""
     q = min(n, _PANEL_NODES)
     edges = np.arange(n // q + 1) / (n // q)
-    nodes = _nodes(edges, q)
+    nodes = gauss(edges[:-1], edges[1:], q)[0]
     for arr in (edges, nodes):
         arr.flags.writeable = False
     return edges, nodes
@@ -485,7 +477,7 @@ def _grid_operators(edges: tuple, q: int, top: int, panel_block=_panel_block):
     a_safe = np.where(a > 0.0, a, 1.0)  # a = 0 only for panel 0, outside no panel
     into, out_of = np.moveaxis(_powers(np.stack([b / a_safe[:, None], b[:, None] / a_safe]), top,
                                        np.stack([inside, outside])), -1, 1)
-    s = _nodes(edges, q)
+    s = gauss(a, b, q)[0]
     down, up, power = np.moveaxis(
         _powers(np.stack(np.broadcast_arrays(a[:, None] / s, s / b[:, None], s)), top), -1, 2)
     zero = np.zeros((a.size, 1, q))
@@ -603,7 +595,7 @@ class GreenPotential(PlanarMap):
         angles on every panel radius, and otherwise doubled, sampling only
         the new odd angles; at N = `angular_nodes` it is accepted as is.
         Only the modes |m| <= K are kept, listed in `self._band`.  Then the
-        panels are refined (`_refine`) and solved.
+        panels are refined (`quadrature.refine_panels`) and solved.
         """
         if self._solution is None:
             cfg = self.config
@@ -613,7 +605,7 @@ class GreenPotential(PlanarMap):
             samples = self._g(radii * _spectral_tables(size)[2])
             check = None
             while True:
-                freq, scale, _ = _spectral_tables(size)
+                freq, scale, unit = _spectral_tables(size)
                 modes = np.fft.fft(samples, axis=1) * scale
                 top = _band_top(modes)
                 band = np.flatnonzero(np.abs(freq) <= top)
@@ -635,52 +627,22 @@ class GreenPotential(PlanarMap):
             self._band, self._angles = freq[band], size
             # Columns of g_k and g_-k, k = 0..K.
             signed = np.arange(top + 1) * np.array([[1], [-1]]) % size
-            g = modes[:, signed].reshape(nodes.shape + signed.shape)
-            self._edges, g, self.resolved = self._refine(edges, g, signed)
-            self._nodes = _nodes(self._edges, nodes.shape[1])
+            q = nodes.shape[1]
+
+            def sample(_, lo, hi):  # the band's modes at the nodes of panels [lo, hi]
+                s = gauss(lo, hi, q)[0]
+                modes = np.fft.fft(self._g(s.ravel()[:, None] * unit), axis=1) * scale
+                return modes[:, signed].reshape(s.shape + signed.shape)
+
+            # The mass density is max_m |g_m| s.
+            _, lo, hi, g, _, unresolved = refine_panels(
+                sample, np.zeros(edges.size - 1, dtype=int), edges[:-1], edges[1:],
+                lambda lo, hi, owner, depth: depth < _MAX_SPLITS, _MAX_PANEL_MODES // (top + 1),
+                samples=modes[:, signed].reshape(nodes.shape + signed.shape), density=np.multiply)
+            self._edges, self._nodes = np.append(lo, hi[-1]), gauss(lo, hi, q)[0]
+            self.resolved = not unresolved.any()
             self._solution = _node_solve(self._edges, g, cached=self.resolved)
         return self._solution
-
-    def _refine(self, edges: np.ndarray, g: np.ndarray, columns: np.ndarray):
-        """Split unresolved panels in halves until none is left.
-
-        `g` holds the band's modes at the panel nodes, (panel, node, sign, k),
-        read from the FFT `columns` at `self._angles` angles.  A panel is
-        split while the panel-split test (`quadrature.unresolved`) holds for
-        its g_m, scaled to the largest |g_m| and the whole grid's mass, at
-        most `_MAX_SPLITS` times, and while the panels times K + 1 stay
-        within `_MAX_PANEL_MODES`; every such panel of a
-        round is split at once.  Returns the edges, the modes at their
-        nodes and whether every panel is resolved (false when a limit
-        stopped a split).
-        """
-        q, width = g.shape[1], g.shape[-1]
-        weights = gauss01(q)[1]
-        splits = np.zeros(edges.size - 1, dtype=int)
-        while True:
-            envelope = np.abs(g).max(axis=(2, 3))
-            mass = (envelope * _nodes(edges, q) * weights).sum(axis=1) * np.diff(edges)
-            pending = unresolved(g, envelope.max(), mass, mass.sum())
-            split = pending & (splits < _MAX_SPLITS)
-            count = edges.size - 1 + np.count_nonzero(split)
-            if not split.any() or count * width > _MAX_PANEL_MODES:
-                return edges, g, not pending.any()
-            # Each panel's first row in the new grid; a split panel's halves
-            # take two.
-            first = np.cumsum(1 + split) - 1 - split
-            halves = np.concatenate([first[split], first[split] + 1])
-            edges = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:])[split] / 2.0]))
-            finer = np.empty((count,) + g.shape[1:], dtype=complex)
-            finer[first[~split]] = g[~split]
-            _, scale, unit = _spectral_tables(self._angles)
-            samples = self._g(_nodes(edges, q)[halves].ravel()[:, None] * unit)
-            finer[halves] = (np.fft.fft(samples, axis=1) * scale)[:, columns].reshape(
-                (halves.size,) + g.shape[1:])
-            g = finer
-            deeper = np.empty(count, dtype=int)
-            deeper[first[~split]] = splits[~split]
-            deeper[halves] = np.tile(splits[split] + 1, 2)
-            splits = deeper
 
     def _evaluate(self, z, rows: slice):
         """The `rows` of (value, dz, dzbar) as arrays shaped like z, nan where
