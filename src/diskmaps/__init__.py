@@ -18,7 +18,7 @@ from .ellipticity import (CauchyPair, EllipticityParams, FrontierReport,
                           check_theorem11, frontier, invert_map, lemma22_check,
                           lemma24_convert, min_kprime, qc_constant)
 from .expr import ParseError, parse_expr
-from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, shell_ladder
+from .grids import GridScanError, GridSpec, Scan, grid_supremum, polar_grid, shell_ladder
 from .kernels import green_eval, poisson_eval
 from .lengths import (LengthReport, boundary_length, length_sup, perimeter,
                       radial_integral_profile, radial_length, radial_length_limit,
@@ -48,7 +48,7 @@ __all__ = [
     "poisson_extension", "laplacian_residual",
     "green_derivative_sup", "QuadratureConfig", "QuadratureError",
     # grids
-    "GridSpec", "GridScanError", "polar_grid", "grid_supremum", "shell_ladder",
+    "GridSpec", "GridScanError", "Scan", "polar_grid", "grid_supremum", "shell_ladder",
     # ellipticity
     "EllipticityParams", "CauchyPair", "FrontierReport", "HypothesisReport",
     "QcResult", "min_kprime",

@@ -41,7 +41,7 @@ import numpy as np
 
 from .coefficients import CoeffTable
 from .ellipticity import EllipticityParams
-from .grids import GridSpec, failed_points, polar_grid, ring_radii
+from .grids import GridSpec, polar_grid, ring_radii, sup_scan
 from .maps import JetEvaluationError
 
 __all__ = [
@@ -197,11 +197,11 @@ def derivative_bounds_report(
     On a grid the worst row is found ring by ring: each ring's largest lhs
     (the first in angle among equals) against the rhs at the ring's radius
     (`ring_radii`), and the witness is that point of the first ring of
-    least margin.  A grid skips points whose jet is not finite, up to 1% of
-    them (beyond, GridScanError).  Explicit points are each checked: in
-    worst-row mode the first one with a non-finite jet raises
-    JetEvaluationError, as a pair check does; per_point rows keep it as an
-    indeterminate row.
+    least margin.  A grid raises GridScanError when more than 1% of its
+    jets are not finite, and each display skips the points where its lhs
+    is not finite.  Explicit points are each checked: in worst-row mode
+    the first one with a non-finite jet raises JetEvaluationError, as a
+    pair check does; per_point rows keep it as an indeterminate row.
     """
     spec = grid or GridSpec()
     if points is not None:
@@ -218,7 +218,9 @@ def derivative_bounds_report(
     dz, db = m.derivatives(pts)
     adz = np.abs(dz)
     op = adz + np.abs(db)
-    ok = np.isfinite(op) if points is not None else ~failed_points(op)
+    if points is None:
+        sup_scan(op, pts)  # the grid's failure rule
+    ok = np.isfinite(op)
     if points is not None and not per_point and not ok.all():
         raise JetEvaluationError(f"jet is not finite at the point {complex(pts[np.argmin(ok)])}")
     if not ok.any():
@@ -234,14 +236,12 @@ def derivative_bounds_report(
             continue
         lhs, rhs = lhs_of[d.lhs], d.rhs(ctx, az)
         if by_ring:
-            # Each ring's largest lhs, the first in angle; a failed point
-            # never is one.
-            lhs = np.where(ok, lhs, -np.inf)
-            col = np.argmax(lhs, axis=1)
-            ring_lhs = lhs[np.arange(col.size), col]
-            ring = int(np.argmin(rhs - ring_lhs))
-            rows.append(BoundReport.evaluated(ineq, complex(pts[ring, col[ring]]),
-                                              float(ring_lhs[ring]), float(rhs[ring])))
+            # lhs - rhs rounds monotonically in lhs, so its sup is minus the
+            # least ring margin, first reached on that ring.
+            worst = sup_scan(lhs - rhs[:, None], pts, base=False)
+            ring = int(np.argmin(np.abs(az - abs(worst.witness))))
+            top = sup_scan(lhs[ring], pts[ring], base=False)
+            rows.append(BoundReport.evaluated(ineq, top.witness, top.value, float(rhs[ring])))
             continue
         margins = np.where(ok, rhs - lhs, np.nan)
         if not per_point:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .expr import ExprAst, contains_var, parse_expr, value_array
-from .grids import GridSpec, failed_points, polar_grid, shell_ladder
+from .grids import GridSpec, polar_grid, shell_ladder, sup_scan
 from .maps import JetEvaluationError, at_point
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
@@ -172,8 +172,8 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
 
     The sup combines the polar grid with a shell ladder approaching the
     boundary, since the weighted derivative often peaks in the last
-    sliver that coarse radial spacing misses.  Non-finite values on the
-    polar grid are skipped, up to 1% of it (GridScanError beyond).
+    sliver that coarse radial spacing misses.  Non-finite values are
+    skipped, on the polar grid up to 1% of it (GridScanError beyond).
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
@@ -184,17 +184,13 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
         return (np.abs(dz) + np.abs(db)) * spec.eval((1.0 - np.abs(z)) ** alpha)
 
     pts = polar_grid(grid)
-    vals = weighted(pts, *m.derivatives(pts))
-    sup = float(np.max(np.where(failed_points(vals), -np.inf, vals)))
+    scan = sup_scan(weighted(pts, *m.derivatives(pts)), pts)
     # Polar grids skip r = 0, the weight's max; f(0) is the one value read.
-    f0, *d0 = m.jets(np.array([0j]))
-    [at0] = weighted(np.array([0j]), *d0)
-    if np.isfinite(at0):
-        sup = max(sup, float(at0))
+    origin = np.array([0j])
+    f0, *d0 = m.jets(origin)
+    scan = scan.join(sup_scan(weighted(origin, *d0), origin, base=False))
     angles = np.exp(2j * np.pi * np.arange(grid.angular_count) / grid.angular_count)
     for r in shell_ladder(grid.max_radius, count=17):
         ring = r * angles
-        sv = weighted(ring, *m.derivatives(ring))
-        if np.isfinite(sv).any():
-            sup = max(sup, float(np.nanmax(sv)))
-    return abs(at_point(0j, f0)[0]) + sup
+        scan = scan.join(sup_scan(weighted(ring, *m.derivatives(ring)), ring, base=False))
+    return abs(at_point(0j, f0)[0]) + scan.value

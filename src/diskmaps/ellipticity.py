@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .coefficients import MajorantSpec, extract_coeffs
-from .grids import GridSpec, failed_points, grid_supremum, polar_grid
+from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, sup_scan
 from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .potential import GreenPotential, PoissonMap
 from .wirtinger import disk_distance
@@ -130,8 +130,8 @@ def _kprime_scan(m: PlanarMap, K: float, grid: GridSpec,
         return _defect(*_jet_arrays(m, pts), K)
 
     base_values = None if base is None else _defect(*base, K)
-    value, witness = grid_supremum(defect, grid, base_values=base_values)
-    return max(0.0, value), witness
+    scan = grid_supremum(defect, grid, base_values=base_values)
+    return max(0.0, scan.value), scan.witness
 
 
 def min_kprime(m: PlanarMap, K: float, grid: Optional[GridSpec] = None) -> Tuple[float, complex]:
@@ -197,9 +197,9 @@ def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
     def ratio_field(z: np.ndarray) -> np.ndarray:
         return _qc_ratio(*_jet_arrays(m, z))
 
-    value, witness = grid_supremum(ratio_field, grid, base_values=_qc_ratio(adz, adb))
+    scan = grid_supremum(ratio_field, grid, base_values=_qc_ratio(adz, adb))
     flag = "unbounded" if _dilatation_blows_up(shell_sups) else "finite"
-    return QcResult(value=value, flag=flag, witness=witness,
+    return QcResult(value=scan.value, flag=flag, witness=scan.witness,
                     shell_dilatations=tuple(float(s) for s in shell_sups[-8:]))
 
 
@@ -476,12 +476,11 @@ def _default_prop14_pairs(m: PlanarMap, h1: PlanarMap,
         dz, db = m.derivatives(z)
         h1dz = h1.derivatives(z)[0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = (np.abs(dz) + np.abs(db)) / np.abs(h1dz)
-        return np.where(np.isfinite(out), out, np.nan)
+            return (np.abs(dz) + np.abs(db)) / np.abs(h1dz)
 
     try:
-        _, zstar = grid_supremum(stretch_ratio, grid)
-    except RuntimeError:
+        zstar = grid_supremum(stretch_ratio, grid).witness
+    except GridScanError:
         return pairs
     jet = m.jet(zstar)
     if abs(jet.dz) > 0.0:
@@ -633,11 +632,9 @@ def lemma22_check(
     d = 1.0 - np.abs(pts)
     lower_b = spec.eval((1.0 + np.abs(pts)) ** (1.0 - alpha)) / C5
     upper_b = C5 / spec.eval(d ** (1.0 - alpha))
-    margins_b = np.minimum(low - lower_b, upper_b - op)
-    margins_b = np.where(failed_points(margins_b), np.inf, margins_b)
-    idx = int(np.argmin(margins_b.ravel()))
-    worst_b = float(margins_b.ravel()[idx])
-    witness_b = complex(pts.ravel()[idx])
+    # The least margin is the sup of the negated margins, exactly.
+    scan_b = sup_scan(-np.minimum(low - lower_b, upper_b - op), pts)
+    worst_b, witness_b = -scan_b.value, scan_b.witness
 
     worst = min(worst_a, worst_b)
     witness = witness_a if worst_a <= worst_b else (witness_b,)

@@ -2,21 +2,26 @@
 
 The refinement scheme is shared by every sup-style estimator: scan a polar
 base grid, then repeatedly densify a small window around the running
-maximizer (spacing divided by 4 each round, 9x9 local window).  Reductions
-resolve ties by first grid index, so scans are reproducible regardless of
-evaluation order.
+maximizer (spacing divided by 4 each round, 9x9 local window).
+
+Every sampled sup is a `Scan` from `sup_scan`, the one failure rule: it
+skips and counts (`masked`) non-finite samples, and refuses a base grid
+more than 1% of which fails (GridScanError: the map fails on a region, not
+at a point).  Extra samples (windows, shell rings, single points) are only
+skipped and counted: one failure is 1.2% of a 9x9 window.  Ties go to the
+first flat index, and in a joined scan to the earlier sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-__all__ = ["GridSpec", "GridScanError", "polar_grid", "ring_radii", "grid_supremum",
-           "failed_points", "shell_ladder"]
+__all__ = ["GridSpec", "GridScanError", "Scan", "sup_scan", "polar_grid", "ring_radii",
+           "grid_supremum", "shell_ladder"]
 
 
 class GridScanError(RuntimeError):
@@ -65,19 +70,41 @@ def polar_grid(spec: GridSpec) -> np.ndarray:
     return pts
 
 
-def failed_points(vals: np.ndarray) -> np.ndarray:
-    """Mask of the non-finite entries of a field sampled on a base grid.
+@dataclass(frozen=True)
+class Scan:
+    """A sampled sup: its value, the first point reaching it, and how many
+    of the sampled points failed (were skipped) out of how many."""
 
-    A scan may skip isolated failures, but raises GridScanError when they
-    exceed 1% of the grid: the map then fails on a region, not a point.
+    value: float
+    witness: complex
+    masked: int
+    points: int
+
+    def join(self, later: "Scan") -> "Scan":
+        """Both samples, this one first: `later` wins only when larger."""
+        top = later if later.value > self.value else self
+        return Scan(top.value, top.witness, self.masked + later.masked,
+                    self.points + later.points)
+
+
+def sup_scan(values: np.ndarray, points: np.ndarray, base: bool = True) -> Scan:
+    """The Scan of real `values` sampled at `points` (same shape).
+
+    A base grid raises GridScanError past 1% failed samples; other samples
+    never raise, and all failed ones give -inf at the first point.
     """
+    vals = np.asarray(values, dtype=float)
     bad = ~np.isfinite(vals)
-    if bad.mean() > _MAX_FAILURE_FRACTION:
+    masked = int(np.count_nonzero(bad))
+    if base and masked / bad.size > _MAX_FAILURE_FRACTION:
         raise GridScanError(
-            f"{bad.mean():.1%} of grid points failed to evaluate "
+            f"{masked / bad.size:.1%} of grid points failed to evaluate "
             f"(limit {_MAX_FAILURE_FRACTION:.0%})"
         )
-    return bad
+    if masked:
+        vals = np.where(bad, -np.inf, vals)
+    idx = int(np.argmax(vals))
+    return Scan(float(vals.flat[idx]), complex(points.flat[idx]), masked, bad.size)
 
 
 def _local_window(r0: float, t0: float, dr: float, dt: float, r_cap: float) -> np.ndarray:
@@ -91,13 +118,13 @@ def grid_supremum(
     field: Callable[[np.ndarray], np.ndarray],
     spec: GridSpec,
     base_values: Optional[np.ndarray] = None,
-) -> Tuple[float, complex]:
+) -> Scan:
     """Supremum estimate of a real field over the disk grid, with refinement.
 
     `field` maps a complex array to a real array of the same shape; nan
-    entries mark skipped points.  Returns (estimate, witness point).  The
-    estimate is a certified lower bound of the true sup (it is a maximum of
-    evaluations); the refinement makes it a useful heuristic for the sup.
+    entries mark skipped points.  The Scan's value is a certified lower
+    bound of the true sup (it is a maximum of evaluations); the refinement
+    makes it a useful heuristic for the sup.
 
     base_values, when given, are the field's values on polar_grid(spec),
     already computed by the caller; `field` is then called only on the
@@ -105,33 +132,21 @@ def grid_supremum(
     """
     pts = polar_grid(spec)
     if base_values is None:
-        vals = np.asarray(field(pts), dtype=float)
-    else:
-        vals = np.asarray(base_values, dtype=float)
-        if vals.shape != pts.shape:
-            raise ValueError(f"base_values have shape {vals.shape}, expected {pts.shape}")
-    vals = np.where(failed_points(vals), -np.inf, vals)
-    flat_idx = int(np.argmax(vals.ravel()))
-    best_val = float(vals.ravel()[flat_idx])
-    best_z = complex(pts.ravel()[flat_idx])
-    if not np.isfinite(best_val):
-        raise GridScanError("no grid point evaluated to a finite value")
+        base_values = field(pts)
+    elif np.shape(base_values) != pts.shape:
+        raise ValueError(f"base_values have shape {np.shape(base_values)}, "
+                         f"expected {pts.shape}")
+    best = sup_scan(base_values, pts)
 
     dr = spec.max_radius / spec.radial_count
     dt = 2.0 * np.pi / spec.angular_count
-    r0, t0 = abs(best_z), float(np.angle(best_z))
     for _ in range(spec.refine_rounds):
         dr /= 4.0
         dt /= 4.0
-        window = _local_window(r0, t0, dr, dt, spec.max_radius)
-        wvals = np.asarray(field(window), dtype=float)
-        wvals = np.where(np.isfinite(wvals), wvals, -np.inf)
-        idx = int(np.argmax(wvals.ravel()))
-        if float(wvals.ravel()[idx]) > best_val:
-            best_val = float(wvals.ravel()[idx])
-            best_z = complex(window.ravel()[idx])
-            r0, t0 = abs(best_z), float(np.angle(best_z))
-    return best_val, best_z
+        z = best.witness
+        window = _local_window(abs(z), float(np.angle(z)), dr, dt, spec.max_radius)
+        best = best.join(sup_scan(field(window), window, base=False))
+    return best
 
 
 def shell_ladder(max_radius: float, count: int = 12) -> np.ndarray:

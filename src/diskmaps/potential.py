@@ -124,6 +124,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as _expr
+from .grids import sup_scan
 from .maps import PlanarMap, SeriesMap
 from .quadrature import gauss, gauss01, refine_panels
 
@@ -577,12 +578,14 @@ class GreenPotential(PlanarMap):
         A sampled lower estimate of sup |g|.  The source is sampled here, at
         all `radial_nodes` x `angular_nodes` starting panel nodes whatever
         angles the radial solve needs, plus the r = 1 ring, because Gauss
-        nodes stop short of the boundary, where |g| often peaks.
+        nodes stop short of the boundary, where |g| often peaks.  It is +inf
+        once a sample is not finite: a sup that skipped one bounds nothing.
         """
         cfg = self.config
         unit = _spectral_tables(cfg.angular_nodes)[2]
-        grid = np.max(np.abs(self._g(_panel_nodes(cfg.radial_nodes)[1].ravel()[:, None] * unit)))
-        return float(max(grid, np.max(np.abs(self._g(unit)))))
+        pts = np.append(_panel_nodes(cfg.radial_nodes)[1].ravel(), 1.0)[:, None] * unit
+        scan = sup_scan(np.abs(self._g(pts)), pts)
+        return math.inf if scan.masked else scan.value
 
     # --- radial solve ------------------------------------------------------
 
@@ -872,7 +875,7 @@ def green_derivative_sup(
     last two shells.  Every ring costs one radial solve of the potential,
     and the shells and the grid come from one `derivatives` call.
     The reported sup is the largest of the interior, shell and extrapolated
-    estimates.
+    estimates.  The grid (with z = 0) and each shell skip up to 1% failures.
     """
     pot = source if isinstance(source, GreenPotential) else GreenPotential(source, config)
     shell_radii = 1.0 - 2.0 ** (-np.arange(3, 9, dtype=float))
@@ -881,11 +884,13 @@ def green_derivative_sup(
 
     radii = shell_radii[0] * np.arange(1, 25) / 24
     grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
-    shells = (shell_radii[:, None] * ring).ravel()
-    dz, db = pot.derivatives(np.concatenate([shells, [0j], grid.ravel()]))
+    shells = shell_radii[:, None] * ring
+    pts = np.concatenate([shells.ravel(), [0j], grid.ravel()])
+    dz, db = pot.derivatives(pts)
     norms = np.maximum(np.abs(dz), np.abs(db))
-    shell_sups = [float(v) for v in norms[:shells.size].reshape(shell_radii.size, -1).max(axis=1)]
-    interior_sup = float(norms[shells.size:].max())
+    rows = norms[:shells.size].reshape(shells.shape)
+    shell_sups = [sup_scan(v, z).value for v, z in zip(rows, shells)]
+    interior_sup = sup_scan(norms[shells.size:], pts[shells.size:]).value
 
     # Shell spacing halves each step, so the last gap equals the distance
     # to the boundary and the linear extrapolation is simply 2 v1 - v0.

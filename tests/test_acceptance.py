@@ -72,7 +72,8 @@ def test_c01_degree_nine_sup_and_min_kprime(example15, line):
         _, dz, db = example15.jets(z)
         return (np.abs(dz) + np.abs(db)) ** 2
 
-    sup, witness = grid_supremum(op_sq, FINE_GRID)
+    scan = grid_supremum(op_sq, FINE_GRID)
+    sup, witness = scan.value, scan.witness
     oracle = minimize_scalar(
         lambda u: -(u ** (2.0 / 3.0) * (9 - 9 * u) * (6 - 8 * u)),
         bounds=(0.0, 0.75), method="bounded", options={"xatol": 1e-12})

@@ -13,11 +13,11 @@ from diskmaps import (
     CauchyPair,
     DslMap,
     EllipticityParams,
-    GridScanError,
     GridSpec,
     JetEvaluationError,
     PlanarMap,
     QuadratureConfig,
+    QuadratureError,
     SeriesMap,
     beta_constant,
     builtin_map,
@@ -31,7 +31,7 @@ from diskmaps import (
     qc_constant,
     solve_poisson,
 )
-from diskmaps.ellipticity import _defect
+from diskmaps.ellipticity import _default_prop14_pairs, _defect
 
 
 def shear(k: float) -> SeriesMap:
@@ -331,6 +331,18 @@ def test_prop14_constant_range():
         check_prop14(m, C3=2.0, pairs=[(0.1, 0.2)])
 
 
+def test_prop14_pairs_let_a_non_scan_error_through():
+    # Only a failed scan (GridScanError) falls back to the uniform pairs;
+    # any other error of the stretch field, here a Green quadrature's,
+    # propagates.
+    class Failing(SeriesMap):
+        def derivatives(self, z):
+            raise QuadratureError("panels unresolved")
+
+    with pytest.raises(QuadratureError, match="panels unresolved"):
+        _default_prop14_pairs(Failing([0, 1]), SeriesMap([0, 1]))
+
+
 def test_prop14_samples_a_callable_source_like_its_dsl_twin(quad_fast):
     pairs = [(0.1, 0.3j), (0.5, -0.2)]
     dsl, array = (check_prop14(solve_poisson("z", g, quad_fast), 1.5, pairs)
@@ -347,17 +359,6 @@ def test_lemma22_nan_pair_margin_names_the_pair():
         with pytest.raises(JetEvaluationError, match=r"pair \(\(0\.9\+0j\), \(0\.95\+0j\)\)"):
             lemma22_check(m, "t", alpha=0.5, C4=10.0, C5=10.0,
                           pairs=[(0.1, 0.2), (0.9, 0.95)])
-
-
-def test_lemma22_pointwise_clause_refuses_a_failing_grid():
-    # exp(exp(exp(40 re z))) overflows on 44% of an 8 x 16 grid; clause (b)
-    # used to skip those points and hold.
-    m = DslMap("z + 0*exp(exp(exp(40*re(z))))")
-    grid = GridSpec(radial_count=8, angular_count=16)
-    with np.errstate(all="ignore"):
-        with pytest.raises(GridScanError, match="43.8% of grid points"):
-            lemma22_check(m, "t", alpha=0.5, C4=2.0, C5=2.0,
-                          pairs=[(-0.5, -0.2)], grid=grid)
 
 
 def test_lemma22_identity_is_tight():

@@ -46,7 +46,8 @@ def test_supremum_refines_toward_smooth_peak():
         return -np.abs(z - target) ** 2
 
     spec = GridSpec(radial_count=48, angular_count=96, refine_rounds=6)
-    value, witness = grid_supremum(field, spec)
+    scan = grid_supremum(field, spec)
+    value, witness = scan.value, scan.witness
     # Each round divides the window spacing by 4, so 6 rounds pin the
     # maximizer to ~1e-5 and the quadratic peak value to ~1e-10.
     assert value == pytest.approx(0.0, abs=1e-9)
@@ -59,11 +60,10 @@ def test_supremum_is_deterministic_and_tie_stable():
     def flat(z):
         return np.ones_like(np.abs(z))
 
-    v1, w1 = grid_supremum(flat, spec)
-    v2, w2 = grid_supremum(flat, spec)
-    assert (v1, w1) == (v2, w2)
-    first = polar_grid(spec).ravel()[0]
-    assert w1 == pytest.approx(first)  # ties resolve to the first grid index
+    first = grid_supremum(flat, spec)
+    assert grid_supremum(flat, spec) == first
+    # Ties resolve to the first grid index.
+    assert first.witness == pytest.approx(polar_grid(spec).ravel()[0])
 
 
 def test_supremum_tolerates_sparse_nan_but_rejects_widespread():
@@ -75,8 +75,9 @@ def test_supremum_tolerates_sparse_nan_but_rejects_widespread():
                         np.nan, vals)
         return vals
 
-    value, _ = grid_supremum(sparse, spec)
-    assert value == pytest.approx(spec.max_radius)
+    scan = grid_supremum(sparse, spec)
+    assert scan.value == pytest.approx(spec.max_radius)
+    assert (scan.masked, scan.points) == (1, 32 * 32)
 
     def broken(z):
         vals = np.abs(z)
@@ -86,15 +87,26 @@ def test_supremum_tolerates_sparse_nan_but_rejects_widespread():
         grid_supremum(broken, spec)
 
 
+def test_refinement_windows_only_skip_and_count_failures():
+    # A window takes no 1% rule: here almost all of both 9 x 9 windows fail.
+    spec = GridSpec(radial_count=8, angular_count=8, refine_rounds=2)
+    base = polar_grid(spec)
+
+    def field(z):
+        return np.where(np.isin(z, base), np.abs(z), np.nan)
+
+    scan = grid_supremum(field, spec)
+    assert scan.value == np.abs(base).max()
+    assert scan.points == 64 + 2 * 81 and scan.masked >= 2 * 80
+
+
 def test_refinement_never_decreases_the_estimate():
     def field(z):
         return np.abs(np.sin(3 * z)).astype(float)
 
     base = GridSpec(radial_count=24, angular_count=48, refine_rounds=0)
     refined = GridSpec(radial_count=24, angular_count=48, refine_rounds=4)
-    v0, _ = grid_supremum(field, base)
-    v4, _ = grid_supremum(field, refined)
-    assert v4 >= v0
+    assert grid_supremum(field, refined).value >= grid_supremum(field, base).value
 
 
 def test_supremum_on_caller_sampled_base_values():
@@ -106,9 +118,9 @@ def test_supremum_on_caller_sampled_base_values():
     assert grid_supremum(field, spec, base_values=field(pts)) == grid_supremum(field, spec)
     # Tie-break and failure checks run on the given values too.
     flat = np.ones(pts.shape)
-    _, witness = grid_supremum(field, GridSpec(radial_count=24, angular_count=48,
-                                               refine_rounds=0), base_values=flat)
-    assert witness == pts.ravel()[0]
+    scan = grid_supremum(field, GridSpec(radial_count=24, angular_count=48,
+                                         refine_rounds=0), base_values=flat)
+    assert scan.witness == pts.ravel()[0]
     with pytest.raises(GridScanError):
         grid_supremum(field, spec, base_values=np.where(np.abs(pts) > 0.5, np.nan, flat))
     with pytest.raises(ValueError, match="shape"):

@@ -1,5 +1,6 @@
 """Green potentials, Poisson extensions, and the disk Poisson solver."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -170,6 +171,32 @@ def test_derivative_sup_is_one_derivatives_call(quad_fast):
     for r, sup in zip(est.shell_radii, est.shell_sups):
         _, dz, db = pot.jets(r * ring)
         assert sup == np.maximum(np.abs(dz), np.abs(db)).max()
+
+
+def test_derivative_sup_skips_a_nan_derivative(quad_fast):
+    # One nan derivative on the grid, or on a shell, is skipped: a plain
+    # max would make that sup, and the grid's the reported sup, nan.
+    pot = GreenPotential("abs(z)^2 + 0.3*re(z)", quad_fast)
+    clean = green_derivative_sup(pot)
+    for index in (6 * 192 + 500, 3 * 192 + 7):
+        def derivatives(z, index=index):
+            dz, db = GreenPotential.derivatives(pot, z)
+            dz[index] = np.nan
+            return dz, db
+
+        with mock.patch.object(pot, "derivatives", side_effect=derivatives):
+            est = green_derivative_sup(pot)
+        assert np.isfinite([est.sup, est.interior_sup, *est.shell_sups]).all()
+        assert est.sup == clean.sup
+
+
+def test_source_sup_is_infinite_once_a_sample_fails():
+    # 0*log(abs(z) - re(z)) is nan on the ray theta = 0 (129 of the 33,024
+    # samples), and 1/(z - 1) infinite at the sample z = 1: a sup that
+    # skipped either bounds nothing.
+    assert GreenPotential("1 + 0*log(abs(z) - re(z))").source_grid_sup() == math.inf
+    assert GreenPotential("1/(z-1)").source_grid_sup() == math.inf
+    assert GreenPotential("1 + 0.5*re(z)").source_grid_sup() == 1.5
 
 
 # --- closed-form oracles ------------------------------------------------------
