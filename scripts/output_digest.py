@@ -101,6 +101,15 @@ EDGE_ARGVS = (
     # panel edges depend on the split limit (a count of halvings per panel).
     ("solve", "--psi", "z", "--g", "pow(abs(z-0.2), 0.5)", "--radial-nodes", "48",
      "--points", "0.3, 0.01j, 0.9"),
+    # The band read's other branches: a band of K = 26 accepted at 128
+    # angles (15 panels), modes that only the check angles see (N goes to the
+    # cap of 256), and panels split dyadically toward 0 (61 of them).
+    ("solve", "--psi", "z", "--g", "exp(-400*abs(z-0.06)^2)", "--points", _SOLVE_POINTS),
+    ("solve", "--psi", "z", "--g", "1 + re(z^64)", "--points", _SOLVE_POINTS),
+    ("solve", "--psi", "z", "--g", "log(abs(z))", "--points", _SOLVE_POINTS),
+    # Boundary data and a source that are not finite where they are sampled.
+    ("frontier", "--psi", "1/(z-1)", "--g", "1", "--K", "1"),
+    ("solve", "--psi", "z", "--g", "1 + 0*log(abs(z) - re(z))", "--points", "0.5"),
     # Chord preimages that take Newton steps at the default line nodes (every
     # workload check-thm11 map is affine or near the identity), and a pole at
     # one of the points of a per-point report and of a pair check.

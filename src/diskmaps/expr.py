@@ -51,7 +51,7 @@ import math
 import operator
 import re as _re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Tuple, Union
+from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -231,166 +231,160 @@ def contains_var(node: ExprAst) -> bool:
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<sym>[-+*/^(),]))"
+    r"|(?P<sym>[-+*/^(),])"
+    r"|(?P<bad>\S))"
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'number', 'ident', 'sym', 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> Iterator[_Token]:
+def _tokenize(source: str) -> list:
+    """The tokens (kind, text, position) of kind 'number', 'ident' or 'sym', then
+    ('end', '', len(source)); no other token's text is a symbol's."""
     # U+2212 is normalized to ASCII '-' (both are one code point, offsets hold).
     text = source.replace("−", "-")
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = pos + (len(text[pos:]) - len(stripped))
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        assert kind is not None
-        yield _Token(kind, m.group(kind), m.start(kind))
-        pos = m.end()
-    yield _Token("end", "", n)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 # --- parser -----------------------------------------------------------------
 
 
+def _node(op: str, args: tuple = (), param=None, pos: int = 0) -> ExprAst:
+    """ExprAst(op, args, param, pos), without the frozen dataclass's four
+    `object.__setattr__` calls: the parser builds every node here."""
+    node = object.__new__(ExprAst)
+    node.__dict__.update(op=op, args=args, param=param, pos=pos)
+    return node
+
+
 class _Parser:
+    """Recursive descent over the token list, `at` indexing the next token.
+    `depth` counts the open `expr` and `atom` calls (bracket nesting)."""
+
     def __init__(self, source: str):
-        self.tokens = list(_tokenize(source))
-        self.index = 0
+        self.tokens = _tokenize(source)
+        self.at = 0
         self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_sym(self, sym: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "sym" or tok.text != sym:
-            raise ParseError(f"expected {sym!r}", tok.pos)
-        return self.take()
+        # A tree is no deeper than its node count, at most one per token.
+        self.deep = len(self.tokens) > _MAX_DEPTH + 1
 
     def _enter(self, pos: int) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             raise ParseError(f"expression nested deeper than {_MAX_DEPTH}", pos)
 
+    def _expect(self, sym: str) -> None:
+        _, text, pos = self.tokens[self.at]
+        if text != sym:
+            raise ParseError(f"expected {sym!r}", pos)
+        self.at += 1
+
     def parse(self) -> ExprAst:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        _check_depth(node)
+        kind, text, pos = self.tokens[self.at]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", pos)
+        if self.deep:
+            _check_depth(node)
         return node
 
     def expr(self) -> ExprAst:
-        self._enter(self.peek().pos)
-        try:
-            node = self.term()
-            while self.peek().kind == "sym" and self.peek().text in "+-":
-                op = self.take()
-                node = ExprAst(op.text, (node, self.term()), pos=op.pos)
-            return node
-        finally:
-            self.depth -= 1
+        tokens = self.tokens
+        self._enter(tokens[self.at][2])
+        node = self.term()
+        while tokens[self.at][1] in ("+", "-"):
+            _, op, pos = tokens[self.at]
+            self.at += 1
+            node = _node(op, (node, self.term()), pos=pos)
+        self.depth -= 1
+        return node
 
     def term(self) -> ExprAst:
-        node = self.unary()
-        while self.peek().kind == "sym" and self.peek().text in "*/":
-            op = self.take()
-            node = ExprAst(op.text, (node, self.unary()), pos=op.pos)
+        tokens = self.tokens
+        node = self.factor()
+        while tokens[self.at][1] in ("*", "/"):
+            _, op, pos = tokens[self.at]
+            self.at += 1
+            node = _node(op, (node, self.factor()), pos=pos)
         return node
 
-    def unary(self) -> ExprAst:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.take()
-            return ExprAst("neg", (self.power(),), pos=tok.pos)
-        return self.power()
-
-    def power(self) -> ExprAst:
+    def factor(self) -> ExprAst:
+        """unary and power of the grammar: '-'? atom ('^' integer)?"""
+        tokens = self.tokens
+        _, sign, minus = tokens[self.at]
+        if sign == "-":
+            self.at += 1
         node = self.atom()
-        if self.peek().kind == "sym" and self.peek().text == "^":
-            caret = self.take()
-            node = ExprAst("^", (node,), self._integer_exponent(), pos=caret.pos)
-        return node
+        _, text, caret = tokens[self.at]
+        if text == "^":
+            self.at += 1
+            node = _node("^", (node,), self._integer_exponent(), caret)
+        return _node("neg", (node,), pos=minus) if sign == "-" else node
 
     def _integer_exponent(self) -> int:
         sign = 1
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "-":
-            self.take()
+        kind, text, pos = self.tokens[self.at]
+        if text == "-":
+            self.at += 1
             sign = -1
-            tok = self.peek()
-        if tok.kind != "number":
-            raise ParseError("expected an integer exponent after '^'", tok.pos)
-        self.take()
-        if any(c in tok.text for c in ".eE"):
+            kind, text, pos = self.tokens[self.at]
+        if kind != "number":
+            raise ParseError("expected an integer exponent after '^'", pos)
+        self.at += 1
+        if any(c in text for c in ".eE"):
             raise ParseError(
-                "exponent after '^' must be an integer; use pow(u, c) for real powers",
-                tok.pos,
-            )
-        n = sign * int(tok.text)
+                "exponent after '^' must be an integer; use pow(u, c) for real powers", pos)
+        n = sign * int(text)
         if abs(n) > _MAX_EXPONENT:
-            raise ParseError(f"|exponent| must be <= {_MAX_EXPONENT}", tok.pos)
+            raise ParseError(f"|exponent| must be <= {_MAX_EXPONENT}", pos)
         return n
 
     def atom(self) -> ExprAst:
-        tok = self.take()
-        self._enter(tok.pos)
-        try:
-            if tok.kind == "number":
-                value = float(tok.text)
-                if not math.isfinite(value):
-                    raise ParseError(f"numeric literal {tok.text!r} overflows", tok.pos)
-                return ExprAst("num", param=value, pos=tok.pos)
-            if tok.kind == "ident":
-                return self._ident(tok)
-            if tok.kind == "sym" and tok.text == "(":
-                node = self.expr()
-                self.expect_sym(")")
-                return node
-            raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
-        finally:
-            self.depth -= 1
+        kind, text, pos = self.tokens[self.at]
+        self.at += 1
+        self._enter(pos)
+        if kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {text!r} overflows", pos)
+            node = _node("num", param=value, pos=pos)
+        elif kind == "ident":
+            node = self._ident(text, pos)
+        elif text == "(":
+            node = self.expr()
+            self._expect(")")
+        else:
+            raise ParseError(f"unexpected token {text!r}", pos)
+        self.depth -= 1
+        return node
 
-    def _ident(self, tok: _Token) -> ExprAst:
-        name = tok.text
+    def _ident(self, name: str, pos: int) -> ExprAst:
         if name == "z":
-            return ExprAst("z", pos=tok.pos)
+            return _node("z", pos=pos)
         if name in _CONSTS:
-            return ExprAst(name, param=_CONSTS[name], pos=tok.pos)
+            return _node(name, param=_CONSTS[name], pos=pos)
         if name in _FUNCTIONS:
-            self.expect_sym("(")
+            self._expect("(")
             args = [self.expr()]
-            while self.peek().kind == "sym" and self.peek().text == ",":
-                self.take()
+            while self.tokens[self.at][1] == ",":
+                self.at += 1
                 args.append(self.expr())
-            self.expect_sym(")")
-            return self._call(name, args, tok.pos)
-        raise ParseError(f"unknown identifier {name!r}", tok.pos)
+            self._expect(")")
+            return self._call(name, args, pos)
+        raise ParseError(f"unknown identifier {name!r}", pos)
 
     def _call(self, name: str, args: list[ExprAst], pos: int) -> ExprAst:
         if name == "pow":
             if len(args) != 2:
                 raise ParseError("pow takes exactly two arguments", pos)
             base, exp_node = args
-            _check_depth(exp_node)
+            if self.deep:
+                _check_depth(exp_node)
             if contains_var(exp_node):
                 raise ParseError(
                     "pow exponent must be a constant expression", exp_node.pos
@@ -400,10 +394,10 @@ class _Parser:
                 raise ParseError("pow exponent must be finite", exp_node.pos)
             if abs(value.imag) > 1e-12 * max(1.0, abs(value)):
                 raise ParseError("pow exponent must be real", exp_node.pos)
-            return ExprAst("pow", (base,), float(value.real), pos=pos)
+            return _node("pow", (base,), float(value.real), pos)
         if len(args) != 1:
             raise ParseError(f"{name} takes exactly one argument", pos)
-        return ExprAst(name, (args[0],), pos=pos)
+        return _node(name, (args[0],), pos=pos)
 
 
 def _check_depth(root: ExprAst) -> None:

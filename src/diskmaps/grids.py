@@ -7,7 +7,8 @@ maximizer (spacing divided by 4 each round, 9x9 local window).
 Every sampled sup is a `Scan` from `sup_scan`, the one failure rule: it
 skips and counts (`masked`) non-finite samples, and refuses a base grid
 more than 1% of which fails (GridScanError: the map fails on a region, not
-at a point).  Extra samples (windows, shell rings, single points) are only
+at a point; `Scan.as_base`, also for a base grid sampled in blocks and
+joined).  Extra samples (windows, shell rings, single points) are only
 skipped and counted: one failure is 1.2% of a 9x9 window.  Ties go to the
 first flat index, and in a joined scan to the earlier sample.
 """
@@ -86,6 +87,13 @@ class Scan:
         return Scan(top.value, top.witness, self.masked + later.masked,
                     self.points + later.points)
 
+    def as_base(self) -> "Scan":
+        """This scan as a base grid's: GridScanError past 1% failed samples."""
+        if self.masked / self.points > _MAX_FAILURE_FRACTION:
+            raise GridScanError(f"{self.masked / self.points:.1%} of grid points failed to "
+                                f"evaluate (limit {_MAX_FAILURE_FRACTION:.0%})")
+        return self
+
 
 def sup_scan(values: np.ndarray, points: np.ndarray, base: bool = True) -> Scan:
     """The Scan of real `values` sampled at `points` (same shape).
@@ -96,15 +104,11 @@ def sup_scan(values: np.ndarray, points: np.ndarray, base: bool = True) -> Scan:
     vals = np.asarray(values, dtype=float)
     bad = ~np.isfinite(vals)
     masked = int(np.count_nonzero(bad))
-    if base and masked / bad.size > _MAX_FAILURE_FRACTION:
-        raise GridScanError(
-            f"{masked / bad.size:.1%} of grid points failed to evaluate "
-            f"(limit {_MAX_FAILURE_FRACTION:.0%})"
-        )
     if masked:
         vals = np.where(bad, -np.inf, vals)
     idx = int(np.argmax(vals))
-    return Scan(float(vals.flat[idx]), complex(points.flat[idx]), masked, bad.size)
+    scan = Scan(float(vals.flat[idx]), complex(points.flat[idx]), masked, bad.size)
+    return scan.as_base() if base else scan
 
 
 def _local_window(r0: float, t0: float, dr: float, dt: float, r_cap: float) -> np.ndarray:

@@ -14,7 +14,6 @@ import cmath
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .expr import jet_arrays, parse_expr, to_source, value_array
 from .wirtinger import WirtingerJet, finite_difference_jet
@@ -136,8 +135,10 @@ class SeriesMap(PlanarMap):
         self.a = _as_coeffs(a)
         self.b = _as_coeffs(b)
         self.label = label
-        self._da = npoly.polyder(self.a) if self.a.size > 1 else np.zeros(1, dtype=complex)
-        self._db = npoly.polyder(self.b) if self.b.size > 1 else np.zeros(1, dtype=complex)
+        # Bit for bit npoly.polyder, whose product by its scale 1 moves the
+        # sign of some zeros; [0] for a constant.
+        self._da, self._db = (np.arange(1, c.size) * (c[1:] * 1) if c.size > 1
+                              else np.zeros(1, dtype=complex) for c in (self.a, self.b))
 
     def values(self, z):
         z = np.asarray(z, dtype=complex)

@@ -111,22 +111,24 @@ polynomial psi gives a polynomial of its own degree.
 
 Sources g and boundary data psi are either DSL strings in z or array
 callables w -> g(w) over complex arrays; anything else is a TypeError.
-Constructing a potential samples nothing.
+Constructing a potential samples nothing.  A sample of psi on the circle,
+or of g on the starting panel grid, that is not finite raises
+JetEvaluationError naming the first such angle or point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr as _expr
-from .grids import sup_scan
-from .maps import PlanarMap, SeriesMap
-from .quadrature import gauss, gauss01, refine_panels
+from .grids import Scan, sup_scan
+from .maps import JetEvaluationError, PlanarMap, SeriesMap
+from .quadrature import gauss, gauss01, read_only, refine_panels
 
 __all__ = [
     "QuadratureConfig",
@@ -154,6 +156,7 @@ _PANEL_NODES = 16
 # FFT roundoff of the source's angular modes, relative to the largest: 1e-17
 # to 2e-16 on the panel grid for smooth sources.
 _ROUNDOFF = 4.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
 
 # Angles of the first panel grid.  At 32 angles (16 envelope entries) the
 # chop finds no plateau, so a radial source would read K = 15.
@@ -226,8 +229,7 @@ def _barycentric(q: int) -> np.ndarray:
     np.fill_diagonal(diff, 1.0)
     weights = 1.0 / diff.prod(axis=1)
     weights /= np.abs(weights).max()
-    weights.flags.writeable = False
-    return weights
+    return read_only(weights)
 
 
 @lru_cache(maxsize=None)
@@ -235,14 +237,15 @@ def _spectral_tables(nphi: int):
     """Per-config tables in FFT column order, cached and read-only.
 
     Returns the signed mode m of each FFT column, the per-mode scale (1/nphi,
-    0 for the dropped Nyquist mode) and the unit circle at the nphi angles.
+    0 for the dropped Nyquist mode), the unit circle at the nphi angles, the
+    column of -k for k = 0..nphi/2 - 1, and e^{i m phi} at the check angles
+    (column, angle).
     """
     freq = np.rint(np.fft.fftfreq(nphi, 1.0 / nphi)).astype(int)
     scale = np.where(np.abs(freq) < nphi // 2, 1.0 / nphi, 0.0)
     unit = np.exp(2j * np.pi * np.arange(nphi) / nphi)
-    for arr in (freq, scale, unit):
-        arr.flags.writeable = False
-    return freq, scale, unit
+    return read_only(freq, scale, unit, -np.arange(nphi // 2) % nphi,
+                     np.exp(1j * np.outer(freq, _CHECK_ANGLES)))
 
 
 @lru_cache(maxsize=None)
@@ -252,10 +255,20 @@ def _panel_nodes(n: int):
     the panel edges and the nodes as a (panels, nodes per panel) array."""
     q = min(n, _PANEL_NODES)
     edges = np.arange(n // q + 1) / (n // q)
-    nodes = gauss(edges[:-1], edges[1:], q)[0]
-    for arr in (edges, nodes):
-        arr.flags.writeable = False
-    return edges, nodes
+    return read_only(edges, gauss(edges[:-1], edges[1:], q)[0])
+
+
+@lru_cache(maxsize=8)
+def _panel_grid(n: int, nphi: int):
+    """`_panel_nodes(n)` at nphi and at the check angles, (node, angle); cached, read-only."""
+    radii = _panel_nodes(n)[1].reshape(-1, 1)
+    return read_only(radii * _spectral_tables(nphi)[2], radii * np.exp(1j * _CHECK_ANGLES))
+
+
+@lru_cache(maxsize=None)
+def _circle(n: int) -> np.ndarray:
+    """The n-th roots of unity e^{2 pi i k / n}, cached and read-only."""
+    return read_only(np.exp(1j * (2.0 * np.pi * np.arange(n) / n)))
 
 
 def _graded(lo, hi, n: int):
@@ -279,8 +292,7 @@ def _lagrange(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         basis = _barycentric(nodes.shape[-1]) / diff
         basis /= basis.sum(axis=-1, keepdims=True)
-    on_node = hit.any(axis=-1)
-    basis[on_node] = hit[on_node]
+    np.copyto(basis, hit, where=hit.any(axis=-1, keepdims=True))
     return basis
 
 
@@ -350,9 +362,7 @@ def _panel_block(a: float, b: float, q: int, block: int):
         matrices[0, :, :, 0] = (-np.log(s)[:, None] * inner[..., 0]
                                 - np.einsum("itj,it->ij", outside, np.log(t)))
         matrices[1, :, :, 0] = matrices[2, :, :, 0]
-    for arr in (moments, matrices):
-        arr.flags.writeable = False
-    return moments, matrices
+    return read_only(moments, matrices)
 
 
 def _start_angles(cap: int) -> int:
@@ -373,12 +383,18 @@ def _band_top(modes: np.ndarray) -> int:
     test cuts algebraic tails such as 1e-9 |re z| at ~1e-11, so this keeps
     every mode left out at roundoff.
     """
-    peak = np.max(np.abs(modes), axis=0)
-    half = modes.shape[1] // 2
+    peak = np.abs(modes).max(axis=0)
     # Entry k of the envelope covers the FFT columns of m = k and -k.
-    envelope = np.maximum(peak[:half], peak[-np.arange(half)])
+    envelope = np.maximum(peak[:modes.shape[1] // 2], peak[_spectral_tables(modes.shape[1])[3]])
     loud = np.flatnonzero(envelope > _ROUNDOFF * envelope.max())
     return max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0)
+
+
+@lru_cache(maxsize=None)
+def _plateau_ends(n: int) -> np.ndarray:
+    """The chop's j2 - 1 for j = 2, 3, ... while j2 = floor(1.25 j + 5.5) <= n; cached."""
+    ends = np.floor(1.25 * np.arange(2, n + 1) + 5.5).astype(int) - 1
+    return read_only(ends[ends < n])
 
 
 def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
@@ -396,24 +412,22 @@ def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
     n = magnitudes.size
     envelope = np.maximum.accumulate(magnitudes[::-1])[::-1]
     peak = envelope[0]
-    tol = np.finfo(float).eps * max(1.0, scale / peak) if peak > 0.0 else 1.0
+    tol = _EPS * max(1.0, scale / peak) if peak > 0.0 else 1.0
     if tol >= 1.0:
         return 1
     if n < 17:
         return n
     envelope = envelope / peak
     # 1-based indices as in the paper: is the envelope at j2 = 1.25 j + 5
-    # no longer much below its value at j?
-    j = np.arange(2, n + 1)
-    j2 = np.floor(1.25 * j + 5.5).astype(int)
-    j, j2 = j[j2 <= n], j2[j2 <= n]
-    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    # no longer much below its value at j?  Entry j - 2 of `ends` is j2 - 1.
+    ends = _plateau_ends(n)
+    e1, e2 = envelope[1:ends.size + 1], envelope[ends]
     with np.errstate(divide="ignore", invalid="ignore"):
         plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
-    if not plateau.any():
-        return n
     first = int(np.argmax(plateau))
-    start, j2 = int(j[first]) - 1, int(j2[first])
+    if not plateau[first]:
+        return n
+    start, j2 = first + 1, int(ends[first]) + 1
     if envelope[start - 1] == 0.0:
         return start
     # The cut is the lowest point of the envelope tilted up by a ramp of a
@@ -423,8 +437,11 @@ def _chop_length(magnitudes: np.ndarray, scale: float = 0.0) -> int:
     if above < j2:
         j2 = above + 1
         envelope[j2 - 1] = floor
-    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
-    return max(int(np.argmin(tilted)), 1)
+    # np.linspace(0, top, j2) bit for bit (j2 >= 2).
+    top = -np.log10(tol) / 3.0
+    ramp = np.arange(j2) * (top / (j2 - 1))
+    ramp[-1] = top
+    return max(int(np.argmin(np.log10(envelope[:j2]) + ramp)), 1)
 
 
 def _powers(x: np.ndarray, top: int, mask=True) -> np.ndarray:
@@ -445,6 +462,14 @@ def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]
         return lambda w: np.asarray(source(w), dtype=complex)
     raise TypeError(f"cannot interpret {source!r} as a source term: "
                     "pass a DSL string or an array callable")
+
+
+def _refuse_nonfinite(samples: np.ndarray, name: str, source, where) -> None:
+    """JetEvaluationError naming `name`, a DSL `source` and where(k) of a first bad sample k."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        name += f" = {source!r}" if isinstance(source, str) else ""
+        raise JetEvaluationError(f"{name} is not finite at {where(int(np.argmin(finite)))}")
 
 
 @lru_cache(maxsize=4)
@@ -489,9 +514,7 @@ def _grid_operators(edges: tuple, q: int, top: int, panel_block=_panel_block):
     tables += [_powers(b, top).T]
     tables += [arr[..., None] for arr in (down, up, power, up_less, power_less)]
     tables += [np.log(s)[:, None, :, None], 1.0 / s[:, None, :, None], half]
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
+    return read_only(*tables)
 
 
 def _node_solve(edges: np.ndarray, g: np.ndarray, cached: bool) -> np.ndarray:
@@ -511,13 +534,13 @@ def _node_solve(edges: np.ndarray, g: np.ndarray, cached: bool) -> np.ndarray:
     (moments, matrices, into, out_of, image, down, up, power, up_less, power_less,
      log_r, inv_r, half) = (_grid_operators(*key) if cached else
                             _grid_operators.__wrapped__(*key, _panel_block.__wrapped__))
-    columns = np.ascontiguousarray(np.moveaxis(g, -1, 1)).view(float)  # (panel, k, node, 4)
-    A, B = np.moveaxis(moments @ columns, 2, 0)  # (panel, k, 4) each
+    columns = np.ascontiguousarray(g.transpose(0, 3, 1, 2)).view(float)  # (panel, k, node, 4)
+    A, B = (moments @ columns).transpose(2, 0, 1, 3)  # (panel, k, 4) each
     # Panel q inside p enters through (b_q/a_p)^k A_q, panel q outside p
     # through (b_p/a_q)^k B_q, and every panel through b_q^k A_q.
-    inner = np.moveaxis(into @ np.moveaxis(A, 0, 1), 0, 1)[:, :, None]
-    outer = np.moveaxis(out_of @ np.moveaxis(B, 0, 1), 0, 1)[:, :, None]
-    whole = (image[:, :, None] * np.moveaxis(A, 0, 1)).sum(axis=1)[:, None]
+    inner = (into @ A.transpose(1, 0, 2)).transpose(1, 0, 2)[:, :, None]
+    outer = (out_of @ B.transpose(1, 0, 2)).transpose(1, 0, 2)[:, :, None]
+    whole = (image[:, :, None] * A.transpose(1, 0, 2)).sum(axis=1)[:, None]
     value = (down * inner + up * outer - power * whole) * half
     value[:, 0] = outer[:, 0] - log_r[:, 0] * inner[:, 0]
     plus = up_less * outer - power_less * whole
@@ -528,7 +551,7 @@ def _node_solve(edges: np.ndarray, g: np.ndarray, cached: bool) -> np.ndarray:
     out = out.view(complex)  # (panel, k, output, node, sign)
     # m = k takes (value, plus, minus), m = -k (value, minus, plus).
     modes = np.concatenate([out[..., 0], out[:, :0:-1][:, :, [0, 2, 1]][..., 1]], axis=1)
-    return np.ascontiguousarray(np.moveaxis(modes, 1, 2))
+    return np.ascontiguousarray(modes.transpose(0, 2, 1, 3))
 
 
 class GreenPotential(PlanarMap):
@@ -580,11 +603,15 @@ class GreenPotential(PlanarMap):
         angles the radial solve needs, plus the r = 1 ring, because Gauss
         nodes stop short of the boundary, where |g| often peaks.  It is +inf
         once a sample is not finite: a sup that skipped one bounds nothing.
+        Rings are sampled in blocks of at most `expr._BLOCK` points.
         """
         cfg = self.config
         unit = _spectral_tables(cfg.angular_nodes)[2]
-        pts = np.append(_panel_nodes(cfg.radial_nodes)[1].ravel(), 1.0)[:, None] * unit
-        scan = sup_scan(np.abs(self._g(pts)), pts)
+        radii = np.append(_panel_nodes(cfg.radial_nodes)[1].ravel(), 1.0)[:, None]
+        step = max(1, _expr._BLOCK // unit.size)
+        scans = (sup_scan(np.abs(self._g(pts)), pts, base=False)
+                 for pts in (radii[i:i + step] * unit for i in range(0, radii.size, step)))
+        scan = reduce(Scan.join, scans).as_base()
         return math.inf if scan.masked else scan.value
 
     # --- radial solve ------------------------------------------------------
@@ -603,30 +630,35 @@ class GreenPotential(PlanarMap):
         if self._solution is None:
             cfg = self.config
             edges, nodes = _panel_nodes(cfg.radial_nodes)
-            radii = nodes.ravel()[:, None]
+            radii = nodes.reshape(-1, 1)
             size = _start_angles(cfg.angular_nodes)
-            samples = self._g(radii * _spectral_tables(size)[2])
-            check = None
-            while True:
-                freq, scale, unit = _spectral_tables(size)
-                modes = np.fft.fft(samples, axis=1) * scale
-                top = _band_top(modes)
-                band = np.flatnonzero(np.abs(freq) <= top)
-                if size == cfg.angular_nodes:
-                    break
-                if 4 * (top + 1) <= size:
-                    if check is None:
-                        check = self._g(radii * np.exp(1j * _CHECK_ANGLES))
-                    fit = modes[:, band] @ np.exp(1j * np.outer(freq[band], _CHECK_ANGLES))
-                    peak = max(np.max(np.abs(samples)), np.max(np.abs(check)))
-                    if np.max(np.abs(fit - check)) <= _CHECK_TOL * peak:
+            grid, check_grid = _panel_grid(cfg.radial_nodes, size)
+            with np.errstate(all="ignore"):  # a sample that is not finite is refused below
+                samples = self._g(grid)
+                check = None
+                while True:
+                    freq, scale, unit = _spectral_tables(size)[:3]
+                    modes = np.fft.fft(samples, axis=1) * scale
+                    top = _band_top(modes)
+                    band = np.flatnonzero(np.abs(freq) <= top)
+                    if size == cfg.angular_nodes:
                         break
-                # The angles at 2N are those at N, bit for bit, and the odd ones.
-                finer = np.empty((radii.size, 2 * size), dtype=complex)
-                finer[:, ::2] = samples
-                size *= 2
-                finer[:, 1::2] = self._g(radii * _spectral_tables(size)[2][1::2])
-                samples = finer
+                    if 4 * (top + 1) <= size:
+                        if check is None:
+                            check = self._g(check_grid)
+                        fit = modes[:, band] @ _spectral_tables(size)[4][band]
+                        peak = max(np.abs(samples).max(), np.abs(check).max())
+                        if np.max(np.abs(fit - check)) <= _CHECK_TOL * peak:
+                            break
+                    # The angles at 2N are those at N, bit for bit, and the odd ones.
+                    finer = np.empty((radii.size, 2 * size), dtype=complex)
+                    finer[:, ::2] = samples
+                    size *= 2
+                    finer[:, 1::2] = self._g(radii * _spectral_tables(size)[2][1::2])
+                    samples = finer
+            if not np.isfinite(modes[:, 0]).all():  # a bad sample spoils its row's mean
+                _refuse_nonfinite(samples, "source g", self.source_expr,
+                                  lambda k: f"w = {radii[k // size, 0] * unit[k % size]}")
             self._band, self._angles = freq[band], size
             # Columns of g_k and g_-k, k = 0..K.
             signed = np.arange(top + 1) * np.array([[1], [-1]]) % size
@@ -642,7 +674,9 @@ class GreenPotential(PlanarMap):
                 sample, np.zeros(edges.size - 1, dtype=int), edges[:-1], edges[1:],
                 lambda lo, hi, owner, depth: depth < _MAX_SPLITS, _MAX_PANEL_MODES // (top + 1),
                 samples=modes[:, signed].reshape(nodes.shape + signed.shape), density=np.multiply)
-            self._edges, self._nodes = np.append(lo, hi[-1]), gauss(lo, hi, q)[0]
+            if lo.size > nodes.shape[0]:  # else the starting panels, bit for bit
+                edges, nodes = np.append(lo, hi[-1]), gauss(lo, hi, q)[0]
+            self._edges, self._nodes = edges, nodes
             self.resolved = not unresolved.any()
             self._solution = _node_solve(self._edges, g, cached=self.resolved)
         return self._solution
@@ -658,10 +692,12 @@ class GreenPotential(PlanarMap):
         if inside.size == 0:  # nothing to sample the source for
             return tuple(part.reshape(z.shape) for part in out)
         # |z| of points built as r e^{i theta} scatters by a few ulps; rounding
-        # lets the whole circle share one interpolation.
-        radii, group = np.unique(np.round(np.abs(flat[inside]), 14), return_inverse=True)
-        order = np.argsort(group, kind="stable")
-        inside, group = inside[order], group[order]
+        # lets the whole circle share one interpolation; `group` numbers the radii.
+        modulus = np.round(np.abs(flat[inside]), 14)
+        order = np.argsort(modulus, kind="stable")
+        inside, modulus = inside[order], modulus[order]
+        new = np.concatenate(([True], modulus[1:] != modulus[:-1]))
+        radii, group = modulus[new], np.cumsum(new) - 1
         solution = self._node_solution()
         freq, edges, nodes = self._band, self._edges, self._nodes
         panel = np.minimum(np.searchsorted(edges, radii, side="right") - 1, edges.size - 2)
@@ -679,7 +715,7 @@ class GreenPotential(PlanarMap):
             terms = solution[p, rows]
             np.multiply(terms, _lagrange(radii[lo:hi], nodes[p])[:, None, None, :], out=terms)
             modes = terms.sum(axis=-1)[members - lo]
-            theta = np.angle(flat[idx])
+            theta = np.arctan2(flat[idx].imag, flat[idx].real)  # np.angle
             np.multiply(np.exp(1j * np.outer(theta, freq))[:, None, :], modes, out=modes)
             sums = modes.sum(axis=-1).T
             for row, part in enumerate(sums, first):
@@ -734,8 +770,9 @@ def poisson_coefficients(psi, boundary_nodes: int = 512):
     n = int(boundary_nodes)
     if n < 16:
         raise ValueError("boundary_nodes must be at least 16")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    samples = _sampler(psi)(np.exp(1j * theta))
+    with np.errstate(all="ignore"):
+        samples = _sampler(psi)(_circle(n))
+    _refuse_nonfinite(samples, "boundary data psi", psi, lambda k: f"theta = {2.0 * np.pi * k / n}")
     coeff = np.fft.fft(samples) / n
     keep = n // 2 - 1
     a = coeff[: keep + 1]

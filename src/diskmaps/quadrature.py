@@ -30,14 +30,18 @@ import numpy as np
 RESOLVED = 16.0 * np.finfo(float).eps
 
 
+def read_only(*arrays):
+    """The arrays, made read-only for a cache to share: one alone, else a tuple."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
 @lru_cache(maxsize=None)
 def gauss01(n: int):
     """n-point Gauss rule on [0, 1]: nodes and weights, cached and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    u, w = (x + 1.0) / 2.0, w / 2.0
-    for arr in (u, w):
-        arr.flags.writeable = False
-    return u, w
+    return read_only((x + 1.0) / 2.0, w / 2.0)
 
 
 def gauss(lo, hi, n: int):
@@ -59,8 +63,7 @@ def legendre_tail(q: int) -> np.ndarray:
     degrees = np.arange(q - 2, q)
     tail = (degrees[:, None] + 0.5) * w * np.polynomial.legendre.legvander(x, q - 1)[:, q - 2:].T
     tail /= np.abs(tail).sum(axis=1, keepdims=True)
-    tail.flags.writeable = False
-    return tail
+    return read_only(tail)
 
 
 def refine_panels(sample, owner, lo, hi, splittable, cap: int, samples=None, density=None):

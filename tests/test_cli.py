@@ -147,6 +147,26 @@ def test_bounds_explicit_points_refuse_a_failing_jet(capsys):
     assert [r["status"] for r in kalaj] == ["indeterminate"] * 3 + ["holds"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["frontier", "--psi", "1/(z-1)", "--g", "1", "--K", "1"],
+    ["length", "--psi", "1/(z-1)", "--g", "1", "--kind", "perimeter", "--r", "0.5"],
+    ["solve", "--psi", "1/(z-1)", "--g", "1", "--points", "0.5"],
+])
+def test_boundary_data_with_a_pole_on_the_circle_is_a_numerical_failure(argv, capsys):
+    # One nan sample made every coefficient nan: frontier and length exited
+    # 0 with a report, solve 2 naming the query point.
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: boundary data psi = '1/(z-1)' is not finite at theta = 0.0\n")
+
+
+def test_a_source_that_fails_on_the_panel_grid_is_a_numerical_failure(capsys):
+    argv = ["solve", "--psi", "z", "--g", "1 + 0*log(abs(z) - re(z))", "--points", "0.5"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: source g = '1 + 0*log(abs(z) - re(z))' is not finite at w = (")
+
+
 def test_frontier_flags_a_sense_reversing_map(capsys):
     code, doc = run_json(capsys, ["frontier", "--map", "conj(z)", "--K", "2",
                                   "--radial-count", "4", "--angular-count", "8"])

@@ -95,6 +95,74 @@ def test_operator_chains_count_toward_the_depth_limit():
         parse_expr("pow(z, " + "+".join(["1"] * 300) + ")")
 
 
+# Every parse error the parser raises, with its message and source offset.
+PARSE_ERRORS = [
+    ("z +* 2", "unexpected token '*'", 3),
+    ("conj(z", "expected ')'", 6),
+    ("2 ** z", "unexpected token '*'", 3),
+    ("z @ 1", "unexpected character '@'", 2),
+    ("", "unexpected token ''", 0),
+    ("   ", "unexpected token ''", 3),
+    ("foo(z)", "unknown identifier 'foo'", 0),
+    ("z^z^", "expected an integer exponent after '^'", 2),
+    ("1e999", "numeric literal '1e999' overflows", 0),
+    ("2*z + 1e400", "numeric literal '1e400' overflows", 6),
+    ("pow(z, 1e200*1e200)", "pow exponent must be finite", 12),
+    ("pow(z, z)", "pow exponent must be a constant expression", 7),
+    ("pow(z, i)", "pow exponent must be real", 7),
+    ("pow(z)", "pow takes exactly two arguments", 0),
+    ("pow(z, 1, 2)", "pow takes exactly two arguments", 0),
+    ("conj(z, z)", "conj takes exactly one argument", 0),
+    ("re()", "unexpected token ')'", 3),
+    ("z^2.5", "exponent after '^' must be an integer; use pow(u, c) for real powers", 2),
+    ("z^1e3", "exponent after '^' must be an integer; use pow(u, c) for real powers", 2),
+    ("abs(z)^64.0", "exponent after '^' must be an integer; use pow(u, c) for real powers", 7),
+    ("z^65", "|exponent| must be <= 64", 2),
+    ("z^-65", "|exponent| must be <= 64", 3),
+    ("z^-", "expected an integer exponent after '^'", 3),
+    ("z^(2)", "expected an integer exponent after '^'", 2),
+    ("pi^", "expected an integer exponent after '^'", 3),
+    ("(z", "expected ')'", 2),
+    ("z)", "unexpected trailing input ')'", 1),
+    ("z z", "unexpected trailing input 'z'", 2),
+    ("i i", "unexpected trailing input 'i'", 2),
+    ("e(z)", "unexpected trailing input '('", 1),
+    ("z^-64^2", "unexpected trailing input '^'", 5),
+    ("1.2.3", "unexpected trailing input '.3'", 3),
+    ("1e", "unexpected trailing input 'e'", 1),
+    ("abs(z))", "unexpected trailing input ')'", 6),
+    ("- -z", "unexpected token '-'", 2),
+    ("-" * 300 + "z", "unexpected token '-'", 1),
+    ("-", "unexpected token ''", 1),
+    ("conj z", "expected '('", 5),
+    ("log", "expected '('", 3),
+    ("log(", "unexpected token ''", 4),
+    ("exp(z,)", "unexpected token ')'", 6),
+    (",z", "unexpected token ','", 0),
+    ("z +", "unexpected token ''", 3),
+    ("z − ", "unexpected token ''", 4),
+    ("3 + 4 +", "unexpected token ''", 7),
+    ("z^ 3 . 4", "unexpected character '.'", 5),
+    (".", "unexpected character '.'", 0),
+    ("z $", "unexpected character '$'", 2),
+    ("é", "unexpected character 'é'", 0),
+    ("z\t+  @", "unexpected character '@'", 5),
+    ("(" * 300 + "z" + ")" * 300, "expression nested deeper than 256", 128),
+    ("*".join(["z"] * 300), "expression nested deeper than 256", 88),
+    ("pow(z, " + "+".join(["1"] * 300) + ")", "expression nested deeper than 256", 95),
+    ("+".join(["z"] * 3000), "expression nested deeper than 256", 5488),
+]
+
+
+@pytest.mark.parametrize("source,message,position", PARSE_ERRORS,
+                         ids=[repr(case[0][:24]) for case in PARSE_ERRORS])
+def test_parse_errors_keep_their_message_and_position(source, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(source)
+    assert (exc.value.message, exc.value.position) == (message, position)
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 def test_scalar_eval_is_strict_about_domain():
     # A singular argument gives a non-finite entry, which one point refuses.
     with pytest.raises(ValueError, match=r"not finite at z = 0j"):

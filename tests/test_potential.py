@@ -1,15 +1,19 @@
 """Green potentials, Poisson extensions, and the disk Poisson solver."""
 
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diskmaps import (
     GreenPotential,
+    GridScanError,
+    JetEvaluationError,
     QuadratureConfig,
     QuadratureError,
     SeriesMap,
@@ -18,7 +22,9 @@ from diskmaps import (
     poisson_extension,
     solve_poisson,
 )
+from diskmaps.catalog import EXAMPLE15_LAPLACIAN
 from diskmaps.expr import parse_expr, value_array
+from diskmaps.grids import sup_scan
 from diskmaps.potential import (_CHECK_ANGLES, _MAX_SPLITS, _ROUNDOFF, _chop_length,
                                 _grid_operators, _lagrange, _panel_block, _panel_nodes,
                                 _spectral_tables, poisson_coefficients)
@@ -614,7 +620,7 @@ def test_doubled_angles_read_the_band_of_all_angles(source, pts):
 
 def _angular_envelope(source, nphi=256):
     """max_s max(|g_k(s)|, |g_-k(s)|) per k at the panel nodes, as the band's read."""
-    freq, scale, unit = _spectral_tables(nphi)
+    freq, scale, unit = _spectral_tables(nphi)[:3]
     samples = value_array(parse_expr(source), _panel_nodes(128)[1].ravel()[:, None] * unit)
     peak = np.max(np.abs(np.fft.fft(samples, axis=1) * scale), axis=0)
     return np.maximum(peak[:nphi // 2], peak[-np.arange(nphi // 2)])
@@ -666,3 +672,143 @@ def test_a_constant_source_never_samples_all_angles():
     pot._node_solution()
     assert pot._band.tolist() == [0]
     assert max(shape[-1] for shape in sampled) < pot.config.angular_nodes
+
+
+# --- the set-up's rewritten pieces, pinned to the plain forms -------------------
+
+
+def _chop_length_reference(magnitudes, scale=0.0):
+    """The chop as first written, with its index tables and np.linspace built
+    on every call: `_chop_length` must return the same length."""
+    n = magnitudes.size
+    envelope = np.maximum.accumulate(magnitudes[::-1])[::-1]
+    peak = envelope[0]
+    tol = np.finfo(float).eps * max(1.0, scale / peak) if peak > 0.0 else 1.0
+    if tol >= 1.0:
+        return 1
+    if n < 17:
+        return n
+    envelope = envelope / peak
+    j = np.arange(2, n + 1)
+    j2 = np.floor(1.25 * j + 5.5).astype(int)
+    j, j2 = j[j2 <= n], j2[j2 <= n]
+    e1, e2 = envelope[j - 1], envelope[j2 - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plateau = (e1 == 0.0) | (e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)))
+    if not plateau.any():
+        return n
+    first = int(np.argmax(plateau))
+    start, j2 = int(j[first]) - 1, int(j2[first])
+    if envelope[start - 1] == 0.0:
+        return start
+    floor = tol ** (7.0 / 6.0)
+    above = int(np.count_nonzero(envelope >= floor))
+    if above < j2:
+        j2 = above + 1
+        envelope[j2 - 1] = floor
+    tilted = np.log10(envelope[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
+
+
+@st.composite
+def _magnitudes(draw):
+    """Coefficient magnitudes: a head decaying to a noise plateau, algebraic
+    decay, or random decades, with exact zeros sprinkled or as a tail."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["plateau", "algebraic", "decades"]))
+    if kind == "plateau":
+        head = draw(st.integers(1, n))
+        x = np.abs(rng.normal(size=n)) * 10.0 ** draw(st.floats(-18.0, -13.0))
+        x[:head] = 10.0 ** -rng.uniform(0.0, 15.0, head)
+    elif kind == "algebraic":
+        x = (np.arange(n) + 1.0) ** -draw(st.floats(0.5, 8.0))
+    else:
+        x = 10.0 ** -rng.uniform(0.0, 20.0, n)
+    zeros = draw(st.sampled_from(["none", "scattered", "tail"]))
+    if zeros == "scattered":
+        x[rng.random(n) < 0.3] = 0.0
+    elif zeros == "tail":
+        x[draw(st.integers(0, n - 1)):] = 0.0
+    return x * 10.0 ** draw(st.floats(-5.0, 5.0))
+
+
+@given(magnitudes=_magnitudes(), scale=st.sampled_from([0.0, 1.0, 1e3]))
+# Algebraic decay that the floor tol^(7/6) clips, cut at the last entry the
+# ramp covers, and one with no plateau.
+@example(magnitudes=(np.arange(60) + 1.0) ** -7.5, scale=1e3)
+@example(magnitudes=(np.arange(300) + 1.0) ** -4.0, scale=1.0)
+def test_chop_length_equals_the_plain_chop(magnitudes, scale):
+    assert _chop_length(magnitudes.copy(), scale) == _chop_length_reference(magnitudes, scale)
+
+
+@pytest.mark.parametrize("source", ["0.329*abs(z)^2", "0.4878*abs(z)^4", "0.3685*re(z)",
+                                    EXAMPLE15_LAPLACIAN])
+def test_a_smooth_build_samples_the_starting_grid_and_the_check_angles(source):
+    # 128 radii at 64 angles, and at the 4 check angles: 8,192 + 512 points,
+    # on the 8 starting panels.
+    g, sampled = _counting(source)
+    pot = GreenPotential(g)
+    pot.derivatives(np.array([0.3 + 0.2j]))
+    assert sampled == [(128, 64), (128, 4)]
+    assert pot._edges.size - 1 == 8 and pot.resolved is True
+
+
+def _whole_grid_source_sup(pot):
+    """source_grid_sup as one sample of the whole grid and circle."""
+    cfg = pot.config
+    unit = _spectral_tables(cfg.angular_nodes)[2]
+    pts = np.append(_panel_nodes(cfg.radial_nodes)[1].ravel(), 1.0)[:, None] * unit
+    scan = sup_scan(np.abs(pot._g(pts)), pts)
+    return math.inf if scan.masked else scan.value
+
+
+@pytest.mark.parametrize("source,config", [
+    (EXAMPLE15_LAPLACIAN, QuadratureConfig()),
+    ("exp(-400*abs(z-0.06)^2)", QuadratureConfig()),
+    ("exp(-400*abs(z-0.06)^2)", QuadratureConfig(radial_nodes=48, angular_nodes=96)),
+    ("0.3*re(z) + abs(z)^3", QuadratureConfig(radial_nodes=16, angular_nodes=5000)),
+    ("1/(z-1)", QuadratureConfig()),
+    ("1 + 0*log(abs(z) - re(z))", QuadratureConfig()),
+])
+def test_blocked_source_sup_equals_one_whole_grid_sample(source, config):
+    pot = GreenPotential(source, config)
+    want = _whole_grid_source_sup(pot)
+    assert pot.source_grid_sup() == want
+    assert want == math.inf if "z-1" in source or "log" in source else math.isfinite(want)
+
+
+def test_blocked_source_sup_refuses_a_failing_region_as_one_grid():
+    pot = GreenPotential("z + 0*exp(exp(exp(40*re(z))))")
+    with pytest.raises(GridScanError) as whole, np.errstate(all="ignore"):
+        _whole_grid_source_sup(pot)
+    with pytest.raises(GridScanError) as blocked:
+        pot.source_grid_sup()
+    assert str(blocked.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("psi", ["1/(z-1)", lambda w: 1.0 / (w - 1.0)])
+def test_boundary_data_that_is_not_finite_raises(psi):
+    name = "psi = '1/(z-1)'" if isinstance(psi, str) else "psi"
+    message = f"boundary data {name} is not finite at theta = 0.0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning leaks
+        with pytest.raises(JetEvaluationError, match=re.escape(message)):
+            poisson_coefficients(psi)
+    with pytest.raises(JetEvaluationError, match=re.escape(message)):
+        solve_poisson(psi, "1")
+    # The first failing angle: sin(2 pi k / 512) > 1/2 from k = 43 on.
+    with pytest.raises(JetEvaluationError, match=re.escape(f"theta = {2.0 * np.pi * 43 / 512}")):
+        poisson_coefficients(lambda w: np.where(w.imag > 0.5, np.inf, w))
+
+
+def test_a_source_that_is_not_finite_on_the_panel_grid_raises():
+    # nan on the ray theta = 0: the first sample is the innermost node there.
+    pot = GreenPotential("1 + 0*log(abs(z) - re(z))")
+    with pytest.raises(JetEvaluationError) as exc:
+        pot.values(np.array([0.5]))
+    w = _panel_nodes(128)[1][0, 0]
+    assert str(exc.value) == (f"source g = '1 + 0*log(abs(z) - re(z))' is not finite "
+                              f"at w = {w * _spectral_tables(64)[2][0]}")
+    with pytest.raises(JetEvaluationError, match=r"^source g is not finite at w = "):
+        GreenPotential(lambda w: np.where(np.abs(w) > 0.9, np.nan, 1.0)).values(np.array([0.1]))

@@ -94,20 +94,20 @@ SITES = {
 
 @pytest.fixture
 def scans(monkeypatch):
-    """Every sup_scan call of the run: (base, Scan) or (base, GridScanError)."""
-    seen, real = [], grids.sup_scan
+    """Every base-grid scan of the run, which `Scan.as_base` checks: its Scan
+    or its GridScanError."""
+    seen, real = [], grids.Scan.as_base
 
-    def spy(values, points, base=True):
+    def spy(scan):
         try:
-            scan = real(values, points, base)
+            real(scan)
         except GridScanError as exc:
-            seen.append((base, exc))
+            seen.append(exc)
             raise
-        seen.append((base, scan))
+        seen.append(scan)
         return scan
 
-    for mod in (grids, bounds, coefficients, ellipticity, potential):
-        monkeypatch.setattr(mod, "sup_scan", spy)
+    monkeypatch.setattr(grids.Scan, "as_base", spy)
     return seen
 
 
@@ -117,8 +117,7 @@ def test_one_failed_base_point_is_skipped_and_counted(site, scans):
     with np.errstate(all="ignore"):
         got = run("point")
     assert got == want if want is not None else math.isfinite(got)
-    base = [s for is_base, s in scans if is_base]
-    assert [(s.masked, s.points) for s in base if s.masked] == [(1, points)]
+    assert [(s.masked, s.points) for s in scans if s.masked] == [(1, points)]
 
 
 @pytest.mark.parametrize("site", SITES)
@@ -132,4 +131,4 @@ def test_a_failing_region_raises_one_message(site, scans):
             with pytest.raises(GridScanError) as exc:
                 run("region")
             assert str(exc.value) == message
-    assert [str(e) for _, e in scans if isinstance(e, GridScanError)] == [message]
+    assert [str(e) for e in scans if isinstance(e, GridScanError)] == [message]
