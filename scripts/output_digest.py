@@ -48,6 +48,7 @@ from workloads import WARMUP, WORKLOADS, generate  # noqa: E402
 _THM11 = ("--omega", "t", "--alpha", "0.5", "--C1", "10", "--C2", "100", "--line-nodes", "5")
 _FAILING = "z + 0*exp(exp(exp(100*(abs(z) - 0.85))))"
 _SOLVE_POINTS = "0, 0.3, 0.25+0.1j, -0.6j, 0.95"
+_LAST_BIT = "0.28687997040785324-0.0768692563954489j"
 
 # Singular points, poles, bad input and failing scans: each must keep its
 # exit code and message.
@@ -110,6 +111,13 @@ EDGE_ARGVS = (
     # Boundary data and a source that are not finite where they are sampled.
     ("frontier", "--psi", "1/(z-1)", "--g", "1", "--K", "1"),
     ("solve", "--psi", "z", "--g", "1 + 0*log(abs(z) - re(z))", "--points", "0.5"),
+    # Finite samples whose Fourier transform overflows.
+    ("solve", "--psi", "1e308*z", "--g", "1", "--points", "0.5"),
+    ("solve", "--psi", "z", "--g", "1e308*z", "--points", "0.5"),
+    # A point where a scalar abs and np.abs differ in the last bit: analyze's
+    # op_norm and the derivative lhs of bounds print the same 0.594.
+    ("analyze", "--map", "z^2", "--points", _LAST_BIT),
+    ("bounds", "--map", "z^2", "--K", "1", "--R", "2", "--per-point", "--points", _LAST_BIT),
     # Chord preimages that take Newton steps at the default line nodes (every
     # workload check-thm11 map is affine or near the identity), and a pole at
     # one of the points of a per-point report and of a pair check.

@@ -27,15 +27,14 @@ from .maps import CallableMap, DslMap, JetEvaluationError, PlanarMap, SeriesMap
 from .potential import (GreenPotential, PoissonMap, QuadratureConfig,
                         QuadratureError, green_derivative_sup, laplacian_residual,
                         poisson_extension, solve_poisson)
-from .wirtinger import (DerivedMetrics, WirtingerJet, disk_distance,
-                        finite_difference_jet, jet_metrics)
+from .wirtinger import Stretch, WirtingerJet, disk_distance, finite_difference_jet
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # wirtinger
-    "WirtingerJet", "DerivedMetrics", "jet_metrics", "disk_distance",
+    "WirtingerJet", "Stretch", "disk_distance",
     "finite_difference_jet",
     # expr
     "parse_expr", "ParseError",

@@ -43,6 +43,7 @@ from .coefficients import CoeffTable
 from .ellipticity import EllipticityParams
 from .grids import GridSpec, polar_grid, ring_radii, sup_scan
 from .maps import JetEvaluationError
+from .wirtinger import Stretch
 
 __all__ = [
     "INEQUALITY_IDS",
@@ -215,9 +216,8 @@ def derivative_bounds_report(
         if per_point:
             pts = pts.ravel()
 
-    dz, db = m.derivatives(pts)
-    adz = np.abs(dz)
-    op = adz + np.abs(db)
+    s = Stretch(*m.derivatives(pts))
+    op = s.op_norm
     if points is None:
         sup_scan(op, pts)  # the grid's failure rule
     ok = np.isfinite(op)
@@ -225,7 +225,7 @@ def derivative_bounds_report(
         raise JetEvaluationError(f"jet is not finite at the point {complex(pts[np.argmin(ok)])}")
     if not ok.any():
         raise ValueError("no evaluation point produced a finite jet")
-    lhs_of = {"dz": adz, "op": op}
+    lhs_of = {"dz": s.abs_dz, "op": op}
     by_ring = points is None and not per_point
     az = ring_radii(spec) if by_ring else np.abs(pts)
     rows: List[BoundReport] = []

@@ -9,8 +9,9 @@ Every invocation prints one document, JSON by default:
 Exit codes: 0 all checks hold (or pure data), 1 some report violated,
 2 usage or configuration error, 3 numerical failure (a map that fails to
 evaluate on a length quadrature's path, on a coefficient circle, at an
-explicit `bounds --points` point or on more than 1% of a scan's grid, or a
-nan pair-check margin, which includes a map that is not finite at a pair's
+explicit `bounds --points` point or on more than 1% of a scan's grid,
+boundary data or a source whose Fourier transform overflows, or a nan
+pair-check margin, which includes a map that is not finite at a pair's
 endpoint).  Identical argv yields
 byte-identical output: reductions are deterministic, field order is fixed,
 floats render in shortest round-trip form.
@@ -38,7 +39,7 @@ from .maps import DslMap, JetEvaluationError, PlanarMap, at_point
 from .potential import (QuadratureConfig, laplacian_stencils, solve_poisson,
                         stencil_residual)
 from .reports import render_csv, render_json
-from .wirtinger import WirtingerJet, jet_metrics
+from .wirtinger import Stretch
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -202,21 +203,24 @@ def _cmd_analyze(args) -> int:
     m, source_desc, _ = _build_map(args, quad)
     points = _parse_points(args.points)
     jets = m.jets(np.array(points))
+    with np.errstate(all="ignore"):  # a point whose jet is not finite gets an error row
+        s = Stretch(*jets[1:])
+        metrics = {"op_norm": s.op_norm, "lower_norm": s.lower_norm,
+                   "jacobian": s.jacobian, "dilatation": s.dilatation}
+        if args.K is not None:
+            metrics["defect"] = s.defect(args.K)
+    metrics = {key: column.tolist() for key, column in metrics.items()}
     rows = []
     for i, z in enumerate(points):
         row: Dict[str, object] = {"type": "PointMetrics", "point": z}
         try:
-            jet = WirtingerJet(*at_point(z, (part[i] for part in jets)))
-            metrics = jet_metrics(jet)
-            row.update({
-                "value": jet.value, "dz": jet.dz, "dzbar": jet.dzbar,
-                "op_norm": metrics.op_norm, "lower_norm": metrics.lower_norm,
-                "jacobian": metrics.jacobian, "dilatation": metrics.dilatation,
-            })
-            if args.K is not None:
-                row["defect"] = metrics.op_norm**2 - args.K * metrics.jacobian
+            row.update(zip(("value", "dz", "dzbar"), at_point(z, (part[i] for part in jets))))
         except ValueError as exc:
             row["error"] = str(exc)
+        else:
+            row.update((key, column[i]) for key, column in metrics.items())
+            if math.isnan(row["dilatation"]):  # |f_z| = 0
+                row["dilatation"] = None
         rows.append(row)
     config = _config_base(args, "analyze", source_desc, quad=quad)
     config["points"] = points

@@ -19,6 +19,7 @@ import numpy as np
 from .expr import ExprAst, contains_var, parse_expr, value_array
 from .grids import GridSpec, polar_grid, shell_ladder, sup_scan
 from .maps import JetEvaluationError, at_point
+from .wirtinger import Stretch
 
 __all__ = ["CoeffTable", "extract_coeffs", "MajorantSpec", "bloch_norm"]
 
@@ -181,7 +182,7 @@ def bloch_norm(m, omega, alpha: float, grid: Optional[GridSpec] = None) -> float
     grid = grid or GridSpec()
 
     def weighted(z: np.ndarray, dz: np.ndarray, db: np.ndarray) -> np.ndarray:
-        return (np.abs(dz) + np.abs(db)) * spec.eval((1.0 - np.abs(z)) ** alpha)
+        return Stretch(dz, db).op_norm * spec.eval((1.0 - np.abs(z)) ** alpha)
 
     pts = polar_grid(grid)
     scan = sup_scan(weighted(pts, *m.derivatives(pts)), pts)

@@ -4,10 +4,14 @@ A sense-preserving map with jet (f_z, f_zbar) satisfies a two-parameter
 ellipticity inequality ||D||^2 <= K J + K' pointwise.  For fixed K >= 1 the
 smallest admissible K' is the sup of the defect ||D||^2 - K J, so sweeping K
 traces a trade-off frontier.  This module estimates those suprema on polar
-grids, converts between the (K, K') and (k1, k2) parameter forms, and runs
-sampled checks of global distance inequalities (bi-Lipschitz growth with a
-chord integral, domination by the analytic part, and the pointwise /
-difference-quotient equivalence for concave majorants).
+grids, reading every metric from `wirtinger.Stretch`: `frontier`,
+`min_kprime` (frontier at one K) and `qc_constant` each take one base
+sample of the map on the grid, and only their refinement windows evaluate
+it again.  It also converts between the (K, K') and (k1, k2) parameter
+forms, and runs sampled checks of global distance inequalities
+(bi-Lipschitz growth with a chord integral, domination by the analytic
+part, and the pointwise / difference-quotient equivalence for concave
+majorants).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .coefficients import MajorantSpec, extract_coeffs
 from .grids import GridScanError, GridSpec, grid_supremum, polar_grid, sup_scan
 from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .potential import GreenPotential, PoissonMap
-from .wirtinger import disk_distance
+from .wirtinger import Stretch, disk_distance
 
 __all__ = [
     "EllipticityParams",
@@ -112,67 +116,30 @@ class QcResult:
     shell_dilatations: Tuple[float, ...] = ()  # outermost shells, inner to outer
 
 
-def _jet_arrays(m: PlanarMap, pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    dz, dzbar = m.derivatives(pts)
-    return np.abs(dz), np.abs(dzbar)
-
-
-def _defect(adz: np.ndarray, adb: np.ndarray, K: float) -> np.ndarray:
-    return (adz + adb) ** 2 - K * (adz**2 - adb**2)
-
-
-def _kprime_scan(m: PlanarMap, K: float, grid: GridSpec,
-                 base: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                 ) -> Tuple[float, complex]:
-    """min_kprime's scan; base = (|f_z|, |f_zbar|) already sampled on the grid."""
-
-    def defect(pts: np.ndarray) -> np.ndarray:
-        return _defect(*_jet_arrays(m, pts), K)
-
-    base_values = None if base is None else _defect(*base, K)
-    scan = grid_supremum(defect, grid, base_values=base_values)
-    return max(0.0, scan.value), scan.witness
+def _base_sample(m: PlanarMap, grid: GridSpec) -> Tuple[np.ndarray, Stretch]:
+    """The polar grid and the map's stretch on it: the one base sample that
+    frontier, min_kprime and qc_constant read."""
+    pts = polar_grid(grid)
+    return pts, Stretch(*m.derivatives(pts))
 
 
 def min_kprime(m: PlanarMap, K: float, grid: Optional[GridSpec] = None) -> Tuple[float, complex]:
     """Grid estimate of the least K' valid for this K, with its witness.
 
     The estimate is sup over the (refined) grid of max(0, ||D||^2 - K J);
-    it is a lower bound for the true minimal K'.
+    it is a lower bound for the true minimal K'.  It is `frontier` at K
+    alone.
     """
-    if not K >= 1.0:
-        raise ValueError("K must be >= 1")
-    return _kprime_scan(m, K, grid or GridSpec())
+    rep = frontier(m, [K], grid)
+    return rep.samples[0][1], rep.witnesses[0]
 
 
-def _shell_dilatation_sups(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
-    """Per-shell sup of |f_zbar| / |f_z| (rows = radii), nan-safe."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = adb / adz
-    ratio = np.where(np.isfinite(ratio), ratio, -np.inf)
-    return ratio.max(axis=1)
-
-
-def _dilatation_blows_up(shell_sups: np.ndarray):
-    """The outermost shell sup exceeds 1 - 1e-3 and the last three increase."""
-    tail = shell_sups[-3:]
-    return (
-        len(tail) == 3
-        and tail[-1] > 1.0 - 1e-3
-        and bool(np.all(np.diff(tail) > 0.0))
-    )
-
-
-def _degenerate(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
-    """Finite jets with J = |f_z|^2 - |f_zbar|^2 <= 0 (not sense-preserving)."""
-    finite = np.isfinite(adz) & np.isfinite(adb)
-    return finite & (adz**2 - adb**2 <= 0.0)
-
-
-def _qc_ratio(adz: np.ndarray, adb: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (adz + adb) / (adz - adb)
-    return np.where((adz > adb), out, np.nan)
+def _shell_dilatations(s: Stretch) -> Tuple[np.ndarray, bool]:
+    """Per-shell sup of |f_zbar| / |f_z| (rows = radii), nan-safe, and whether
+    it blows up: the outermost sup exceeds 1 - 1e-3 and the last three increase."""
+    sups = np.where(np.isfinite(s.dilatation), s.dilatation, -np.inf).max(axis=1)
+    tail = sups[-3:]
+    return sups, len(tail) == 3 and tail[-1] > 1.0 - 1e-3 and bool(np.all(np.diff(tail) > 0.0))
 
 
 def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
@@ -184,21 +151,16 @@ def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
     blows up toward the boundary and the reported value is a grid artifact.
     """
     grid = grid or GridSpec()
-    pts = polar_grid(grid)
-    adz, adb = _jet_arrays(m, pts)
-    degenerate = _degenerate(adz, adb)
-    if degenerate.any():
-        idx = int(np.argmax(degenerate.ravel()))
+    pts, base = _base_sample(m, grid)
+    if base.degenerate.any():
+        idx = int(np.argmax(base.degenerate.ravel()))
         return QcResult(value=math.nan, flag="not-sense-preserving",
                         witness=complex(pts.ravel()[idx]))
 
-    shell_sups = _shell_dilatation_sups(adz, adb)
-
-    def ratio_field(z: np.ndarray) -> np.ndarray:
-        return _qc_ratio(*_jet_arrays(m, z))
-
-    scan = grid_supremum(ratio_field, grid, base_values=_qc_ratio(adz, adb))
-    flag = "unbounded" if _dilatation_blows_up(shell_sups) else "finite"
+    shell_sups, unbounded = _shell_dilatations(base)
+    scan = grid_supremum(lambda z: Stretch(*m.derivatives(z)).qc_ratio, grid,
+                         base_values=base.qc_ratio)
+    flag = "unbounded" if unbounded else "finite"
     return QcResult(value=scan.value, flag=flag, witness=scan.witness,
                     shell_dilatations=tuple(float(s) for s in shell_sups[-8:]))
 
@@ -217,21 +179,16 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
     if not all(K >= 1.0 for K in Ks):
         raise ValueError("every K must be >= 1")
     grid = grid or GridSpec()
-    base = _jet_arrays(m, polar_grid(grid))
+    _, base = _base_sample(m, grid)
 
-    samples: List[Tuple[float, float]] = []
-    witnesses: List[complex] = []
-    for K in Ks:
-        est, wit = _kprime_scan(m, K, grid, base)
-        samples.append((K, est))
-        witnesses.append(wit)
-
-    shell_sups = _shell_dilatation_sups(*base)
+    scans = [grid_supremum(lambda z: Stretch(*m.derivatives(z)).defect(K), grid,
+                           base_values=base.defect(K)) for K in Ks]
+    shell_sups, unbounded = _shell_dilatations(base)
     sup_dil = float(shell_sups.max()) if np.isfinite(shell_sups).any() else math.nan
-    return FrontierReport(samples=tuple(samples), witnesses=tuple(witnesses),
-                          sup_dilatation=sup_dil,
-                          dilatation_unbounded=_dilatation_blows_up(shell_sups),
-                          sense_preserving=not _degenerate(*base).any())
+    return FrontierReport(samples=tuple((K, max(0.0, s.value)) for K, s in zip(Ks, scans)),
+                          witnesses=tuple(s.witness for s in scans),
+                          sup_dilatation=sup_dil, dilatation_unbounded=unbounded,
+                          sense_preserving=not base.degenerate.any())
 
 
 def lemma24_convert(params: Union[EllipticityParams, CauchyPair]):
@@ -286,7 +243,7 @@ def invert_map(m: PlanarMap, w, guess, tol: float = 1e-12,
         unsolved = unsolved[~done]
         if not unsolved.size:
             break
-        jac = np.abs(dz[unsolved]) ** 2 - np.abs(db[unsolved]) ** 2
+        jac = Stretch(dz[unsolved], db[unsolved]).jacobian
         steady = jac > 1e-12  # also drops a nan Jacobian
         unsolved = unsolved[steady]
         res = r[unsolved]
@@ -473,10 +430,10 @@ def _default_prop14_pairs(m: PlanarMap, h1: PlanarMap,
                     refine_rounds=2)
 
     def stretch_ratio(z: np.ndarray) -> np.ndarray:
-        dz, db = m.derivatives(z)
-        h1dz = h1.derivatives(z)[0]
+        op = Stretch(*m.derivatives(z)).op_norm
+        abs_h1dz = Stretch(*h1.derivatives(z)).abs_dz
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.abs(dz) + np.abs(db)) / np.abs(h1dz)
+            return op / abs_h1dz
 
     try:
         zstar = grid_supremum(stretch_ratio, grid).witness
@@ -625,15 +582,12 @@ def lemma22_check(
         pairs, _chord_margins(spec, expo, C4, *_pair_values(m, pairs)))
 
     pts = polar_grid(grid)
-    dz, db = m.derivatives(pts)
-    adz, adb = np.abs(dz), np.abs(db)
-    op = adz + adb
-    low = np.abs(adz - adb)
+    s = Stretch(*m.derivatives(pts))
     d = 1.0 - np.abs(pts)
     lower_b = spec.eval((1.0 + np.abs(pts)) ** (1.0 - alpha)) / C5
     upper_b = C5 / spec.eval(d ** (1.0 - alpha))
     # The least margin is the sup of the negated margins, exactly.
-    scan_b = sup_scan(-np.minimum(low - lower_b, upper_b - op), pts)
+    scan_b = sup_scan(-np.minimum(s.lower_norm - lower_b, upper_b - s.op_norm), pts)
     worst_b, witness_b = -scan_b.value, scan_b.witness
 
     worst = min(worst_a, worst_b)

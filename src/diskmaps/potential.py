@@ -113,7 +113,8 @@ Sources g and boundary data psi are either DSL strings in z or array
 callables w -> g(w) over complex arrays; anything else is a TypeError.
 Constructing a potential samples nothing.  A sample of psi on the circle,
 or of g on the starting panel grid, that is not finite raises
-JetEvaluationError naming the first such angle or point.
+JetEvaluationError naming the first such angle or point; finite samples
+whose Fourier transform overflows (`1e308*z`) raise it naming psi or g.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -129,6 +130,7 @@ from . import expr as _expr
 from .grids import Scan, sup_scan
 from .maps import JetEvaluationError, PlanarMap, SeriesMap
 from .quadrature import gauss, gauss01, read_only, refine_panels
+from .wirtinger import Stretch
 
 __all__ = [
     "QuadratureConfig",
@@ -375,8 +377,9 @@ def _start_angles(cap: int) -> int:
     return size
 
 
-def _band_top(modes: np.ndarray) -> int:
-    """The angular band K of scaled FFT modes (radius, FFT column).
+def _band_top(modes: np.ndarray) -> Tuple[int, float]:
+    """The angular band K of scaled FFT modes (radius, FFT column), and the
+    crest (largest entry) of their envelope, not finite where a mode is not.
 
     Over the envelope max_s max(|g_k(s)|, |g_-k(s)|), K + 1 is the chopped
     length, or more where a later mode is above roundoff: the chop's plateau
@@ -386,8 +389,9 @@ def _band_top(modes: np.ndarray) -> int:
     peak = np.abs(modes).max(axis=0)
     # Entry k of the envelope covers the FFT columns of m = k and -k.
     envelope = np.maximum(peak[:modes.shape[1] // 2], peak[_spectral_tables(modes.shape[1])[3]])
-    loud = np.flatnonzero(envelope > _ROUNDOFF * envelope.max())
-    return max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0)
+    crest = envelope.max()
+    loud = np.flatnonzero(envelope > _ROUNDOFF * crest)
+    return max(_chop_length(envelope) - 1, int(loud[-1]) if loud.size else 0), crest
 
 
 @lru_cache(maxsize=None)
@@ -464,12 +468,15 @@ def _sampler(source: Union[str, Callable]) -> Callable[[np.ndarray], np.ndarray]
                     "pass a DSL string or an array callable")
 
 
-def _refuse_nonfinite(samples: np.ndarray, name: str, source, where) -> None:
-    """JetEvaluationError naming `name`, a DSL `source` and where(k) of a first bad sample k."""
+def _refuse_transform(samples: np.ndarray, name: str, source, where):
+    """For a Fourier transform that is not finite: JetEvaluationError naming
+    `name`, a DSL `source` and where(k) of a first bad sample k, or saying
+    that the transform of the finite samples overflows."""
     finite = np.isfinite(samples)
+    name += f" = {source!r}" if isinstance(source, str) else ""
     if not finite.all():
-        name += f" = {source!r}" if isinstance(source, str) else ""
         raise JetEvaluationError(f"{name} is not finite at {where(int(np.argmin(finite)))}")
+    raise JetEvaluationError(f"the Fourier transform of {name} overflows")
 
 
 @lru_cache(maxsize=4)
@@ -639,7 +646,7 @@ class GreenPotential(PlanarMap):
                 while True:
                     freq, scale, unit = _spectral_tables(size)[:3]
                     modes = np.fft.fft(samples, axis=1) * scale
-                    top = _band_top(modes)
+                    top, crest = _band_top(modes)
                     band = np.flatnonzero(np.abs(freq) <= top)
                     if size == cfg.angular_nodes:
                         break
@@ -656,8 +663,8 @@ class GreenPotential(PlanarMap):
                     size *= 2
                     finer[:, 1::2] = self._g(radii * _spectral_tables(size)[2][1::2])
                     samples = finer
-            if not np.isfinite(modes[:, 0]).all():  # a bad sample spoils its row's mean
-                _refuse_nonfinite(samples, "source g", self.source_expr,
+            if not np.isfinite(crest):  # a bad sample spoils its row's modes
+                _refuse_transform(samples, "source g", self.source_expr,
                                   lambda k: f"w = {radii[k // size, 0] * unit[k % size]}")
             self._band, self._angles = freq[band], size
             # Columns of g_k and g_-k, k = 0..K.
@@ -772,13 +779,15 @@ def poisson_coefficients(psi, boundary_nodes: int = 512):
         raise ValueError("boundary_nodes must be at least 16")
     with np.errstate(all="ignore"):
         samples = _sampler(psi)(_circle(n))
-    _refuse_nonfinite(samples, "boundary data psi", psi, lambda k: f"theta = {2.0 * np.pi * k / n}")
-    coeff = np.fft.fft(samples) / n
+        coeff = np.fft.fft(samples) / n
     keep = n // 2 - 1
     a = coeff[: keep + 1]
     b = np.concatenate([[0.0], coeff[-1 : -(keep + 1) : -1]])
     size_a, size_b = np.abs(a), np.abs(b)
-    scale = max(size_a.max(), size_b.max())
+    scale = np.maximum(size_a.max(), size_b.max())
+    if not np.isfinite(scale):  # a bad sample spoils every coefficient
+        _refuse_transform(samples, "boundary data psi", psi,
+                          lambda k: f"theta = {2.0 * np.pi * k / n}")
     return a[:_chop_length(size_a, scale)].copy(), b[:_chop_length(size_b, scale)]
 
 
@@ -923,8 +932,8 @@ def green_derivative_sup(
     grid = radii[:, None] * np.exp(1j * 2.0 * np.pi * np.arange(96) / 96)
     shells = shell_radii[:, None] * ring
     pts = np.concatenate([shells.ravel(), [0j], grid.ravel()])
-    dz, db = pot.derivatives(pts)
-    norms = np.maximum(np.abs(dz), np.abs(db))
+    s = Stretch(*pot.derivatives(pts))
+    norms = np.maximum(s.abs_dz, s.abs_dzbar)
     rows = norms[:shells.size].reshape(shells.shape)
     shell_sups = [sup_scan(v, z).value for v, z in zip(rows, shells)]
     interior_sup = sup_scan(norms[shells.size:], pts[shells.size:]).value

@@ -3,19 +3,22 @@
 A jet packs the value f(z) together with the complex partials
 f_z = (f_x - i f_y)/2 and f_zbar = (f_x + i f_y)/2.  All directional
 stretch information of the differential at a point is a function of
-(|f_z|, |f_zbar|); `jet_metrics` derives the standard quantities.
+(|f_z|, |f_zbar|).  `Stretch` is the one place that derives it: every
+report reads the operator and lower norms, the Jacobian, the dilatation,
+the ellipticity defect and the quasiconformal ratio from its arrays.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "WirtingerJet",
-    "DerivedMetrics",
-    "jet_metrics",
+    "Stretch",
     "disk_distance",
     "finite_difference_jet",
 ]
@@ -33,30 +36,51 @@ class WirtingerJet:
         """Unpack as the triple (value, dz, dzbar), the order of `jets`."""
         return iter((self.value, self.dz, self.dzbar))
 
-    def is_finite(self) -> bool:
-        return all(cmath.isfinite(v) for v in (self.value, self.dz, self.dzbar))
+
+class Stretch:
+    """Stretch metrics of the partials (f_z, f_zbar), arrays of one shape.
+
+    `abs_dz` = |f_z| and `abs_dzbar` = |f_zbar| are taken once, and each
+    metric is derived from them on first use and kept.  Where a partial is
+    not finite, so are the metrics.
+    """
+
+    def __init__(self, dz, dzbar):
+        self.abs_dz = np.abs(dz)
+        self.abs_dzbar = np.abs(dzbar)
+
+    @cached_property
+    def op_norm(self):  # ||D||, the largest directional stretch
+        return self.abs_dz + self.abs_dzbar
+
+    @cached_property
+    def lower_norm(self):  # l(D), the smallest directional stretch
+        return np.abs(self.abs_dz - self.abs_dzbar)
+
+    @cached_property
+    def jacobian(self):  # J = |f_z|^2 - |f_zbar|^2
+        return self.abs_dz**2 - self.abs_dzbar**2
+
+    @cached_property
+    def dilatation(self):  # |f_zbar| / |f_z|, nan where |f_z| is 0 (or nan)
+        return _quotient(self.abs_dzbar, self.abs_dz, self.abs_dz > 0.0)
+
+    @cached_property
+    def qc_ratio(self):  # ||D|| / l(D) where |f_z| > |f_zbar|, else nan
+        return _quotient(self.op_norm, self.lower_norm, self.abs_dz > self.abs_dzbar)
+
+    @cached_property
+    def degenerate(self):  # finite partials with J <= 0: not sense-preserving
+        return np.isfinite(self.abs_dz) & np.isfinite(self.abs_dzbar) & (self.jacobian <= 0.0)
+
+    def defect(self, K: float):
+        """The ellipticity defect ||D||^2 - K J."""
+        return self.op_norm**2 - K * self.jacobian
 
 
-@dataclass(frozen=True)
-class DerivedMetrics:
-    """Stretch metrics of a differential, all derived from |dz| and |dzbar|."""
-
-    op_norm: float        # |dz| + |dzbar|: largest directional stretch
-    lower_norm: float     # ||dz| - |dzbar||: smallest directional stretch
-    jacobian: float       # |dz|^2 - |dzbar|^2
-    dilatation: float | None  # |dzbar|/|dz|; None when |dz| == 0
-
-
-def jet_metrics(jet: WirtingerJet) -> DerivedMetrics:
-    """Derive op/lower norms, Jacobian and dilatation from a jet."""
-    a = abs(jet.dz)
-    b = abs(jet.dzbar)
-    return DerivedMetrics(
-        op_norm=a + b,
-        lower_norm=abs(a - b),
-        jacobian=a * a - b * b,
-        dilatation=(b / a) if a > 0.0 else None,
-    )
+def _quotient(num, den, where):
+    """num / den where `where` holds, nan elsewhere."""
+    return np.divide(num, den, out=np.full(np.shape(num), np.nan), where=where)
 
 
 def disk_distance(z: complex) -> float:

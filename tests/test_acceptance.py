@@ -19,6 +19,7 @@ from diskmaps import (
     EllipticityParams,
     GridSpec,
     SeriesMap,
+    Stretch,
     beta_constant,
     boundary_length,
     builtin_map,
@@ -30,7 +31,6 @@ from diskmaps import (
     green_derivative_sup,
     grid_supremum,
     harmonic_catalog,
-    jet_metrics,
     laplacian_residual,
     lemma24_convert,
     min_kprime,
@@ -95,15 +95,12 @@ def test_c02_degree_nine_dilatation_blowup(example15, line):
     # threshold 0.999 is therefore crossed between those radii; the checks
     # below pin the measured values to the closed form and require the
     # blow-up flag on a grid that reaches r = 1 - 1e-6.
-    def dil(r):
-        m = jet_metrics(example15.jet(complex(r)))
-        return m.dilatation
-
     def exact(r):
         u = r ** 6
         return abs(3 - 4 * u) / (6 - 5 * u)
 
-    d4, d6 = dil(1 - 1e-4), dil(1 - 1e-6)
+    radii = np.array([1 - 1e-4, 1 - 1e-6], dtype=complex)
+    d4, d6 = Stretch(*example15.derivatives(radii)).dilatation.tolist()
     grid = GridSpec(radial_count=96, angular_count=192,
                     max_radius=1.0 - 1e-6, refine_rounds=3)
     res = qc_constant(example15, grid)
@@ -258,11 +255,9 @@ def test_c08_log_power_map_constants(example13_quarter, line):
     qc = qc_constant(example13_quarter)
     qc_err = abs(qc.value - 2.0)
 
-    norms = {}
-    for r in (1e-3, 1e-6, 1e-9):
-        L = 1.0 - 2.0 * math.log(r)
-        got = jet_metrics(example13_quarter.jet(complex(r))).op_norm
-        norms[r] = (got, L ** 0.25)
+    radii = (1e-3, 1e-6, 1e-9)
+    got = Stretch(*example13_quarter.derivatives(np.array(radii, dtype=complex))).op_norm
+    norms = {r: (g, (1.0 - 2.0 * math.log(r)) ** 0.25) for r, g in zip(radii, got.tolist())}
     closed_form_err = max(abs(g - w) for g, w in norms.values())
     L6 = 1.0 - 2.0 * math.log(1e-6)
     growing = norms[1e-3][0] < norms[1e-6][0] < norms[1e-9][0]

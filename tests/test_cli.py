@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diskmaps import GreenPotential, QuadratureConfig, cli, laplacian_residual, solve_poisson
+from diskmaps import (GreenPotential, GridSpec, QuadratureConfig, cli, laplacian_residual,
+                      polar_grid, solve_poisson)
 
 
 def run_json(capsys, argv):
@@ -160,6 +162,20 @@ def test_boundary_data_with_a_pole_on_the_circle_is_a_numerical_failure(argv, ca
         "numerical failure: boundary data psi = '1/(z-1)' is not finite at theta = 0.0\n")
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["--psi", "1e308*z", "--g", "1"], "boundary data psi = '1e308*z'"),
+    (["--psi", "z", "--g", "1e308*z"], "source g = '1e308*z'"),
+])
+def test_an_overflowing_transform_of_finite_samples_is_a_numerical_failure(argv, name, capsys):
+    # The samples are finite but their FFT overflows: solve exited 0 with a
+    # value near -4e291 (psi) or 4e290 (g), and numpy's warnings leaked.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["solve", *argv, "--points", "0.5"]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: the Fourier transform of {name} overflows\n")
+
+
 def test_a_source_that_fails_on_the_panel_grid_is_a_numerical_failure(capsys):
     argv = ["solve", "--psi", "z", "--g", "1 + 0*log(abs(z) - re(z))", "--points", "0.5"]
     assert cli.main(argv) == 3
@@ -293,6 +309,25 @@ def test_analyze_reports_point_metrics(capsys):
     assert row["op_norm"] == 1.0
     assert row["defect"] == 0.0  # analytic maps have ||D||^2 = J
     assert row["dilatation"] == 0.0
+
+
+def test_analyze_metrics_equal_the_bounds_lhs_bit_for_bit(capsys):
+    # analyze and the derivative rows of bounds read one stretch kernel, so
+    # on a 10 x 24 polar grid of z^2 op_norm is the CP-K lhs and |f_z| the
+    # kalaj-1 lhs, bit for bit (a scalar abs differs from np.abs on 54 of them).
+    pts = polar_grid(GridSpec(radial_count=10, angular_count=24)).ravel()
+    points = ",".join(str(z) for z in pts)
+    code, doc = run_json(capsys, ["analyze", "--map", "z^2", "--points", points])
+    assert code == 0
+    rows = doc["reports"]
+    assert [complex(r["point"]["re"], r["point"]["im"]) for r in rows] == list(pts)
+    code, doc = run_json(capsys, ["bounds", "--map", "z^2", "--K", "1", "--R", "2",
+                                  "--radial-sup", "1", "--per-point", "--points", points])
+    assert code == 0
+    lhs = {ineq: [r["lhs"] for r in doc["reports"] if r.get("inequality_id") == ineq]
+           for ineq in ("kalaj-1", "CP-K")}
+    assert [r["op_norm"] for r in rows] == lhs["CP-K"]
+    assert [r["lower_norm"] for r in rows] == lhs["kalaj-1"]  # |f_z| - 0
 
 
 def test_analyze_survives_jet_failures(capsys):

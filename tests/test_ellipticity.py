@@ -19,6 +19,7 @@ from diskmaps import (
     QuadratureConfig,
     QuadratureError,
     SeriesMap,
+    Stretch,
     beta_constant,
     builtin_map,
     check_prop14,
@@ -31,7 +32,7 @@ from diskmaps import (
     qc_constant,
     solve_poisson,
 )
-from diskmaps.ellipticity import _default_prop14_pairs, _defect
+from diskmaps.ellipticity import _default_prop14_pairs
 
 
 def shear(k: float) -> SeriesMap:
@@ -113,7 +114,11 @@ def test_frontier_matches_min_kprime_per_K(name, example15):
 
 def test_pointwise_defect_sign_convention():
     # |f_z| = 2, |f_zbar| = 0.5: ||D||^2 = 6.25, J = 3.75.
-    assert _defect(np.array(2.0), np.array(0.5), 1.0) == pytest.approx(2.5)
+    assert Stretch(2.0, 0.5).defect(1.0) == pytest.approx(2.5)
+    # Swapped, J = -3.75 < 0: the defect grows, and the point is degenerate.
+    s = Stretch(np.array([2.0, 0.5]), np.array([0.5, 2.0]))
+    np.testing.assert_array_equal(s.defect(1.0), [2.5, 10.0])
+    np.testing.assert_array_equal(s.degenerate, [False, True])
     with pytest.raises(ValueError):
         min_kprime(shear(0.25), 0.5)
 

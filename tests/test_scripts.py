@@ -84,6 +84,27 @@ def test_output_digest_equals_the_committed_digest(monkeypatch, capsys):
     assert fresh == committed, f"{len(moved)} argvs moved: {moved}"
 
 
+def test_every_workload_report_meets_its_oracle(monkeypatch):
+    # The digest pins bytes; the benchmark's oracles (closed forms, 1-D
+    # searches, closed-form twins) check the numbers of every report.
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    from oracles import check_report
+    from workloads import WORKLOADS, generate
+
+    run = runpy.run_path(str(SCRIPTS / "output_digest.py"))["run"]
+    problems, count = [], 0
+    for workload in WORKLOADS:
+        for seed in (1, 2, 3):
+            for case in generate(workload, seed):
+                code, out, _ = run(case.argv)
+                twin = run(case.oracle["argv"])[:2] if case.oracle["kind"] == "twin" else None
+                count += 1
+                problems += [f"{shlex.join(case.argv)}: {p}"
+                             for p in check_report(case.oracle, code, out, twin).problems]
+    assert count > 100
+    assert problems == []
+
+
 def test_compare_outputs_quantifies_moved_numbers(monkeypatch, capsys, tmp_path):
     def doc(argv, code, stdout, stderr=""):
         return json.dumps({"argv": argv, "code": code, "stdout": stdout, "stderr": stderr})
