@@ -41,7 +41,7 @@ def main():
             "parameters": {k: repr(v) for k, v in definition.parameters.items()},
             "samples": [list(s) for s in report.samples],
             "sup_dilatation": report.sup_dilatation,
-            "dilatation_unbounded": bool(report.dilatation_unbounded),
+            "dilatation_unbounded": report.dilatation_unbounded,
         }
         json.dump(doc, sys.stdout, indent=2)
         print()

@@ -64,6 +64,11 @@ EDGE_ARGVS = (
     ("check-thm11", "--catalog", "example13", "--param", "alpha=0.25", *_THM11,
      "--pairs", "0:0.5"),
     ("check-prop14", "--psi", "z", "--g", "1/(z-0.5)", "--C3", "1", "--pairs", "0.5:0.1"),
+    # Sources that leave the Green potential unresolved: the checks are
+    # indeterminate, and a pole on the circle also makes source_sup inf.
+    ("check-prop14", "--psi", "z", "--g", "1/(z-1)", "--C3", "1", "--pairs", "0.5:0.1"),
+    ("check-thm11", "--psi", "z", "--g", "pow(abs(z-0.5), -0.5)", *_THM11,
+     "--pairs", "0.1:0.3j"),
     ("length", "--map", "1/(z-0.5)", "--r", "0.5"),
     ("length", "--kind", "boundary", "--map", "1/(z-0.99609375)"),
     ("coeffs", "--map", "1/(z-0.4)"),

@@ -40,7 +40,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .coefficients import CoeffTable
-from .ellipticity import EllipticityParams
+from .ellipticity import EllipticityParams, verdict
 from .grids import GridSpec, polar_grid, ring_radii, sup_scan
 from .maps import JetEvaluationError
 from .wirtinger import Stretch
@@ -56,12 +56,6 @@ __all__ = [
 
 # A margin in (-1e-9, 0) is roundoff at equality cases, not a violation.
 HOLD_TOLERANCE = 1e-9
-
-
-def _status(margin: float) -> str:
-    if not math.isfinite(margin):
-        return "indeterminate"
-    return "holds" if margin >= -HOLD_TOLERANCE else "violated"
 
 
 @dataclass(frozen=True)
@@ -80,15 +74,17 @@ class BoundReport:
             raise ValueError(f"unknown inequality id {self.inequality_id!r}")
 
     @classmethod
-    def evaluated(cls, inequality_id: str, index, lhs: float, rhs: float) -> "BoundReport":
+    def evaluated(cls, inequality_id: str, index, lhs: float, rhs: float,
+                  undecided: bool = False) -> "BoundReport":
+        """The row lhs <= rhs; `undecided` marks a failed hypothesis."""
         margin = rhs - lhs
         return cls(inequality_id=inequality_id, index=index, lhs=float(lhs),
-                   rhs=float(rhs), margin=float(margin), status=_status(margin))
+                   rhs=float(rhs), margin=float(margin),
+                   status=verdict(margin, HOLD_TOLERANCE, undecided))
 
     @classmethod
     def indeterminate(cls, inequality_id: str, index=None) -> "BoundReport":
-        return cls(inequality_id=inequality_id, index=index, lhs=math.nan,
-                   rhs=math.nan, margin=math.nan, status="indeterminate")
+        return cls.evaluated(inequality_id, index, math.nan, math.nan)
 
 
 @dataclass

@@ -153,8 +153,6 @@ def _summary(reports: List[object]) -> Dict[str, object]:
         if isinstance(margin, float) and math.isfinite(margin):
             margins.append(margin)
         status = getattr(rep, "status", None)
-        if status is None and hasattr(rep, "holds_on_sample"):
-            status = "holds" if rep.holds_on_sample else "violated"
         if status is not None:
             statuses.append(status)
     if "violated" in statuses:

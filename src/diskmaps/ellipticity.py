@@ -34,6 +34,7 @@ __all__ = [
     "FrontierReport",
     "HypothesisReport",
     "QcResult",
+    "verdict",
     "min_kprime",
     "qc_constant",
     "frontier",
@@ -94,16 +95,36 @@ class FrontierReport:
     sense_preserving: bool
 
 
+def verdict(margin: float, tol: float, undecided: bool = False) -> str:
+    """The one verdict rule of every checked report: "indeterminate" when the
+    margin is not finite or a precondition failed (`undecided`), else "holds"
+    when margin >= -tol and "violated" below."""
+    if undecided or not math.isfinite(margin):
+        return "indeterminate"
+    return "holds" if margin >= -tol else "violated"
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of a sampled inequality check."""
+    """Outcome of a sampled inequality check; holds_on_sample is
+    status == "holds", kept for readers of the older key."""
 
     condition_id: str
+    status: str
     holds_on_sample: bool
     worst_margin: float
     witness: Optional[tuple]
     derived_constants: dict
     notes: str = ""
+
+    @classmethod
+    def checked(cls, condition_id: str, worst_margin: float, witness, derived_constants: dict,
+                tol: float = _HOLD_TOL, notes: Sequence[str] = (), failed: Sequence[str] = ()):
+        """A pair check's report, its status by `verdict` at `tol`; each reason
+        in `failed` (a failed hypothesis) makes it indeterminate and joins the notes."""
+        status = verdict(worst_margin, tol, undecided=bool(failed))
+        return cls(condition_id, status, status == "holds", worst_margin, witness,
+                   derived_constants, "; ".join([*notes, *failed]))
 
 
 @dataclass(frozen=True)
@@ -139,7 +160,7 @@ def _shell_dilatations(s: Stretch) -> Tuple[np.ndarray, bool]:
     it blows up: the outermost sup exceeds 1 - 1e-3 and the last three increase."""
     sups = np.where(np.isfinite(s.dilatation), s.dilatation, -np.inf).max(axis=1)
     tail = sups[-3:]
-    return sups, len(tail) == 3 and tail[-1] > 1.0 - 1e-3 and bool(np.all(np.diff(tail) > 0.0))
+    return sups, bool(len(tail) == 3 and tail[-1] > 1.0 - 1e-3 and np.all(np.diff(tail) > 0.0))
 
 
 def qc_constant(m: PlanarMap, grid: Optional[GridSpec] = None) -> QcResult:
@@ -173,9 +194,9 @@ def frontier(m: PlanarMap, Ks: Sequence[float],
     base grid is sampled once and shared by every K and the dilatation
     scan; only the per-K refinement windows evaluate the map again.
     """
+    Ks = sorted(float(K) for K in Ks)
     if not Ks:
         raise ValueError("Ks must be nonempty")
-    Ks = sorted(float(K) for K in Ks)
     if not all(K >= 1.0 for K in Ks):
         raise ValueError("every K must be >= 1")
     grid = grid or GridSpec()
@@ -344,6 +365,16 @@ def _check_univalence_on_sample(pts: np.ndarray, vals: np.ndarray) -> None:
         )
 
 
+def _failed_hypothesis(m: PlanarMap, source_sup: float = 0.0) -> List[str]:
+    """Where an evaluated map visibly breaks the hypothesis on Delta f: a
+    source sup that is not finite, or a Poisson map whose Green potential
+    stopped refining before it resolved the source (a pole on the disk)."""
+    failed = [] if math.isfinite(source_sup) else ["source_sup is not finite"]
+    if isinstance(m, PoissonMap) and m.potential.resolved is False:
+        failed.append("Green potential unresolved (refinement stopped)")
+    return failed
+
+
 def check_theorem11(
     m: PlanarMap,
     omega,
@@ -367,8 +398,10 @@ def check_theorem11(
     (pair, node) target come from one `invert_map` call, each started from
     its point z1 + t (z2 - z1) on the straight chord.  The worst margin over
     all clauses and pairs is reported; pairs with a target whose inversion
-    fails are counted as indeterminate, and a nan clause margin (also where
-    f is not finite at an endpoint) raises JetEvaluationError.
+    fails are skipped and counted in the notes, and a nan clause margin
+    (also where f is not finite at an endpoint) raises JetEvaluationError.
+    The report is indeterminate on a Poisson map whose Green potential is
+    unresolved.
     """
     _check_alpha(alpha, C1=C1, C2=C2)
     pairs = _validated_pairs(pairs)
@@ -395,25 +428,17 @@ def check_theorem11(
     integral_margin = np.where(solved, C2 - integrals, math.inf)
 
     worst, witness = _worst_pair(pairs, np.column_stack([margins, integral_margin]))
-    indeterminate = len(pairs) - int(solved.sum())
-    notes = ""
-    if indeterminate:
-        notes = (f"{indeterminate} of {len(pairs)} chord integrals skipped "
-                 "(inversion did not converge)")
+    skipped = len(pairs) - int(solved.sum())
+    notes = [f"{skipped} of {len(pairs)} chord integrals skipped "
+             "(inversion did not converge)"] if skipped else []
     derived = {
         "alpha": alpha,
         "C1": C1,
         "C2": C2,
         "max_chord_integral": float(integrals[solved].max()) if solved.any() else math.nan,
     }
-    return HypothesisReport(
-        condition_id="growth-and-chord-integral",
-        holds_on_sample=bool(worst >= -_HOLD_TOL),
-        worst_margin=worst,
-        witness=witness,
-        derived_constants=derived,
-        notes=notes,
-    )
+    return HypothesisReport.checked("growth-and-chord-integral", worst, witness, derived,
+                                    notes=notes, failed=_failed_hypothesis(m))
 
 
 def _default_prop14_pairs(m: PlanarMap, h1: PlanarMap,
@@ -512,7 +537,9 @@ def check_prop14(m: PlanarMap, C3: float,
     (`GreenPotential.source_grid_sup`; a Poisson map's own potential, with
     its quadrature and its DSL or array-callable source).  It is a lower
     estimate, so the derived k2 and (K, K') can be too small where
-    |Delta f| peaks between samples.
+    |Delta f| peaks between samples.  Where the paper's hypothesis visibly
+    fails (`source_sup` is not finite, or a Poisson map's Green potential
+    is unresolved) the report is indeterminate and derives no constants.
 
     When h1 comes from coefficient extraction, the hold tolerance widens to
     1e-9 per unit chord: short chords divide the absolute coefficient noise
@@ -532,24 +559,14 @@ def check_prop14(m: PlanarMap, C3: float,
     # Per unit chord, comparable across deltas.
     margins = (C3 * np.abs(g1 - g2) - np.abs(f1 - f2)) / np.abs(z1 - z2)
     worst, witness = _worst_pair(pairs, margins[:, None])
-    if witness is None:
-        raise ValueError("no pair produced a finite margin")
-
-    hold_tol = 1e-9 if extracted else _HOLD_TOL
-    holds = bool(worst >= -hold_tol)
-    derived = {"C3": C3, "source_sup": g_sup}
-    if holds:
-        k1 = C3 - 1.0
-        k2 = (C3 / 3.0) * g_sup
-        derived["cauchy_pair"] = CauchyPair(k1=k1, k2=k2)
-        derived["ellipticity_params"] = lemma24_convert(CauchyPair(k1=k1, k2=k2))
-    return HypothesisReport(
-        condition_id="analytic-part-domination",
-        holds_on_sample=holds,
-        worst_margin=worst,
-        witness=witness,
-        derived_constants=derived,
-    )
+    report = HypothesisReport.checked(
+        "analytic-part-domination", worst, witness, {"C3": C3, "source_sup": g_sup},
+        tol=1e-9 if extracted else _HOLD_TOL, failed=_failed_hypothesis(m, g_sup))
+    if report.status == "holds":
+        pair = CauchyPair(k1=C3 - 1.0, k2=(C3 / 3.0) * g_sup)
+        report.derived_constants.update(cauchy_pair=pair,
+                                        ellipticity_params=lemma24_convert(pair))
+    return report
 
 
 def lemma22_check(
@@ -571,6 +588,8 @@ def lemma22_check(
     are skipped, up to 1% of the grid (GridScanError beyond).
     The derived constant beta(alpha) * C5 converts any (b)-type bound into
     an (a)-type one, with beta = Gamma((1+alpha)/2)^2 / Gamma(1+alpha).
+    The report is indeterminate on a Poisson map whose Green potential is
+    unresolved.
     """
     _check_alpha(alpha, C4=C4, C5=C5)
     pairs = _validated_pairs(pairs)
@@ -600,13 +619,8 @@ def lemma22_check(
         "pointwise_margin": worst_b,
         "pointwise_to_pair_constant": beta_constant(alpha) * C5,
     }
-    return HypothesisReport(
-        condition_id="pointwise-vs-chord-equivalence",
-        holds_on_sample=bool(worst >= -_HOLD_TOL),
-        worst_margin=worst,
-        witness=witness,
-        derived_constants=derived,
-    )
+    return HypothesisReport.checked("pointwise-vs-chord-equivalence", worst, witness,
+                                    derived, failed=_failed_hypothesis(m))
 
 
 def beta_constant(alpha: float) -> float:

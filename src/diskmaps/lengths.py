@@ -322,9 +322,8 @@ def subharmonic_radial_check(
     cfg = cfg or GridSpec()
     radii, sups = radial_integral_profile(phi, cfg)
     if sups[-1] > 1.0 + 1e-9:
-        return BoundReport(inequality_id="radial-subharmonic",
-                           index=float(radii[-1]), lhs=float(sups[-1]), rhs=1.0,
-                           margin=float(1.0 - sups[-1]), status="indeterminate")
+        return BoundReport.evaluated("radial-subharmonic", float(radii[-1]),
+                                     float(sups[-1]), 1.0, undecided=True)
     margins = radii - sups
     idx = int(np.argmin(margins))
     return BoundReport.evaluated("radial-subharmonic", float(radii[idx]),

@@ -673,8 +673,14 @@ class GreenPotential(PlanarMap):
 
             def sample(_, lo, hi):  # the band's modes at the nodes of panels [lo, hi]
                 s = gauss(lo, hi, q)[0]
-                modes = np.fft.fft(self._g(s.ravel()[:, None] * unit), axis=1) * scale
-                return modes[:, signed].reshape(s.shape + signed.shape)
+                w = s.ravel()[:, None] * unit
+                with np.errstate(all="ignore"):  # a mode that is not finite is refused below
+                    values = self._g(w)
+                    modes = (np.fft.fft(values, axis=1) * scale)[:, signed]
+                if not np.isfinite(modes).all():
+                    _refuse_transform(values, "source g", self.source_expr,
+                                      lambda k: f"w = {w.flat[k]}")
+                return modes.reshape(s.shape + signed.shape)
 
             # The mass density is max_m |g_m| s.
             _, lo, hi, g, _, unresolved = refine_panels(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,6 +13,9 @@ import pytest
 
 from diskmaps import (GreenPotential, GridSpec, QuadratureConfig, cli, laplacian_residual,
                       polar_grid, solve_poisson)
+
+
+DIGEST = Path(__file__).resolve().parent / "output_digest.txt"
 
 
 def run_json(capsys, argv):
@@ -226,6 +230,63 @@ def test_prop14_source_sup_follows_the_quadrature_flags(capsys):
         sups.append(sup)
     # A sampled lower estimate of the true sup, 0.5 at z = 0.3.
     assert sups[0] < sups[1] < 0.5
+
+
+_CHECK_ARGVS = [shlex.split(line[65:]) for line in DIGEST.read_text().splitlines()
+                if line[65:].startswith(("check-thm11", "check-prop14"))]
+
+
+@pytest.mark.parametrize("argv", _CHECK_ARGVS, ids=shlex.join)
+def test_every_printed_hypothesis_report_has_one_verdict(argv, capsys):
+    # holds_on_sample is the status read as a boolean, and the summary takes
+    # the gravest status: violated, then indeterminate, then holds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag
+            code = exc.code
+    out = capsys.readouterr().out
+    if code in (2, 3):
+        assert out == ""
+        return
+    doc = json.loads(out)
+    statuses = [rep["status"] for rep in doc["reports"]]
+    for rep in doc["reports"]:
+        assert rep["holds_on_sample"] == (rep["status"] == "holds")
+    gravest = next(s for s in ("violated", "indeterminate", "holds") if s in statuses)
+    assert doc["summary"]["status"] == gravest
+    assert code == (1 if gravest == "violated" else 0)
+
+
+_UNRESOLVED = [
+    ["check-prop14", "--psi", "z", "--g", "1/(z-1)", "--C3", "1", "--pairs", "0.5:0.1"],
+    ["check-prop14", "--psi", "z", "--g", "1/(z-0.5)", "--C3", "1", "--pairs", "0.5:0.1"],
+    ["check-thm11", "--psi", "z", "--g", "1/(z-0.5)", "--omega", "t", "--alpha", "0.5",
+     "--C1", "5", "--C2", "5", "--pairs", "0.1:0.3j", "--line-nodes", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _UNRESOLVED, ids=shlex.join)
+def test_a_check_on_an_unresolved_potential_is_indeterminate(argv, capsys):
+    # The source has a pole on the closed disk, so the Green potential stops
+    # refining: the checks said "holds", and check-prop14 derived (K, K')
+    # from a source_sup of 1509.6 or inf.
+    code, doc = run_json(capsys, argv)
+    rep = doc["reports"][0]
+    assert code == 0
+    assert rep["status"] == doc["summary"]["status"] == "indeterminate"
+    assert rep["holds_on_sample"] is False
+    assert "Green potential unresolved (refinement stopped)" in rep["notes"]
+    assert ("source_sup is not finite" in rep["notes"]) == ("z-1" in argv[4])
+    assert not {"cauchy_pair", "ellipticity_params"} & set(rep["derived_constants"])
+    # A resolved source in its place keeps "holds" and its derived pair.
+    twin = argv[:4] + ["re(z)"] + argv[5:]
+    code, doc = run_json(capsys, twin)
+    rep = doc["reports"][0]
+    assert code == 0 and rep["status"] == "holds" and rep["notes"] == ""
+    if argv[0] == "check-prop14":
+        assert {"cauchy_pair", "ellipticity_params"} <= set(rep["derived_constants"])
 
 
 def test_violated_check_exits_1(capsys):

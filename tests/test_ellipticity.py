@@ -376,6 +376,17 @@ def test_lemma22_identity_is_tight():
         beta_constant(1.0), abs=1e-15)
 
 
+def test_lemma22_on_an_unresolved_potential_is_indeterminate():
+    # A pole at 0.5 stops the Green panels' refinement; the check held.
+    m = solve_poisson("z", "1/(z-0.5)")
+    rep = lemma22_check(m, "t", alpha=0.5, C4=10.0, C5=10.0, pairs=[(0.1, 0.3j)],
+                        grid=GridSpec(radial_count=4, angular_count=8, refine_rounds=0))
+    assert m.potential.resolved is False
+    assert rep.status == "indeterminate" and rep.holds_on_sample is False
+    assert rep.notes == "Green potential unresolved (refinement stopped)"
+    assert math.isfinite(rep.worst_margin)
+
+
 def test_beta_constant_endpoint_and_interior_values():
     assert beta_constant(1.0) == pytest.approx(1.0, abs=1e-12)
     assert beta_constant(0.0) == pytest.approx(math.pi, abs=1e-12)
@@ -395,6 +406,17 @@ def test_beta_constant_matches_mpmath_across_the_alpha_range():
             oracle = mpmath.gamma((1 + a) / 2) ** 2 / mpmath.gamma(1 + a)
             rel = abs((mpmath.mpf(beta_constant(float(alpha))) - oracle) / oracle)
             assert rel <= 1e-14, (alpha, float(rel))
+
+
+def test_frontier_takes_an_array_of_K_and_prints_python_flags():
+    # An array of K raised numpy's "truth value of an array is ambiguous",
+    # and dilatation_unbounded was a numpy bool.
+    grid = GridSpec(radial_count=4, angular_count=8, refine_rounds=0)
+    rep = frontier(shear(0.3), np.array([2.0, 1.0]), grid)
+    assert rep == frontier(shear(0.3), [1.0, 2.0], grid)
+    assert type(rep.dilatation_unbounded) is bool and type(rep.sense_preserving) is bool
+    with pytest.raises(ValueError, match="Ks must be nonempty"):
+        frontier(shear(0.3), np.array([]), grid)
 
 
 def test_frontier_reports_sense_preservation(example15):

@@ -802,6 +802,28 @@ def test_boundary_data_that_is_not_finite_raises(psi):
         poisson_coefficients(lambda w: np.where(w.imag > 0.5, np.inf, w))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1e308, "the Fourier transform of source g overflows"),
+    (np.nan, "source g is not finite at w = "),
+])
+def test_a_source_that_fails_only_on_split_panels_raises(bad, message):
+    # The bump splits to 15 panels; this source leaves it as it is at the
+    # starting nodes' radii and is bad at every other radius, so only the
+    # halves' modes are not finite.  They were solved unchecked, and the
+    # overflow leaked numpy's warning.
+    start = _panel_nodes(128)[1].ravel()
+
+    def g(w):
+        out = np.exp(-400 * np.abs(w - 0.06) ** 2).astype(complex)
+        out[np.abs(np.abs(w)[..., None] - start).min(axis=-1) > 1e-12] = bad
+        return out
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JetEvaluationError, match=f"^{re.escape(message)}"):
+            GreenPotential(g).values(np.array([0.3]))
+
+
 def test_a_source_that_is_not_finite_on_the_panel_grid_raises():
     # nan on the ray theta = 0: the first sample is the innermost node there.
     pot = GreenPotential("1 + 0*log(abs(z) - re(z))")
